@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -259,8 +260,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_axis_values(argv: list) -> list:
+    """Join `--e -0.2,0.1,1` into `--e=-0.2,0.1,1`.
+
+    argparse takes a value that starts with '-' and is not a plain number
+    for an option, so a negative first component would be rejected.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--e" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--e={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_axis_values(argv))
     try:
         return args.func(args)
     except ParseError as exc:

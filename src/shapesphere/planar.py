@@ -182,6 +182,8 @@ def planar_series(traj: Trajectory):
 
 def shape_curve(traj: Trajectory) -> ShapeCurve:
     """Project a planar trajectory to its normalized shape curve."""
+    if traj.dim != 2:
+        raise ValueError("shape_curve expects a planar trajectory")
     Z1, Z2 = jacobi_series(traj.positions, traj.masses)
     w = shape_series(Z1, Z2)
     if np.any(w[:, 3] <= 0.0):
@@ -267,6 +269,11 @@ def oracle_rotation(traj: Trajectory, target: str) -> float:
         vec = traj.positions[:, 2, :2] - traj.positions[:, 1, :2]
     else:
         raise ValueError("target must be 'q1' or 'Z1'")
+    return _unwound_turn(vec, target)
+
+
+def _unwound_turn(vec: np.ndarray, target: str) -> float:
+    """Unwound polar-angle change of a sampled planar vector series (n, 2)."""
     norms = np.hypot(vec[:, 0], vec[:, 1])
     defined = norms > 1e-12 * max(float(np.max(norms)), 1e-300)
     raw = np.arctan2(vec[:, 1], vec[:, 0])

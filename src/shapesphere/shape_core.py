@@ -457,7 +457,15 @@ def jacobi_series(positions: np.ndarray, masses: MassTriple) -> tuple[np.ndarray
 
     The map is linear, so it applies verbatim to velocities as well.
     """
-    q = positions[..., 0] + 1j * positions[..., 1]
+    return _jacobi_vectors(positions[..., 0] + 1j * positions[..., 1], masses)
+
+
+def _jacobi_vectors(q: np.ndarray, masses: MassTriple) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi map over the body axis (axis 1) of a batch of samples.
+
+    Complex (n, 3) input gives the planar pair; real (n, 3, 3) input gives
+    the mass-weighted Jacobi 3-vectors of spatial samples.
+    """
     Z1 = masses.mu1 * (q[:, 2] - q[:, 1])
     Z2 = masses.mu2 * (
         q[:, 0] - (masses.m2 * q[:, 1] + masses.m3 * q[:, 2]) / (masses.m2 + masses.m3)

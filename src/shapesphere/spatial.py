@@ -21,17 +21,18 @@ import numpy as np
 
 from .planar import (
     ReconstructionReport,
+    ShapeCurve,
     _quadrature,
     _report,
     _swept_area_flagged,
-    oracle_rotation,
-    shape_curve,
+    _unwound_turn,
 )
 from .shape_core import (
     C1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
     SpatialConfiguration,
+    _jacobi_vectors,
 )
 from .trajectory import Trajectory
 
@@ -90,23 +91,112 @@ class SigmaTensor:
         return self.smallest_eigenvalue < COLLINEAR_EIG_TOL * self.trace
 
 
-def _sigma_matrix_series(q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    norms = np.einsum("nid,nid->ni", q, q)
-    iso = np.einsum("i,ni->n", m, norms)[:, None, None] * np.eye(3)
-    outer = np.einsum("i,nia,nib->nab", m, q, q)
-    return iso - outer
+@dataclass(frozen=True, eq=False)
+class _LockedInertia:
+    """Closed form of the inertia map for a batch of spatial samples.
+
+    Three bodies always lie in one plane.  With the mass-weighted Jacobi
+    vectors xi1, xi2 of a sample, S = xi1 xi1^T + xi2 xi2^T and
+    N = xi1 x xi2, the map is sigma = I Id - S with I = |xi1|^2 + |xi2|^2.
+    Its eigenvalues are I/2 - rho, I/2 + rho and I (along N), where
+    rho = |(w1, w2)| comes from the shape coordinates w1 = (|xi1|^2 -
+    |xi2|^2)/2 and w2 = xi1.xi2, and their product is I D with D = |N|^2.
+    The smallest one is evaluated as D / (I/2 + rho), free of cancellation.
+    """
+
+    xi1: np.ndarray
+    xi2: np.ndarray
+    normal: np.ndarray
+    det: np.ndarray
+    inertia: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    smallest: np.ndarray
+    collinear: np.ndarray
+
+    def inverse(self, momentum: np.ndarray, inertia: np.ndarray) -> np.ndarray:
+        """sigma^{-1} J per sample; collinear samples take J / inertia.
+
+        By Cayley-Hamilton the inverse of sigma on the configuration plane
+        is S / D, and along N it is 1 / I.
+        """
+        det = np.where(self.collinear, 1.0, self.det)
+        xi1_j = np.einsum("nd,nd->n", self.xi1, momentum) / det
+        xi2_j = np.einsum("nd,nd->n", self.xi2, momentum) / det
+        n_j = np.einsum("nd,nd->n", self.normal, momentum) / (
+            det * np.maximum(self.inertia, 1e-300)
+        )
+        w = self.xi1 * xi1_j[:, None] + self.xi2 * xi2_j[:, None] + self.normal * n_j[:, None]
+        if np.any(self.collinear):
+            inertia = np.broadcast_to(np.asarray(inertia, dtype=float), self.det.shape)
+            w[self.collinear] = momentum[self.collinear] / inertia[self.collinear, None]
+        return w
+
+    def axis(self, index=slice(None)) -> np.ndarray:
+        """Unit eigenvectors of the smallest eigenvalue of the indexed
+        samples, S xi - lambda xi for the longer Jacobi vector xi: the
+        kernel direction on collinear samples."""
+        xi1, xi2 = self.xi1[index], self.xi2[index]
+        xi = np.where((self.w1[index] >= 0.0)[:, None], xi1, xi2)
+        v = (
+            xi1 * np.einsum("nd,nd->n", xi1, xi)[:, None]
+            + xi2 * np.einsum("nd,nd->n", xi2, xi)[:, None]
+            - self.smallest[index][:, None] * xi
+        )
+        return v / np.maximum(np.linalg.norm(v, axis=1), 1e-300)[:, None]
+
+    def shape_points(self, normals: np.ndarray) -> np.ndarray:
+        """Shape-sphere points of the samples viewed from the normals' side;
+        the points shape_curve gives for the samples transported to X."""
+        w3 = np.sign(np.einsum("nd,nd->n", self.normal, normals)) * np.sqrt(self.det)
+        return np.stack([self.w1, self.w2, w3], axis=1) / self.inertia[:, None]
+
+
+def _locked_inertia(q: np.ndarray, masses: MassTriple) -> _LockedInertia:
+    """Inertia maps of samples q (n, 3, 3) about their mass centroids."""
+    xi1, xi2 = _jacobi_vectors(q, masses)
+    a = np.einsum("nd,nd->n", xi1, xi1)
+    b = np.einsum("nd,nd->n", xi2, xi2)
+    w1 = 0.5 * (a - b)
+    w2 = np.einsum("nd,nd->n", xi1, xi2)
+    normal = np.cross(xi1, xi2)
+    det = np.einsum("nd,nd->n", normal, normal)
+    inertia = a + b
+    half = 0.5 * inertia + np.hypot(w1, w2)
+    smallest = det / np.maximum(half, 1e-300)
+    collinear = smallest < COLLINEAR_EIG_TOL * 2.0 * inertia
+    return _LockedInertia(xi1, xi2, normal, det, inertia, w1, w2, smallest, collinear)
 
 
 def sigma_tensor(config: SpatialConfiguration, masses: MassTriple) -> SigmaTensor:
-    """Inertia map of a configuration about the origin."""
-    q = config.as_array()[None, :, :]
-    mat = _sigma_matrix_series(q, masses.as_array())[0]
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    smallest = float(eigenvalues[0])
-    axis = None
-    if smallest < COLLINEAR_EIG_TOL * float(np.trace(mat)):
-        axis = eigenvectors[:, 0].copy()
-    return SigmaTensor(mat, smallest, axis)
+    """Inertia map of a configuration about its mass centroid (the origin
+    for centered configurations)."""
+    kernel = _locked_inertia(config.as_array()[None, :, :], masses)
+    xi1, xi2 = kernel.xi1[0], kernel.xi2[0]
+    mat = kernel.inertia[0] * np.eye(3) - np.outer(xi1, xi1) - np.outer(xi2, xi2)
+    axis = kernel.axis()[0] if kernel.collinear[0] else None
+    return SigmaTensor(mat, float(kernel.smallest[0]), axis)
+
+
+def _finite_momentum(Jvec) -> np.ndarray:
+    J = np.asarray(Jvec, dtype=float)
+    if not np.all(np.isfinite(J)):
+        raise ValueError("angular momentum must be finite")
+    return J
+
+
+def _warn_near_collinear(smallest: float, trace: float):
+    condition = trace / max(smallest, 1e-300)
+    # warn when the map is badly conditioned but not merely singular to
+    # roundoff: there a tiny momentum implies a huge rate and the outcome
+    # depends on the collinear convention
+    if condition > CONDITION_WARN and smallest > 64.0 * np.finfo(float).eps * trace:
+        warnings.warn(
+            f"near-collinear configuration (condition estimate {condition:.2e}): "
+            "the angular-velocity solve amplifies momentum errors",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
 
 def sigma_inverse(tensor: SigmaTensor, Jvec, inertia: float) -> np.ndarray:
@@ -117,21 +207,8 @@ def sigma_inverse(tensor: SigmaTensor, Jvec, inertia: float) -> np.ndarray:
     condition number beyond 1e8 warn that a tiny momentum implies a huge
     rate.
     """
-    J = np.asarray(Jvec, dtype=float)
-    if not np.all(np.isfinite(J)):
-        raise ValueError("angular momentum must be finite")
-    tr = tensor.trace
-    condition = tr / max(tensor.smallest_eigenvalue, 1e-300)
-    # warn when the map is badly conditioned but not merely singular to
-    # roundoff: there a tiny momentum implies a huge rate and the outcome
-    # depends on the collinear convention
-    if condition > CONDITION_WARN and tensor.smallest_eigenvalue > 64.0 * np.finfo(float).eps * tr:
-        warnings.warn(
-            f"near-collinear configuration (condition estimate {condition:.2e}): "
-            "the angular-velocity solve amplifies momentum errors",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    J = _finite_momentum(Jvec)
+    _warn_near_collinear(tensor.smallest_eigenvalue, tensor.trace)
     if tensor.is_collinear:
         return J / inertia
     return np.linalg.solve(tensor.matrix, J)
@@ -252,6 +329,18 @@ def oriented_state(config: SpatialConfiguration, n, e) -> OrientedState:
     return OrientedState(config, n, e, phi, eta, theta1)
 
 
+def _projected_rate(w: np.ndarray, normals: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigma_e + sigma_n of the {e^n, e, n} decomposition of each w.
+
+    Evaluated through the exact identity (e.w + n.w) / (1 + e.n), which
+    stays conditioned near n = e; at n = +-e only the rate about n counts.
+    """
+    aligned = np.linalg.norm(np.cross(normals, e), axis=1) < ALIGNMENT_TOL
+    nw = np.einsum("nd,nd->n", normals, w)
+    denom = np.where(aligned, 1.0, 1.0 + normals @ e)
+    return np.where(aligned, nw, (w @ e + nw) / denom)
+
+
 def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> float:
     """Rotation rate of the projected first body due to the rigid part.
 
@@ -260,12 +349,11 @@ def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> fl
     (e.w + n.w) / (1 + e.n), which stays conditioned near n = e; at
     n = +-e only the rate about n contributes.
     """
-    tensor = sigma_tensor(state.config, masses)
-    w = sigma_inverse(tensor, Jvec, inertia)
-    e, n = state.e, state.n
-    if np.linalg.norm(np.cross(e, n)) < ALIGNMENT_TOL:
-        return float(n @ w)
-    return float((e @ w + n @ w) / (1.0 + e @ n))
+    J = _finite_momentum(Jvec)
+    kernel = _locked_inertia(state.config.as_array()[None, :, :], masses)
+    _warn_near_collinear(float(kernel.smallest[0]), 2.0 * float(kernel.inertia[0]))
+    w = kernel.inverse(J[None, :], inertia)
+    return float(_projected_rate(w, state.n[None, :], state.e)[0])
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, fractions: np.ndarray) -> np.ndarray:
@@ -317,9 +405,7 @@ def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -
     out[idx] = units
     if idx.size < traj.n_samples:
         t = traj.times
-        missing = np.flatnonzero(~triangular)
-        runs = np.split(missing, np.flatnonzero(np.diff(missing) > 1) + 1)
-        for run in runs:
+        for run in _runs(~triangular):
             before = idx[idx < run[0]]
             after = idx[idx > run[-1]]
             if before.size == 0:
@@ -338,11 +424,6 @@ def _momentum_vectors(traj: Trajectory) -> np.ndarray:
     return np.einsum("i,nid->nd", m, np.cross(traj.positions, traj.velocities))
 
 
-def _inertia_series(traj: Trajectory) -> np.ndarray:
-    m = traj.masses.as_array()
-    return np.einsum("i,nid,nid->n", m, traj.positions, traj.positions)
-
-
 def _dwell_weights(t: np.ndarray) -> np.ndarray:
     if t.size < 2:
         return np.zeros_like(t)
@@ -351,6 +432,18 @@ def _dwell_weights(t: np.ndarray) -> np.ndarray:
     w[0] = 0.5 * (t[1] - t[0])
     w[-1] = 0.5 * (t[-1] - t[-2])
     return w
+
+
+def _bad_set(kernel: _LockedInertia, momentum, times, e) -> tuple[float, list]:
+    duration = max(float(times[-1] - times[0]), 1e-300)
+    momentous = np.linalg.norm(momentum, axis=1) > _BAD_SET_J_TOL * kernel.inertia / duration
+    flagged = kernel.collinear & momentous
+    hits = np.flatnonzero(flagged)
+    # only collinear samples have a kernel direction, so only they can tilt
+    flagged[hits] = np.abs(kernel.axis(hits) @ e) > _BAD_SET_AXIS_TOL
+    measure = float(np.sum(_dwell_weights(times)[flagged]))
+    intervals = [(float(times[run[0]]), float(times[run[-1]])) for run in _runs(flagged)]
+    return measure, intervals
 
 
 def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
@@ -366,32 +459,40 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
         raise ValueError("bad_set_measure expects a spatial trajectory")
     e = np.asarray(e, dtype=float)
     e = e / np.linalg.norm(e)
-    mats = _sigma_matrix_series(traj.positions, traj.masses.as_array())
-    eigenvalues, eigenvectors = np.linalg.eigh(mats)
-    trace = eigenvalues.sum(axis=1)
-    collinear = eigenvalues[:, 0] < COLLINEAR_EIG_TOL * trace
-    axes = eigenvectors[:, :, 0]
-    momentum = np.linalg.norm(_momentum_vectors(traj), axis=1)
-    inertia = 0.5 * trace
-    duration = max(traj.duration, 1e-300)
-    momentous = momentum > _BAD_SET_J_TOL * inertia / duration
-    tilted = np.abs(axes @ e) > _BAD_SET_AXIS_TOL
-    flagged = collinear & momentous & tilted
-    weights = _dwell_weights(traj.times)
-    measure = float(np.sum(weights[flagged]))
-    intervals = []
-    if np.any(flagged):
-        hits = np.flatnonzero(flagged)
-        for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1):
-            intervals.append((float(traj.times[run[0]]), float(traj.times[run[-1]])))
-    return measure, intervals
+    kernel = _locked_inertia(traj.positions, traj.masses)
+    return _bad_set(kernel, _momentum_vectors(traj), traj.times, e)
 
 
-def _antipodal_runs(antipodal: np.ndarray) -> list:
-    hits = np.flatnonzero(antipodal)
+def _runs(mask: np.ndarray) -> list:
+    hits = np.flatnonzero(mask)
     if hits.size == 0:
         return []
-    return [run for run in np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)]
+    return np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
+
+
+def _steps_pass_antipode(normals: np.ndarray, e: np.ndarray) -> bool:
+    """Whether a great-circle step between consecutive normals passes within
+    ANTIPODAL_TOL of -e.
+
+    A step from a to b can only do so if |a + e| <= |b - a| + ANTIPODAL_TOL;
+    this also keeps steps shorter than roundoff, whose great circle is
+    undefined, out of the test.  With g = a x b, the point of the circle
+    closest to -e lies on the step exactly when (a x e).g <= 0 and
+    (e x b).g <= 0, i.e. e.b <= (a.b)(e.a) and e.a <= (a.b)(e.b) for unit
+    a, b; its chordal distance from -e is 2 sin(asin(s) / 2) with
+    s = |e.g| / |g|.  Closest points at the ends of a step are samples,
+    which are tested apart.
+    """
+    a, b = normals[:-1], normals[1:]
+    near = np.linalg.norm(a + e, axis=1) <= np.linalg.norm(b - a, axis=1) + ANTIPODAL_TOL
+    a, b = a[near], b[near]
+    g = np.cross(a, b)
+    g_norm = np.linalg.norm(g, axis=1)
+    ea, eb = a @ e, b @ e
+    ab = np.einsum("nd,nd->n", a, b)
+    on_step = (eb <= ab * ea) & (ea <= ab * eb) & (g_norm > 0.0)
+    s = np.abs(g[on_step] @ e) / g_norm[on_step]
+    return bool(np.any(2.0 * np.sin(0.5 * np.arcsin(np.minimum(s, 1.0))) < ANTIPODAL_TOL))
 
 
 def reconstruct_spatial(
@@ -409,8 +510,8 @@ def reconstruct_spatial(
     triangle orientation.  Where the normal crosses -e the projected angle
     jumps by 2 pi; each crossing adds antipodal_branch * 2 pi to the
     dynamic term, the crossing samples are excised from the projection, and
-    the report is marked modulo-2pi.  A positive bad-set dwell time leaves
-    the result uncertified.
+    the report is marked modulo-2pi, as it is when a step between samples
+    passes -e.  A positive bad-set dwell time leaves the result uncertified.
     """
     if traj.dim != 3:
         raise ValueError("reconstruct_spatial expects a spatial trajectory")
@@ -425,31 +526,13 @@ def reconstruct_spatial(
     e = e / np.linalg.norm(e)
     normals = traj.normals if traj.normals is not None else normal_track(traj, e)
 
-    inertia = _inertia_series(traj)
-    if np.any(inertia <= 0.0):
+    kernel = _locked_inertia(traj.positions, traj.masses)
+    if np.any(kernel.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-
-    mats = _sigma_matrix_series(traj.positions, traj.masses.as_array())
-    eigenvalues = np.linalg.eigvalsh(mats)
-    collinear = eigenvalues[:, 0] < COLLINEAR_EIG_TOL * eigenvalues.sum(axis=1)
-    w = np.empty((traj.n_samples, 3))
-    if np.any(~collinear):
-        w[~collinear] = np.linalg.solve(
-            mats[~collinear], momentum_vec[~collinear][:, :, None]
-        )[:, :, 0]
-    if np.any(collinear):
-        w[collinear] = momentum_vec[collinear] / inertia[collinear, None]
-
-    dots = normals @ e
-    aligned = np.linalg.norm(np.cross(normals, np.broadcast_to(e, normals.shape)), axis=1)
-    aligned = aligned < ALIGNMENT_TOL
-    ew = w @ e
-    nw = np.einsum("nd,nd->n", normals, w)
-    denom = np.where(aligned, 1.0, 1.0 + dots)
-    rate = np.where(aligned, nw, (ew + nw) / denom)
+    rate = _projected_rate(kernel.inverse(momentum_vec, kernel.inertia), normals, e)
 
     antipodal = np.linalg.norm(normals + e[None, :], axis=1) < ANTIPODAL_TOL
-    runs = _antipodal_runs(antipodal)
+    runs = _runs(antipodal)
     if runs and (antipodal[0] or antipodal[-1]):
         raise ValueError("normal is antipodal to e at an endpoint: the projection is undefined")
     for run in runs:
@@ -468,18 +551,20 @@ def reconstruct_spatial(
     dyn = _quadrature(traj.times, rate) + 2.0 * np.pi * antipodal_branch * crossings
 
     keep = ~antipodal
-    projected = _project_positions(traj.positions[keep], normals[keep], e)
-    planar_view = Trajectory(traj.masses, traj.times[keep], projected)
-    curve = shape_curve(planar_view)
+    curve = ShapeCurve.from_points(traj.times[keep], kernel.shape_points(normals)[keep])
     area, pole_crossed = _swept_area_flagged(curve, C1_DIRECTION)
-    oracle = oracle_rotation(planar_view, "q1") if include_oracle else None
+    oracle = None
+    if include_oracle:
+        body1 = _project_positions(traj.positions[keep, :1], normals[keep], e)[:, 0]
+        oracle = _unwound_turn(body1, "q1")
 
-    measure, _ = bad_set_measure(traj, e)
+    measure, _ = _bad_set(kernel, momentum_vec, traj.times, e)
+    crossed = pole_crossed or crossings > 0 or _steps_pass_antipode(normals, e)
     return _report(
         dyn,
         2.0 * area,
         oracle,
-        pole_crossed or crossings > 0,
+        crossed,
         traj.n_samples,
         certified=bool(measure == 0.0),
         bad=float(measure),
@@ -505,14 +590,15 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
         raise ValueError("velocity carries net linear momentum")
     momentum = np.einsum("i,id->d", m, np.cross(q, v))
     inertia = float(np.einsum("i,id,id->", m, q, q))
-    tensor = sigma_tensor(config, masses)
-    if tensor.is_collinear:
+    kernel = _locked_inertia(q[None, :, :], masses)
+    if kernel.collinear[0]:
         warnings.warn(
             "collinear configuration: using the J/I convention, the internal part "
             "may retain angular momentum",
             RuntimeWarning,
             stacklevel=2,
         )
-    w = sigma_inverse(tensor, momentum, inertia)
+    _warn_near_collinear(float(kernel.smallest[0]), 2.0 * float(kernel.inertia[0]))
+    w = kernel.inverse(momentum[None, :], inertia)[0]
     v_rigid = np.cross(np.broadcast_to(w, (3, 3)), q)
     return v_rigid, v - v_rigid

@@ -13,7 +13,6 @@ from .angles import TWO_PI
 from .shape_core import (
     MassTriple,
     derive_masses,
-    equilateral_configuration,
     positions_from_jacobi_series,
 )
 
@@ -130,7 +129,9 @@ def finite_difference_velocities(traj: Trajectory) -> Trajectory:
     """Differentiate positions with three-point stencils, exact on quadratics.
 
     Interior samples use the nonuniform central stencil; the ends use the
-    matching one-sided second-order stencils.
+    matching one-sided second-order stencils.  Centered positions carry no
+    net momentum, so the roundoff left in the mass-weighted mean of the
+    differences is removed, as from_samples does for supplied velocities.
     """
     if traj.n_samples < 3:
         raise ValueError("need at least 3 samples to difference velocities")
@@ -156,6 +157,7 @@ def finite_difference_velocities(traj: Trajectory) -> Trajectory:
         - ((a + b) / (a * b)) * q[-2]
         + ((a + 2 * b) / (b * (a + b))) * q[-1]
     )
+    v -= (np.einsum("i,nid->nd", traj.masses.as_array(), v) / traj.masses.M)[:, None, :]
     return Trajectory(traj.masses, t, q, v, traj.normals, traj.max_center_shift)
 
 
@@ -622,8 +624,3 @@ def apply_rotation_profile(traj: Trajectory, axis, angle, rate) -> Trajectory:
     v = np.einsum("nab,nib->nia", mats, traj.velocities)
     v += rate[:, None, None] * np.cross(k[None, None, :], q)
     return Trajectory.from_samples(traj.masses, t, q, v)
-
-
-def equilateral_array(masses: MassTriple) -> np.ndarray:
-    """Convenience (3, 2) array of the unit-inertia equilateral configuration."""
-    return equilateral_configuration(masses).as_array()

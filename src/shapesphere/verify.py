@@ -34,7 +34,7 @@ from .shape_core import (
 )
 from .spatial import (
     F_of_J,
-    _sigma_matrix_series,
+    _locked_inertia,
     oriented_state,
     reconstruct_spatial,
 )
@@ -515,10 +515,10 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
         flat = rng.uniform(-1.0, 1.0, size=(3, 2))
         q = np.concatenate([flat, np.zeros((3, 1))], axis=1)
         q -= (m @ q) / masses.M
-        # keep the inertia map well conditioned so the solve does not
+        # keep the inertia map well conditioned so its inverse does not
         # amplify roundoff past the invariance tolerance
-        eigenvalues = np.linalg.eigvalsh(_sigma_matrix_series(q[None, :, :], m)[0])
-        if eigenvalues[0] < 0.05 * eigenvalues.sum():
+        kernel = _locked_inertia(q[None, :, :], masses)
+        if kernel.smallest[0] < 0.05 * 2.0 * kernel.inertia[0]:
             continue
         tilt = rotation_matrices(rng.standard_normal(3) + np.array([0, 0, 2.0]), rng.uniform(0, 2 * np.pi))[0]
         q = q @ tilt.T

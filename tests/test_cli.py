@@ -82,6 +82,18 @@ class TestProject:
         assert main(["project", str(src), "--masses", "1,1,1"]) == 3
 
 
+    def test_spatial_input_exits_3(self, tmp_path, capsys):
+        from shapesphere import embed_planar
+
+        base = generate("random_smooth", masses=M111, seed=3, duration=1.0, samples=101)
+        src = tmp_path / "spatial.csv"
+        src.write_text(serialize(embed_planar(base), "csv"))
+        assert main(["project", str(src), "--masses", "1,1,1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "planar trajectory" in captured.err
+
+
 class TestReconstruct:
     def test_rigid_rotation_report(self, tmp_path, capsys):
         src = tmp_path / "rigid.csv"
@@ -141,6 +153,19 @@ class TestReconstruct:
         doc = json.loads(capsys.readouterr().out)
         assert doc["certified"] is False
         assert doc["bad_set_measure"] > 0
+
+    def test_negative_axis_component_both_spellings(self, tmp_path, capsys):
+        from shapesphere import embed_planar
+
+        base = generate("random_smooth", masses=M111, seed=5, duration=1.0, samples=401)
+        src = tmp_path / "spatial.json"
+        src.write_text(serialize(embed_planar(base), "json"))
+        outputs = []
+        for spelling in (["--e", "-0.2,0.1,1"], ["--e=-0.2,0.1,1"]):
+            assert main(["reconstruct", str(src), "--target", "spatial", *spelling]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "total" in json.loads(outputs[0])
 
     def test_degrees_echo_on_stderr(self, tmp_path, capsys):
         src = tmp_path / "rigid.csv"

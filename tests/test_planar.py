@@ -118,6 +118,11 @@ class TestShapeCurve:
         curve = ShapeCurve.from_points(np.linspace(0, 1, 3), pts)
         assert curve.pole_crossings == [(1, "C1")]
 
+    def test_rejects_spatial_trajectory(self):
+        base = generate("random_smooth", masses=M123, seed=4, duration=1.0, samples=51)
+        with pytest.raises(ValueError, match="planar"):
+            shape_curve(embed_planar(base))
+
 
 class TestDynamicTerm:
     def test_rigid_rotation(self):

@@ -31,7 +31,9 @@ from shapesphere import (
     velocity_decompose,
 )
 from shapesphere.angles import wrap_angle
-from shapesphere.trajectory import rotation_matrices
+from shapesphere.planar import shape_curve
+from shapesphere.spatial import COLLINEAR_EIG_TOL, _locked_inertia, _project_positions
+from shapesphere.trajectory import apply_rotation_profile, rotation_matrices
 from shapesphere.verify import (
     antipodal_crossing_reports,
     negative_control_reports,
@@ -527,3 +529,168 @@ class TestReconstructSpatial:
         stripped = Trajectory(spatial.masses, spatial.times, spatial.positions)
         rep = reconstruct_spatial(stripped, e=np.array([0.0, 0.0, 1.0]), include_oracle=True)
         assert abs(rep.total - rep.oracle) <= 1e-4  # differencing noise only
+
+
+def dense_sigma(q, masses):
+    """Inertia map built body by body, the reference for the closed form."""
+    m = masses.as_array()
+    return np.einsum("i,i->", m, np.einsum("id,id->i", q, q)) * np.eye(3) - np.einsum(
+        "i,ia,ib->ab", m, q, q
+    )
+
+
+def near_collinear(masses, rng, eps):
+    """Centered configuration at distance ~eps from a random line, tilted."""
+    line = rng.standard_normal(3)
+    line /= np.linalg.norm(line)
+    side = np.cross(line, rng.standard_normal(3))
+    side /= np.linalg.norm(side)
+    offsets = np.array([-1.0, 0.3, 0.9]) + rng.uniform(-0.1, 0.1, 3)
+    raw = offsets[:, None] * line[None, :] + eps * np.array([1.0, -2.0, 0.5])[:, None] * side
+    return centered_spatial(masses, raw).as_array(), line
+
+
+class TestLockedInertiaKernel:
+    @given(st.integers(0, 10_000), unit3, st.floats(0.0, np.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_tilted_triangles_match_linear_algebra(self, seed, axis, angle):
+        rng = np.random.default_rng(seed)
+        flat = np.concatenate([rng.uniform(-1, 1, size=(3, 2)), np.zeros((3, 1))], axis=1)
+        q = centered_spatial(M123, flat).as_array() @ rotation_matrices(axis, angle)[0].T
+        sigma = dense_sigma(q, M123)
+        trace = np.trace(sigma)
+        eig, vec = np.linalg.eigh(sigma)
+        kernel = _locked_inertia(q[None], M123)
+        assert kernel.inertia[0] == pytest.approx(0.5 * trace, rel=1e-13)
+        assert abs(kernel.smallest[0] - eig[0]) <= 1e-13 * trace
+        if abs(eig[0] - COLLINEAR_EIG_TOL * trace) > 1e-12 * trace:
+            assert kernel.collinear[0] == (eig[0] < COLLINEAR_EIG_TOL * trace)
+        if eig[1] - eig[0] > 1e-3 * trace:
+            assert abs(kernel.axis()[0] @ vec[:, 0]) == pytest.approx(1.0, abs=1e-9)
+        J = rng.uniform(-2, 2, size=3)
+        w = kernel.inverse(J[None], kernel.inertia)[0]
+        if kernel.collinear[0]:
+            assert np.array_equal(w, J / kernel.inertia[0])
+        else:
+            condition = trace / eig[0]
+            solved = np.linalg.solve(sigma, J)
+            assert np.linalg.norm(w - solved) <= 1e-14 * condition * np.linalg.norm(solved)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_near_collinear(self, eps):
+        rng = np.random.default_rng(int(-np.log10(eps)))
+        for _ in range(20):
+            q, line = near_collinear(M123, rng, eps)
+            sigma = dense_sigma(q, M123)
+            trace = np.trace(sigma)
+            eig, vec = np.linalg.eigh(sigma)
+            kernel = _locked_inertia(q[None], M123)
+            smallest = kernel.smallest[0]
+            assert 0.0 < smallest and abs(smallest - eig[0]) <= 1e-14 * trace
+            assert kernel.collinear[0] == (eig[0] < COLLINEAR_EIG_TOL * trace)
+            axis = kernel.axis()[0]
+            assert abs(axis @ vec[:, 0]) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(sigma @ axis) <= smallest + 1e-14 * trace
+            J = rng.uniform(-2, 2, size=3)
+            w = kernel.inverse(J[None], kernel.inertia)[0]
+            if kernel.collinear[0]:
+                assert np.array_equal(w, J / kernel.inertia[0])
+            else:
+                solved = np.linalg.solve(sigma, J)
+                condition = trace / eig[0]
+                assert np.linalg.norm(w - solved) <= 1e-14 * condition * np.linalg.norm(solved)
+
+    def test_exactly_collinear(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            q, line = near_collinear(M123, rng, 0.0)
+            sigma = dense_sigma(q, M123)
+            trace = np.trace(sigma)
+            kernel = _locked_inertia(q[None], M123)
+            assert kernel.collinear[0]
+            assert 0.0 <= kernel.smallest[0] <= 1e-14 * trace
+            assert np.linalg.eigvalsh(sigma)[0] < COLLINEAR_EIG_TOL * trace
+            assert abs(kernel.axis()[0] @ line) == pytest.approx(1.0, abs=1e-14)
+            J = rng.uniform(-2, 2, size=3)
+            assert np.array_equal(kernel.inverse(J[None], 1.7)[0], J / 1.7)
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [[0.0, -1.0, 1.0], [2.0, -1.0, -1.0]],  # body 1 at the 2-3 center; bodies 2, 3 collide
+    )
+    def test_collinear_with_a_vanishing_jacobi_vector(self, offsets):
+        line = np.array([0.36, -0.48, 0.8])
+        q = centered_spatial(M111, np.outer(offsets, line)).as_array()
+        kernel = _locked_inertia(q[None], M111)
+        assert kernel.collinear[0]
+        assert abs(kernel.axis()[0] @ line) == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(dense_sigma(q, M111) @ kernel.axis()[0], 0.0, atol=1e-14)
+
+    def test_triple_collision_is_not_collinear(self):
+        kernel = _locked_inertia(np.zeros((1, 3, 3)), M111)
+        assert kernel.inertia[0] == 0.0 and not kernel.collinear[0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shape_points_match_projected_view(self, seed):
+        rng = np.random.default_rng(seed)
+        base = generate("random_smooth", masses=M123, seed=seed, duration=3.0, samples=2001)
+        tilt = rotation_matrices(rng.standard_normal(3), rng.uniform(0.2, 2.5))[0]
+        motions = [
+            embed_planar(base, tilt),
+            apply_rotation_profile(
+                embed_planar(base, tilt),
+                axis=rng.standard_normal(3),
+                angle=lambda t: 0.6 * np.sin(1.3 * t),
+                rate=lambda t: 0.78 * np.cos(1.3 * t),
+            ),
+        ]
+        e = np.array([0.0, 0.0, 1.0])
+        for motion in motions:
+            normals = normal_track(motion, e)
+            assert np.min(np.linalg.norm(normals + e, axis=1)) > 1e-3
+            projected = _project_positions(motion.positions, normals, e)
+            view = shape_curve(Trajectory(motion.masses, motion.times, projected))
+            kernel = _locked_inertia(motion.positions, motion.masses)
+            assert np.max(np.abs(kernel.shape_points(normals) - view.points)) <= 1e-12
+
+
+class TestAntipodalBetweenSamples:
+    @pytest.mark.parametrize("samples", [10_000, 10_001])
+    def test_crossing_flagged_on_any_grid(self, samples):
+        traj = generate(
+            "rigid_rotation",
+            masses=M111,
+            config=equilateral_3d(),
+            rate=np.pi,
+            duration=2.0,
+            samples=samples,
+            axis=np.array([1.0, 0.0, 0.0]),
+        )
+        rep = reconstruct_spatial(traj, e=np.array([0.0, 0.0, 1.0]), include_oracle=True)
+        assert rep.pole_crossed
+        assert abs(wrap_angle(rep.total - rep.oracle)) <= 1e-6
+
+    def test_fixed_tilted_plane_never_crosses(self):
+        # the normals equal e up to roundoff: steps that short have no great
+        # circle and must not be read as passing through -e
+        base = generate("random_smooth", masses=M123, seed=3, duration=3.0, samples=2001)
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            tilt = rotation_matrices(rng.standard_normal(3), rng.uniform(0.1, 3.0))[0]
+            assert not reconstruct_spatial(embed_planar(base, tilt), e=tilt[:, 2]).pole_crossed
+
+    @pytest.mark.parametrize("miss, crossed", [(1e-3, False), (4e-7, True)])
+    def test_closest_approach_against_tolerance(self, miss, crossed):
+        # the normal circles the axis; its closest approach to -e is `miss`
+        tilt = 0.5 * miss
+        traj = generate(
+            "rigid_rotation",
+            masses=M111,
+            config=equilateral_3d(),
+            rate=np.pi,
+            duration=2.0,
+            samples=10_000,
+            axis=np.array([np.cos(tilt), 0.0, np.sin(tilt)]),
+        )
+        rep = reconstruct_spatial(traj, e=np.array([0.0, 0.0, 1.0]))
+        assert rep.pole_crossed is crossed

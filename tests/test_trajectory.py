@@ -96,6 +96,15 @@ class TestFiniteDifferences:
         ratio = error_at(500) / error_at(1000)
         assert ratio > 3.5
 
+    def test_dense_grid_keeps_momentum_free(self):
+        # 113000 samples over duration 3 is the smallest grid of this motion
+        # on which roundoff in the differences broke the 1e-10 momentum check
+        motion = generate("random_smooth", masses=M123, seed=6, duration=3.0, samples=113_000)
+        stripped = Trajectory(M123, motion.times, motion.positions)
+        v = finite_difference_velocities(stripped).velocities
+        net = np.linalg.norm(np.einsum("i,nid->nd", M123.as_array(), v), axis=1)
+        assert np.max(net) <= 1e-13 * np.max(np.abs(v))
+
     def test_needs_three_samples(self):
         t = np.array([0.0, 1.0])
         with pytest.raises(ValueError, match="3 samples"):
