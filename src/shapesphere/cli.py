@@ -20,6 +20,7 @@ from .planar import ShapeCurve, reconstruct_q1, reconstruct_Z1, shape_curve, zer
 from .shape_core import PlanarConfiguration, atlas, derive_masses
 from .spatial import reconstruct_spatial
 from .trajectory import ParseError, Trajectory, generate, parse, serialize
+from .trajectory import _read_csv_table, _write_csv_table
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -67,41 +68,23 @@ def _load_trajectory(args) -> Trajectory:
     return parse(_read(args.input), _guess_format(args.input, args.format), masses)
 
 
+_CURVE_COLUMNS = ["t", "w1", "w2", "w3", "xi_unwound"]
+
+
 def _curve_csv(curve: ShapeCurve) -> str:
-    lines = ["t,w1,w2,w3,xi_unwound"]
-    for k in range(curve.n_samples):
-        w = curve.points[k]
-        lines.append(
-            f"{float(curve.times[k])!r},{float(w[0])!r},{float(w[1])!r},"
-            f"{float(w[2])!r},{float(curve.unwound_xi[k])!r}"
-        )
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([curve.times, curve.points, curve.unwound_xi])
+    return _write_csv_table(_CURVE_COLUMNS, table)
+
+
+def _curve_header(header):
+    if header != _CURVE_COLUMNS:
+        raise ParseError("curve CSV must have header t,w1,w2,w3,xi_unwound")
 
 
 def _parse_curve_csv(text: str) -> ShapeCurve:
-    header = None
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            header = [c.strip() for c in stripped.split(",")]
-            continue
-        rows.append(stripped)
-    if header != ["t", "w1", "w2", "w3", "xi_unwound"]:
-        raise ParseError("curve CSV must have header t,w1,w2,w3,xi_unwound")
-    if not rows:
+    _, data = _read_csv_table(text, _curve_header)
+    if data.shape[0] == 0:
         raise ParseError("curve CSV contains no data rows")
-    data = np.empty((len(rows), 5))
-    for k, row in enumerate(rows, start=1):
-        parts = row.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"data row {k}: expected 5 columns, got {len(parts)}")
-        try:
-            data[k - 1] = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"data row {k}: non-numeric field") from None
     try:
         return ShapeCurve(data[:, 0], data[:, 1:4], data[:, 4], [])
     except ValueError as exc:

@@ -21,6 +21,7 @@ from .shape_core import (
     O1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
+    _inertia_momentum,
     chart_angles,
     jacobi,
     jacobi_series,
@@ -80,17 +81,13 @@ class ShapeCurve:
             raise ValueError("times must be strictly increasing")
         if w.shape != (t.size, 3) or xi.shape != t.shape:
             raise ValueError("points must be (n, 3) and unwound_xi (n,)")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(xi))):
+            raise ValueError("points and unwound_xi must be finite")
         radii = np.linalg.norm(w, axis=1)
         if np.any(np.abs(radii - 0.5) > 1e-10):
             raise ValueError("curve points must lie on the radius-1/2 sphere")
         defined = np.hypot(w[:, 1], w[:, 2]) > POLE_PROXIMITY_TOL
-        steps = np.abs(np.diff(xi))
-        interior = defined[1:] & defined[:-1]
-        if np.any(steps[interior] >= 0.5 * np.pi):
-            raise ValueError(
-                "longitude turns by pi/2 or more between samples: "
-                "resample the motion more densely"
-            )
+        _require_dense(xi, defined, "longitude")
         mismatch = np.abs(wrap_angle(xi - np.arctan2(w[:, 2], w[:, 1])))
         if np.any(mismatch[defined] > 1e-9):
             raise ValueError("unwound_xi disagrees with the longitude of points")
@@ -174,9 +171,7 @@ def planar_series(traj: Trajectory):
     if traj.velocities is None:
         raise ValueError("velocities are required; call ensure_velocities first")
     Z1, Z2 = jacobi_series(traj.positions, traj.masses)
-    dZ1, dZ2 = jacobi_series(traj.velocities, traj.masses)
-    inertia = np.abs(Z1) ** 2 + np.abs(Z2) ** 2
-    momentum = (np.conj(Z1) * dZ1 + np.conj(Z2) * dZ2).imag
+    inertia, momentum = _inertia_momentum(Z1, Z2, *jacobi_series(traj.velocities, traj.masses))
     return Z1, Z2, inertia, momentum
 
 
@@ -247,13 +242,19 @@ def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.trapezoid(y, t))
 
 
-def dynamic_term(traj: Trajectory) -> float:
-    """Time integral of J/I over the motion."""
+def _momentum_rate(traj: Trajectory):
+    """The trajectory with velocities, its moment of inertia and J/I per sample."""
     traj = traj.ensure_velocities()
     _, _, inertia, momentum = planar_series(traj)
     if np.any(inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-    return _quadrature(traj.times, momentum / inertia)
+    return traj, inertia, momentum / inertia
+
+
+def dynamic_term(traj: Trajectory) -> float:
+    """Time integral of J/I over the motion."""
+    traj, _, rate = _momentum_rate(traj)
+    return _quadrature(traj.times, rate)
 
 
 def oracle_rotation(traj: Trajectory, target: str) -> float:
@@ -272,26 +273,27 @@ def oracle_rotation(traj: Trajectory, target: str) -> float:
     return _unwound_turn(vec, target)
 
 
+def _require_dense(angles: np.ndarray, defined: np.ndarray, what: str):
+    """Reject unwound angles that turn by pi/2 or more between consecutive
+    defined samples, where the unwinding is ambiguous."""
+    steps = np.abs(np.diff(angles))
+    if np.any(steps[defined[1:] & defined[:-1]] >= 0.5 * np.pi):
+        raise ValueError(
+            f"{what} turns by pi/2 or more between samples: resample the motion more densely"
+        )
+
+
 def _unwound_turn(vec: np.ndarray, target: str) -> float:
     """Unwound polar-angle change of a sampled planar vector series (n, 2)."""
     norms = np.hypot(vec[:, 0], vec[:, 1])
     defined = norms > 1e-12 * max(float(np.max(norms)), 1e-300)
-    raw = np.arctan2(vec[:, 1], vec[:, 0])
-    angles = unwrap_held(raw, defined)
-    steps = np.abs(np.diff(angles))
-    interior = defined[1:] & defined[:-1]
-    if np.any(steps[interior] >= 0.5 * np.pi):
-        raise ValueError(
-            f"{target} turns by pi/2 or more between samples: resample more densely"
-        )
+    angles = unwrap_held(np.arctan2(vec[:, 1], vec[:, 0]), defined)
+    _require_dense(angles, defined, target)
     return float(angles[-1] - angles[0])
 
 
 def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> ReconstructionReport:
-    traj = traj.ensure_velocities()
-    _, _, inertia, momentum = planar_series(traj)
-    if np.any(inertia <= 0.0):
-        raise ValueError("triple collision: the moment of inertia vanishes")
+    traj, inertia, rate = _momentum_rate(traj)
     if target == "q1":
         end_vecs = traj.positions[[0, -1], 0, :2]
     else:
@@ -302,7 +304,7 @@ def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> R
             f"{target} is at the origin at an endpoint; the rotation angle is undefined"
         )
     curve = shape_curve(traj)
-    dyn = _quadrature(traj.times, momentum / inertia)
+    dyn = _quadrature(traj.times, rate)
     area, crossed = _swept_area_flagged(curve, pole)
     oracle = oracle_rotation(traj, target) if include_oracle else None
     return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples)

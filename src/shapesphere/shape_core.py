@@ -136,15 +136,26 @@ class SpatialConfiguration:
         return np.stack([self.q1, self.q2, self.q3])
 
 
+def _centroid_residuals(q: np.ndarray, masses: MassTriple) -> np.ndarray:
+    """Relative size of the mass-weighted centroid of samples q (..., 3, d):
+    |sum_i m_i q_i| / sum_i m_i |q_i|, zero for samples at the origin."""
+    m = masses.as_array()
+    num = np.linalg.norm(np.einsum("i,...id->...d", m, q), axis=-1)
+    den = np.einsum("i,...i->...", m, np.linalg.norm(q, axis=-1))
+    return num / np.maximum(den, 1e-300)
+
+
+def _recenter(q: np.ndarray, masses: MassTriple) -> np.ndarray:
+    """Move samples q (..., 3, d) onto their mass centroid in place and
+    return the subtracted centroids (..., d)."""
+    shift = np.einsum("i,...id->...d", masses.as_array(), q) / masses.M
+    q -= shift[..., None, :]
+    return shift
+
+
 def centroid_residual(config, masses: MassTriple) -> float:
     """Relative size of the mass-weighted centroid of a configuration."""
-    q = config.as_array()
-    m = masses.as_array()
-    num = float(np.linalg.norm(m @ q))
-    den = float(np.sum(m * np.linalg.norm(q, axis=1)))
-    if den == 0.0:
-        return 0.0
-    return num / den
+    return float(_centroid_residuals(config.as_array(), masses))
 
 
 def _require_centered(config, masses: MassTriple):
@@ -172,10 +183,8 @@ class JacobiPair:
 def jacobi(config: PlanarConfiguration, masses: MassTriple) -> JacobiPair:
     """Normalized Jacobi coordinates of a centered planar configuration."""
     _require_centered(config, masses)
-    q1, q2, q3 = config.as_complex()
-    Z1 = masses.mu1 * (q3 - q2)
-    Z2 = masses.mu2 * (q1 - (masses.m2 * q2 + masses.m3 * q3) / (masses.m2 + masses.m3))
-    return JacobiPair(complex(Z1), complex(Z2))
+    Z1, Z2 = _jacobi_vectors(config.as_complex()[None, :], masses)
+    return JacobiPair(complex(Z1[0]), complex(Z2[0]))
 
 
 def jacobi_pivot3(config: PlanarConfiguration, masses: MassTriple) -> JacobiPair:
@@ -185,27 +194,24 @@ def jacobi_pivot3(config: PlanarConfiguration, masses: MassTriple) -> JacobiPair
     Relabeling changes the shape projection by a fixed orthogonal map of
     shape space.
     """
-    q1, q2, q3 = config.as_complex()
-    m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    mu1 = 1.0 / np.sqrt(1.0 / m1 + 1.0 / m2)
-    mu2 = 1.0 / np.sqrt(1.0 / m3 + 1.0 / (m1 + m2))
-    Z1 = mu1 * (q2 - q1)
-    Z2 = mu2 * (q3 - (m1 * q1 + m2 * q2) / (m1 + m2))
-    return JacobiPair(complex(Z1), complex(Z2))
+    relabeled = derive_masses(masses.m3, masses.m1, masses.m2)
+    Z1, Z2 = _jacobi_vectors(config.as_complex()[None, [2, 0, 1]], relabeled)
+    return JacobiPair(complex(Z1[0]), complex(Z2[0]))
 
 
 def configuration_from_jacobi(pair: JacobiPair, masses: MassTriple) -> PlanarConfiguration:
     """Invert the Jacobi map back to a centered planar configuration."""
-    m23 = masses.m2 + masses.m3
-    q1 = pair.Z2 * m23 / (masses.mu2 * masses.M)
-    c23 = -masses.m1 * q1 / m23
-    q2 = c23 - (masses.m3 / m23) * pair.Z1 / masses.mu1
-    q3 = c23 + (masses.m2 / m23) * pair.Z1 / masses.mu1
-    return PlanarConfiguration(
-        np.array([q1.real, q1.imag]),
-        np.array([q2.real, q2.imag]),
-        np.array([q3.real, q3.imag]),
-    )
+    q = positions_from_jacobi_series(
+        np.array([pair.Z1], dtype=complex), np.array([pair.Z2], dtype=complex), masses
+    )[0]
+    return PlanarConfiguration(q[0], q[1], q[2])
+
+
+def _inertia_momentum(Z1, Z2, dZ1, dZ2):
+    """I = |Z1|^2 + |Z2|^2 and J = Im(conj(Z1) dZ1 + conj(Z2) dZ2), per sample."""
+    inertia = np.abs(Z1) ** 2 + np.abs(Z2) ** 2
+    momentum = (np.conj(Z1) * dZ1 + np.conj(Z2) * dZ2).imag
+    return inertia, momentum
 
 
 def inertia_and_momentum(pair: JacobiPair, pair_rate: JacobiPair) -> tuple[float, float]:
@@ -214,8 +220,7 @@ def inertia_and_momentum(pair: JacobiPair, pair_rate: JacobiPair) -> tuple[float
     I = |Z1|^2 + |Z2|^2 and J = Im(conj(Z1) dZ1 + conj(Z2) dZ2), which
     agrees with sum_i m_i (x_i vy_i - y_i vx_i) over the bodies.
     """
-    inertia = abs(pair.Z1) ** 2 + abs(pair.Z2) ** 2
-    momentum = (np.conj(pair.Z1) * pair_rate.Z1 + np.conj(pair.Z2) * pair_rate.Z2).imag
+    inertia, momentum = _inertia_momentum(pair.Z1, pair.Z2, pair_rate.Z1, pair_rate.Z2)
     return float(inertia), float(momentum)
 
 
@@ -251,10 +256,8 @@ def shape_map(pair: JacobiPair) -> ShapePoint:
 
     w4 + w1 = |Z1|^2, w4 - w1 = |Z2|^2 and w2 + i w3 = conj(Z1) Z2.
     """
-    a = abs(pair.Z1) ** 2
-    b = abs(pair.Z2) ** 2
-    c = np.conj(pair.Z1) * pair.Z2
-    return ShapePoint(0.5 * (a - b), float(c.real), float(c.imag), 0.5 * (a + b))
+    w = shape_series(np.array([pair.Z1], dtype=complex), np.array([pair.Z2], dtype=complex))[0]
+    return ShapePoint(*(float(c) for c in w))
 
 
 def normalize_shape(p: ShapePoint) -> ShapePoint:
@@ -330,10 +333,9 @@ def configuration_from_fiber(
 def equilateral_configuration(masses: MassTriple) -> PlanarConfiguration:
     """Equilateral configuration, labels 1, 2, 3 counterclockwise, I = 1."""
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]])
-    m = masses.as_array()
-    centered = base - (m @ base) / masses.M
-    inertia = float(np.sum(m * np.sum(centered**2, axis=1)))
-    scaled = centered / np.sqrt(inertia)
+    _recenter(base, masses)
+    inertia = float(np.sum(masses.as_array() * np.sum(base**2, axis=1)))
+    scaled = base / np.sqrt(inertia)
     return PlanarConfiguration(scaled[0], scaled[1], scaled[2])
 
 
@@ -372,8 +374,8 @@ def euler_collinear_point(masses: MassTriple, i: int) -> ShapePoint:
     positions[j - 1, 0] = 0.0
     positions[i - 1, 0] = 1.0
     positions[k - 1, 0] = 1.0 + ratio
-    centered = positions - (m @ positions) / masses.M
-    config = PlanarConfiguration(centered[0], centered[1], centered[2])
+    _recenter(positions, masses)
+    config = PlanarConfiguration(positions[0], positions[1], positions[2])
     return normalize_shape(shape_map(jacobi(config, masses)))
 
 

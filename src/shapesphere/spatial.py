@@ -32,6 +32,7 @@ from .shape_core import (
     MassTriple,
     PlanarConfiguration,
     SpatialConfiguration,
+    _centroid_residuals,
     _jacobi_vectors,
 )
 from .trajectory import Trajectory
@@ -61,9 +62,6 @@ ALIGNMENT_TOL = 1e-10
 
 # |n + e| below this marks an antipodal crossing of the normal.
 ANTIPODAL_TOL = 1e-6
-
-# Condition estimate beyond which sigma_inverse warns about amplification.
-CONDITION_WARN = 1e8
 
 _BAD_SET_J_TOL = 1e-12
 _BAD_SET_AXIS_TOL = 1e-8
@@ -185,15 +183,14 @@ def _finite_momentum(Jvec) -> np.ndarray:
     return J
 
 
-def _warn_near_collinear(smallest: float, trace: float):
-    condition = trace / max(smallest, 1e-300)
-    # warn when the map is badly conditioned but not merely singular to
-    # roundoff: there a tiny momentum implies a huge rate and the outcome
-    # depends on the collinear convention
-    if condition > CONDITION_WARN and smallest > 64.0 * np.finfo(float).eps * trace:
+def _warn_near_collinear(collinear: bool, smallest: float, trace: float):
+    # warn where the collinear convention overrides a map that is singular
+    # beyond roundoff: there the literal inverse would turn a tiny momentum
+    # into a huge rate, and the outcome depends on the convention
+    if collinear and smallest > 64.0 * np.finfo(float).eps * trace:
         warnings.warn(
-            f"near-collinear configuration (condition estimate {condition:.2e}): "
-            "the angular-velocity solve amplifies momentum errors",
+            f"near-collinear configuration (smallest eigenvalue / trace {smallest / trace:.2e}): "
+            "the J/I convention replaced the angular-velocity solve",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -203,12 +200,12 @@ def sigma_inverse(tensor: SigmaTensor, Jvec, inertia: float) -> np.ndarray:
     """Angular-velocity vector whose angular momentum under sigma is Jvec.
 
     Collinear configurations use the Jvec/I convention since the literal
-    inverse does not exist there; near-collinear solves with an estimated
-    condition number beyond 1e8 warn that a tiny momentum implies a huge
-    rate.
+    inverse does not exist there; where the configuration is collinear only
+    to within COLLINEAR_EIG_TOL, not to roundoff, a warning says that the
+    convention replaced the solve.
     """
     J = _finite_momentum(Jvec)
-    _warn_near_collinear(tensor.smallest_eigenvalue, tensor.trace)
+    _warn_near_collinear(tensor.is_collinear, tensor.smallest_eigenvalue, tensor.trace)
     if tensor.is_collinear:
         return J / inertia
     return np.linalg.solve(tensor.matrix, J)
@@ -351,7 +348,9 @@ def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> fl
     """
     J = _finite_momentum(Jvec)
     kernel = _locked_inertia(state.config.as_array()[None, :, :], masses)
-    _warn_near_collinear(float(kernel.smallest[0]), 2.0 * float(kernel.inertia[0]))
+    _warn_near_collinear(
+        bool(kernel.collinear[0]), float(kernel.smallest[0]), 2.0 * float(kernel.inertia[0])
+    )
     w = kernel.inverse(J[None, :], inertia)
     return float(_projected_rate(w, state.n[None, :], state.e)[0])
 
@@ -582,12 +581,10 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
     v = np.asarray(velocity, dtype=float)
     if v.shape != (3, 3) or not np.all(np.isfinite(v)):
         raise ValueError("velocity must be a finite (3, 3) array, one row per body")
+    if _centroid_residuals(v, masses) > 1e-10:
+        raise ValueError("velocity carries net linear momentum")
     q = config.as_array()
     m = masses.as_array()
-    pnum = np.linalg.norm(m @ v)
-    pden = float(np.sum(m * np.linalg.norm(v, axis=1)))
-    if pnum > 1e-10 * max(pden, 1e-300):
-        raise ValueError("velocity carries net linear momentum")
     momentum = np.einsum("i,id->d", m, np.cross(q, v))
     inertia = float(np.einsum("i,id,id->", m, q, q))
     kernel = _locked_inertia(q[None, :, :], masses)
@@ -598,7 +595,6 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
             RuntimeWarning,
             stacklevel=2,
         )
-    _warn_near_collinear(float(kernel.smallest[0]), 2.0 * float(kernel.inertia[0]))
     w = kernel.inverse(momentum[None, :], inertia)[0]
     v_rigid = np.cross(np.broadcast_to(w, (3, 3)), q)
     return v_rigid, v - v_rigid

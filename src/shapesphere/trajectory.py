@@ -12,6 +12,8 @@ from scipy.interpolate import CubicSpline
 from .angles import TWO_PI
 from .shape_core import (
     MassTriple,
+    _centroid_residuals,
+    _recenter,
     derive_masses,
     positions_from_jacobi_series,
 )
@@ -64,10 +66,7 @@ class Trajectory:
             raise ValueError("positions must have shape (n, 3, 2) or (n, 3, 3)")
         if not np.all(np.isfinite(q)):
             raise ValueError("positions must be finite")
-        m = self.masses.as_array()
-        num = np.linalg.norm(np.einsum("i,nid->nd", m, q), axis=1)
-        den = np.einsum("i,ni->n", m, np.linalg.norm(q, axis=2))
-        if np.any(num > 1e-10 * np.maximum(den, 1e-300)):
+        if np.any(_centroid_residuals(q, self.masses) > 1e-10):
             raise ValueError(
                 "positions are not centered on the mass centroid; "
                 "use Trajectory.from_samples to recenter"
@@ -77,9 +76,7 @@ class Trajectory:
             object.__setattr__(self, "velocities", v)
             if v.shape != q.shape or not np.all(np.isfinite(v)):
                 raise ValueError("velocities must match positions in shape and be finite")
-            vnum = np.linalg.norm(np.einsum("i,nid->nd", m, v), axis=1)
-            vden = np.einsum("i,ni->n", m, np.linalg.norm(v, axis=2))
-            if np.any(vnum > 1e-10 * np.maximum(vden, 1e-300)):
+            if np.any(_centroid_residuals(v, self.masses) > 1e-10):
                 raise ValueError("velocities carry net linear momentum")
         if self.normals is not None:
             nrm = np.asarray(self.normals, dtype=float)
@@ -106,15 +103,11 @@ class Trajectory:
         """Build a trajectory, recentering positions on the mass centroid and
         removing any net momentum drift from the velocities."""
         q = np.array(positions, dtype=float)
-        m = masses.as_array()
-        shift = np.einsum("i,nid->nd", m, q) / masses.M
-        q -= shift[:, None, :]
-        max_shift = float(np.max(np.linalg.norm(shift, axis=1), initial=0.0))
+        max_shift = float(np.max(np.linalg.norm(_recenter(q, masses), axis=1), initial=0.0))
         v = None
         if velocities is not None:
             v = np.array(velocities, dtype=float)
-            drift = np.einsum("i,nid->nd", m, v) / masses.M
-            v -= drift[:, None, :]
+            drift = _recenter(v, masses)
             max_shift = max(max_shift, float(np.max(np.linalg.norm(drift, axis=1), initial=0.0)))
         return cls(masses, np.asarray(times, dtype=float), q, v, normals, max_shift)
 
@@ -157,7 +150,7 @@ def finite_difference_velocities(traj: Trajectory) -> Trajectory:
         - ((a + b) / (a * b)) * q[-2]
         + ((a + 2 * b) / (b * (a + b))) * q[-1]
     )
-    v -= (np.einsum("i,nid->nd", traj.masses.as_array(), v) / traj.masses.M)[:, None, :]
+    _recenter(v, traj.masses)
     return Trajectory(traj.masses, t, q, v, traj.normals, traj.max_center_shift)
 
 
@@ -206,7 +199,9 @@ def _csv_columns(dim: int, has_velocities: bool, has_normals: bool) -> list[str]
     return cols
 
 
-def _header_layout(header: list[str]):
+def _header_layout(header: Optional[list[str]]):
+    if header is None:
+        raise ParseError("empty CSV: no header row found")
     for dim in (2, 3):
         for has_v in (False, True):
             for has_n in ((False, True) if dim == 3 else (False,)):
@@ -231,35 +226,45 @@ def parse(source, format: str, masses: Optional[MassTriple] = None) -> Trajector
     raise ParseError(f"unknown trajectory format {format!r}")
 
 
+def _read_csv_table(text: str, layout):
+    """Header layout and float rows of comma-separated text.
+
+    Blank lines and lines starting with '#' are skipped.  The first other
+    line is the header, split into stripped names; layout(header) raises
+    ParseError unless it is valid (header is None when the text has none)
+    and its result is returned with the (rows, columns) data.  Malformed
+    rows raise ParseError naming the first bad data row, counted from 1.
+    """
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    header = [c.strip() for c in lines[0].split(",")] if lines else None
+    found = layout(header)
+    data = np.empty((len(lines) - 1, len(header)))
+    for k, line in enumerate(lines[1:], start=1):
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ParseError(f"data row {k}: expected {len(header)} columns, got {len(parts)}")
+        try:
+            data[k - 1] = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"data row {k}: non-numeric field") from None
+    bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
+    if bad.size:
+        raise ParseError(f"data row {bad[0] + 1}: non-finite number")
+    return found, data
+
+
+def _write_csv_table(columns: list[str], table: np.ndarray) -> str:
+    """Header line plus one line per table row, each value written by repr."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(repr, row.tolist())) for row in table]
+    return "\n".join(lines) + "\n"
+
+
 def _parse_csv(text: str, masses: Optional[MassTriple]) -> Trajectory:
     if masses is None:
         raise ParseError("CSV trajectories carry no masses: pass them explicitly")
-    header = None
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if header is None:
-            header = [c.strip() for c in stripped.split(",")]
-            continue
-        rows.append(stripped)
-    if header is None:
-        raise ParseError("empty CSV: no header row found")
-    dim, has_v, has_n = _header_layout(header)
-    ncols = len(header)
-    data = np.empty((len(rows), ncols))
-    for k, row in enumerate(rows, start=1):
-        parts = row.split(",")
-        if len(parts) != ncols:
-            raise ParseError(f"data row {k}: expected {ncols} columns, got {len(parts)}")
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"data row {k}: non-numeric field") from None
-        if not all(np.isfinite(values)):
-            raise ParseError(f"data row {k}: non-finite number")
-        data[k - 1] = values
+    (dim, has_v, has_n), data = _read_csv_table(text, _header_layout)
     if data.shape[0] == 0:
         raise ParseError("CSV contains no data rows")
     t = data[:, 0]
@@ -337,10 +342,7 @@ def serialize(traj: Trajectory, format: str = "csv") -> str:
             blocks.append(traj.velocities.reshape(traj.n_samples, -1))
         if traj.normals is not None:
             blocks.append(traj.normals)
-        table = np.concatenate(blocks, axis=1)
-        lines = [",".join(cols)]
-        lines += [",".join(repr(float(x)) for x in row) for row in table]
-        return "\n".join(lines) + "\n"
+        return _write_csv_table(cols, np.concatenate(blocks, axis=1))
     if format == "json":
         samples = []
         for k in range(traj.n_samples):
@@ -374,17 +376,15 @@ def rotation_matrices(axis, angles) -> np.ndarray:
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
-def _config_array(config, dim: int) -> np.ndarray:
+def _centered_config(masses: MassTriple, config, dim: int) -> np.ndarray:
+    """Copy of a (3, dim) configuration moved onto its mass centroid."""
     if hasattr(config, "as_array"):
         config = config.as_array()
-    q = np.asarray(config, dtype=float)
+    q = np.array(config, dtype=float)
     if q.shape != (3, dim):
         raise ValueError(f"config must be a (3, {dim}) array of positions")
+    _recenter(q, masses)
     return q
-
-
-def _center_input(masses: MassTriple, q: np.ndarray) -> np.ndarray:
-    return q - (masses.as_array() @ q) / masses.M
 
 
 def _rigid_rotation(masses, config, rate, duration, samples, axis=None) -> Trajectory:
@@ -392,14 +392,14 @@ def _rigid_rotation(masses, config, rate, duration, samples, axis=None) -> Traje
     t = np.linspace(0.0, duration, samples)
     angles = rate * t
     if axis is None:
-        q0 = _center_input(masses, _config_array(config, 2))
+        q0 = _centered_config(masses, config, 2)
         z = q0[:, 0] + 1j * q0[:, 1]
         rot = np.exp(1j * angles)[:, None] * z[None, :]
         q = np.stack([rot.real, rot.imag], axis=-1)
         v_c = 1j * rate * rot
         v = np.stack([v_c.real, v_c.imag], axis=-1)
     else:
-        q0 = _center_input(masses, _config_array(config, 3))
+        q0 = _centered_config(masses, config, 3)
         mats = rotation_matrices(axis, angles)
         q = np.einsum("nab,ib->nia", mats, q0)
         k = np.asarray(axis, dtype=float)
@@ -413,7 +413,7 @@ def _homothety(masses, config, rate, duration, samples) -> Trajectory:
     if hasattr(config, "as_array"):
         config = config.as_array()
     config = np.asarray(config, dtype=float)
-    q0 = _center_input(masses, _config_array(config, config.shape[-1]))
+    q0 = _centered_config(masses, config, config.shape[-1])
     t = np.linspace(0.0, duration, samples)
     scale = np.exp(rate * t)[:, None, None]
     q = scale * q0[None, :, :]
@@ -472,12 +472,12 @@ def _gravity_accel(q: np.ndarray, m: np.ndarray, G: float) -> np.ndarray:
 def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
     """Fixed-step fourth-order integration of the gravitational equations."""
     dim = np.shape(config)[-1]
-    q = _center_input(masses, _config_array(config, dim))
-    v = np.asarray(velocities, dtype=float).copy()
+    q = _centered_config(masses, config, dim)
+    v = np.array(velocities, dtype=float)
     if v.shape != q.shape:
         raise ValueError("velocities must match the configuration shape")
+    _recenter(v, masses)
     m = masses.as_array()
-    v -= (m @ v) / masses.M
     t = np.linspace(0.0, duration, samples)
     h = t[1] - t[0]
     qs = np.empty((samples, 3, dim))

@@ -31,6 +31,7 @@ from .shape_core import (
     jacobi_series,
     shape_series,
     ShapePoint,
+    _recenter,
 )
 from .spatial import (
     F_of_J,
@@ -211,9 +212,8 @@ def shape_invariant_deviation(count: int = 1000, seed: int = 0) -> float:
     worst = 0.0
     for triple in _MASS_TRIPLES:
         masses = derive_masses(*triple)
-        m = masses.as_array()
         q = rng.uniform(-1.5, 1.5, size=(count, 3, 2))
-        q -= (np.einsum("i,nid->nd", m, q) / masses.M)[:, None, :]
+        _recenter(q, masses)
         Z1, Z2 = jacobi_series(q, masses)
         w = shape_series(Z1, Z2)
         scale = np.maximum(w[:, 3] ** 2, 1e-300)
@@ -514,7 +514,7 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
     while made < count:
         flat = rng.uniform(-1.0, 1.0, size=(3, 2))
         q = np.concatenate([flat, np.zeros((3, 1))], axis=1)
-        q -= (m @ q) / masses.M
+        _recenter(q, masses)
         # keep the inertia map well conditioned so its inverse does not
         # amplify roundoff past the invariance tolerance
         kernel = _locked_inertia(q[None, :, :], masses)

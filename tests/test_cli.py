@@ -242,6 +242,51 @@ class TestLift:
         assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 3
 
 
+def write_meridian_lift_inputs(tmp_path, n=51):
+    """A meridian curve CSV and the initial configuration over its start."""
+    from shapesphere.verify import meridian_curve
+    from shapesphere import configuration_from_fiber, ShapePoint
+
+    curve = meridian_curve(0.9, n=n)
+    table = np.column_stack([curve.times, curve.points, curve.unwound_xi])
+    curve_path = tmp_path / "curve.csv"
+    rows = [",".join(map(repr, row)) for row in table.tolist()]
+    curve_path.write_text("\n".join(["t,w1,w2,w3,xi_unwound"] + rows) + "\n")
+    start = configuration_from_fiber(ShapePoint(*curve.points[0], 0.5), 0.0, "xi2", M111)
+    init_path = tmp_path / "init.json"
+    init_path.write_text(json.dumps({"masses": [1, 1, 1], "q": start.as_array().tolist()}))
+    return curve_path, init_path
+
+
+class TestLiftInput:
+    def test_non_finite_row_exits_2(self, tmp_path, capsys):
+        curve_path, init_path = write_meridian_lift_inputs(tmp_path)
+        lines = curve_path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = "nan"
+        lines[3] = ",".join(fields)
+        curve_path.write_text("\n".join(lines) + "\n")
+        assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 2
+        assert "data row 3: non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,w1,w2,w3,xi_unwound\n0.0,0.5,0.0,0.0\n", "data row 1: expected 5 columns, got 4"),
+            ("t,w1,w2,w3,xi_unwound\n0.0,0.5,0.0,zero,0.0\n", "data row 1: non-numeric field"),
+            ("t,w1,w2,w3,xi\n0.0,0.5,0.0,0.0,0.0\n", "curve CSV must have header"),
+            ("", "curve CSV must have header"),
+        ],
+        ids=["column_count", "non_numeric", "header", "empty"],
+    )
+    def test_malformed_curve_exits_2(self, tmp_path, capsys, text, message):
+        _, init_path = write_meridian_lift_inputs(tmp_path)
+        curve_path = tmp_path / "bad.csv"
+        curve_path.write_text(text)
+        assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_emits_parseable_trajectory(self, tmp_path):
         out = tmp_path / "out.csv"

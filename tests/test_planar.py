@@ -105,6 +105,18 @@ class TestShapeCurve:
         with pytest.raises(ValueError, match="sphere"):
             ShapeCurve(np.array([0.0]), np.array([[1.0, 0, 0]]), np.array([0.0]), [])
 
+    @pytest.mark.parametrize("field", ["points", "unwound_xi"])
+    def test_rejects_non_finite(self, field):
+        t = np.linspace(0.0, 1.0, 3)
+        pts = np.array([[0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.5, 0.0]])
+        xi = np.zeros(3)
+        if field == "points":
+            pts[1] = [np.nan, 0.5, 0.0]
+        else:
+            xi[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ShapeCurve(t, pts, xi, [])
+
     def test_rejects_coarse_longitude(self):
         pts = 0.5 * np.array(
             [[0, 1, 0], [0, -1, 1e-6], [0, 1, 0]], dtype=float

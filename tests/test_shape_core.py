@@ -116,6 +116,23 @@ class TestJacobi:
         assert np.allclose(back.as_array(), cfg.as_array(), atol=1e-12 * scale)
 
 
+class TestScalarWrappers:
+    def test_return_types(self):
+        m = derive_masses(1.3, 0.7, 2.1)
+        cfg = PlanarConfiguration(*random_centered(m, np.random.default_rng(11))[0])
+        for pair in (jacobi_pivot3(cfg, m), jacobi(cfg, m)):
+            assert type(pair.Z1) is complex and type(pair.Z2) is complex
+        point = shape_map(pair)
+        assert all(type(c) is float for c in (point.w1, point.w2, point.w3, point.w4))
+        back = configuration_from_jacobi(pair, m)
+        assert type(back) is PlanarConfiguration
+        for q in (back.q1, back.q2, back.q3):
+            assert q.shape == (2,) and q.dtype == np.float64
+        for rate in (JacobiPair(0.3j * pair.Z1, 0.2 * pair.Z2), JacobiPair(0.0, 0.0)):
+            values = inertia_and_momentum(pair, rate)
+            assert type(values) is tuple and [type(v) for v in values] == [float, float]
+
+
 class TestInertiaMomentum:
     def test_equilateral_inertia(self):
         m = derive_masses(1, 1, 1)

@@ -417,6 +417,16 @@ class TestVelocityDecompose:
         with pytest.warns(RuntimeWarning, match="collinear"):
             velocity_decompose(cfg, velocity, M111)
 
+    def test_near_collinear_warns_once(self):
+        eps = 3e-5
+        cfg = centered_spatial(M111, [[eps, 0, -1.0], [-2 * eps, 0, 0.2], [eps, 0, 0.8]])
+        velocity = np.cross(np.broadcast_to([1.0, 0, 0], (3, 3)), cfg.as_array())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            velocity_decompose(cfg, velocity, M111)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "J/I convention" in str(caught[0].message)
+
 
 class TestReconstructSpatial:
     def test_embedded_planar_matches_exactly(self):
