@@ -179,54 +179,41 @@ def shape_curve(traj: Trajectory) -> ShapeCurve:
     """Project a planar trajectory to its normalized shape curve."""
     if traj.dim != 2:
         raise ValueError("shape_curve expects a planar trajectory")
-    Z1, Z2 = jacobi_series(traj.positions, traj.masses)
+    return _curve_from_jacobi(traj.times, *jacobi_series(traj.positions, traj.masses))
+
+
+def _curve_from_jacobi(times: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> ShapeCurve:
     w = shape_series(Z1, Z2)
     if np.any(w[:, 3] <= 0.0):
         raise ValueError("trajectory passes through triple collision")
-    points = 0.5 * w[:, :3] / w[:, 3:4]
-    return ShapeCurve.from_points(traj.times, points)
-
-
-def _pole_frame(pole):
-    p = np.asarray(pole, dtype=float)
-    norm = np.linalg.norm(p)
-    if norm == 0.0:
-        raise ValueError("pole must be a nonzero direction")
-    p = p / norm
-    seed = np.zeros(3)
-    seed[np.argmin(np.abs(p))] = 1.0
-    u = seed - (seed @ p) * p
-    u /= np.linalg.norm(u)
-    # left-handed frame about the pole: u x v = -p, which makes the swept
-    # area positive exactly when it adds to the tracked rotation angle
-    v = -np.cross(p, u)
-    return p, u, v
+    return ShapeCurve.from_points(times, 0.5 * w[:, :3] / w[:, 3:4])
 
 
 def _swept_area_flagged(curve: ShapeCurve, pole) -> tuple[float, bool]:
-    p, u, v = _pole_frame(pole)
-    w = curve.points
-    x = w @ u
-    y = w @ v
-    defined = np.hypot(x, y) > POLE_PROXIMITY_TOL
-    psi = unwrap_held(np.arctan2(y, x), defined)
-    g = 0.25 - 0.5 * (w @ p)
-    d = np.diff(psi)
-    crossed = bool(np.any(~defined)) or bool(np.any(np.abs(d) >= 0.5 * np.pi))
+    p = np.asarray(pole, dtype=float)
+    if p.shape != (3,) or not np.isfinite(p[0]) or p[0] == 0.0 or np.any(p[1:] != 0.0):
+        raise ValueError("pole must be a nonzero direction along the chart axis (C1 or O1)")
+    # the longitude about C1 (p1 < 0) is +xi and about O1 is -xi
+    sign = 1.0 if p[0] < 0.0 else -1.0
+    g = 0.25 + sign * 0.5 * curve.points[:, 0]
+    d = sign * np.diff(curve.unwound_xi)
     area = float(np.sum(0.5 * (g[1:] + g[:-1]) * d))
-    return area, crossed
+    return area, bool(curve.pole_crossings)
 
 
 def swept_area(curve: ShapeCurve, pole) -> float:
-    """Signed area swept about a pole axis along the curve.
+    """Signed area swept about a chart pole along the curve.
 
     Line integral of rho^2 (1 - cos phi) d psi with colatitude phi from the
-    pole and longitude psi about the pole axis, measured in a fixed frame
-    (u, v) with u x v = -(pole direction) and continuously unwound.  Arcs of
-    pole meridians sweep nothing, so closing the curve onto the pole leaves
-    the value unchanged; at axis crossings the continuation keeps the last
-    branch and the result is defined modulo the half-sphere area.  For pole
-    C1 this evaluates to the integral of r1^2 dxi / 2 on unit-inertia data.
+    pole and longitude psi taken left-handed about it, so that the area is
+    positive exactly when it adds to the tracked rotation angle: psi is the
+    curve's unwound_xi about C1 and -unwound_xi about O1.  pole is any
+    nonzero direction along the chart axis; other directions raise
+    ValueError.  Arcs of pole meridians sweep nothing, so closing the curve
+    onto the pole leaves the value unchanged; at axis crossings the
+    continuation keeps the last branch and the result is defined modulo the
+    half-sphere area.  For pole C1 this evaluates to the integral of
+    r1^2 dxi / 2 on unit-inertia data.
     """
     area, _ = _swept_area_flagged(curve, pole)
     return area
@@ -243,17 +230,18 @@ def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
 
 
 def _momentum_rate(traj: Trajectory):
-    """The trajectory with velocities, its moment of inertia and J/I per sample."""
+    """The trajectory with velocities, its Jacobi pair, moment of inertia
+    and J/I per sample."""
     traj = traj.ensure_velocities()
-    _, _, inertia, momentum = planar_series(traj)
+    Z1, Z2, inertia, momentum = planar_series(traj)
     if np.any(inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-    return traj, inertia, momentum / inertia
+    return traj, Z1, Z2, inertia, momentum / inertia
 
 
 def dynamic_term(traj: Trajectory) -> float:
     """Time integral of J/I over the motion."""
-    traj, _, rate = _momentum_rate(traj)
+    traj, _, _, _, rate = _momentum_rate(traj)
     return _quadrature(traj.times, rate)
 
 
@@ -293,7 +281,7 @@ def _unwound_turn(vec: np.ndarray, target: str) -> float:
 
 
 def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> ReconstructionReport:
-    traj, inertia, rate = _momentum_rate(traj)
+    traj, Z1, Z2, inertia, rate = _momentum_rate(traj)
     if target == "q1":
         end_vecs = traj.positions[[0, -1], 0, :2]
     else:
@@ -303,7 +291,7 @@ def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> R
         raise ValueError(
             f"{target} is at the origin at an endpoint; the rotation angle is undefined"
         )
-    curve = shape_curve(traj)
+    curve = _curve_from_jacobi(traj.times, Z1, Z2)
     dyn = _quadrature(traj.times, rate)
     area, crossed = _swept_area_flagged(curve, pole)
     oracle = oracle_rotation(traj, target) if include_oracle else None

@@ -233,8 +233,6 @@ def plane_basis(e) -> tuple[np.ndarray, np.ndarray]:
     """Right-handed orthonormal basis (u1, u2) of the plane orthogonal to e."""
     e = np.asarray(e, dtype=float)
     e = e / np.linalg.norm(e)
-    if abs(e[0]) < 1e-14 and abs(e[1]) < 1e-14 and e[2] > 0.0:
-        return np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
     seed = np.zeros(3)
     seed[np.argmin(np.abs(e))] = 1.0
     u1 = seed - (seed @ e) * e
@@ -423,16 +421,6 @@ def _momentum_vectors(traj: Trajectory) -> np.ndarray:
     return np.einsum("i,nid->nd", m, np.cross(traj.positions, traj.velocities))
 
 
-def _dwell_weights(t: np.ndarray) -> np.ndarray:
-    if t.size < 2:
-        return np.zeros_like(t)
-    w = np.empty_like(t)
-    w[1:-1] = 0.5 * (t[2:] - t[:-2])
-    w[0] = 0.5 * (t[1] - t[0])
-    w[-1] = 0.5 * (t[-1] - t[-2])
-    return w
-
-
 def _bad_set(kernel: _LockedInertia, momentum, times, e) -> tuple[float, list]:
     duration = max(float(times[-1] - times[0]), 1e-300)
     momentous = np.linalg.norm(momentum, axis=1) > _BAD_SET_J_TOL * kernel.inertia / duration
@@ -440,7 +428,7 @@ def _bad_set(kernel: _LockedInertia, momentum, times, e) -> tuple[float, list]:
     hits = np.flatnonzero(flagged)
     # only collinear samples have a kernel direction, so only they can tilt
     flagged[hits] = np.abs(kernel.axis(hits) @ e) > _BAD_SET_AXIS_TOL
-    measure = float(np.sum(_dwell_weights(times)[flagged]))
+    measure = float(np.trapezoid(flagged.astype(float), times))
     intervals = [(float(times[run[0]]), float(times[run[-1]])) for run in _runs(flagged)]
     return measure, intervals
 

@@ -376,11 +376,14 @@ def rotation_matrices(axis, angles) -> np.ndarray:
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
-def _centered_config(masses: MassTriple, config, dim: int) -> np.ndarray:
-    """Copy of a (3, dim) configuration moved onto its mass centroid."""
+def _centered_config(masses: MassTriple, config, dim: Optional[int] = None) -> np.ndarray:
+    """Copy of a (3, dim) configuration moved onto its mass centroid; dim
+    defaults to that of the configuration itself."""
     if hasattr(config, "as_array"):
         config = config.as_array()
     q = np.array(config, dtype=float)
+    if dim is None and q.ndim > 0:
+        dim = q.shape[-1]
     if q.shape != (3, dim):
         raise ValueError(f"config must be a (3, {dim}) array of positions")
     _recenter(q, masses)
@@ -410,10 +413,7 @@ def _rigid_rotation(masses, config, rate, duration, samples, axis=None) -> Traje
 
 def _homothety(masses, config, rate, duration, samples) -> Trajectory:
     """Pure dilation q(t) = exp(rate t) q(0); zero angular momentum."""
-    if hasattr(config, "as_array"):
-        config = config.as_array()
-    config = np.asarray(config, dtype=float)
-    q0 = _centered_config(masses, config, config.shape[-1])
+    q0 = _centered_config(masses, config)
     t = np.linspace(0.0, duration, samples)
     scale = np.exp(rate * t)[:, None, None]
     q = scale * q0[None, :, :]
@@ -459,20 +459,16 @@ def _figure1_pinch(masses, duration, samples, stop_fraction=1.0) -> Trajectory:
 
 
 def _gravity_accel(q: np.ndarray, m: np.ndarray, G: float) -> np.ndarray:
-    acc = np.zeros_like(q)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            d = q[j] - q[i]
-            acc[i] += G * m[j] * d / np.linalg.norm(d) ** 3
-    return acc
+    d = q[None, :, :] - q[:, None, :]  # d[i, j] = q[j] - q[i]
+    dist3 = np.linalg.norm(d, axis=-1) ** 3
+    np.fill_diagonal(dist3, np.inf)
+    return np.sum((G * m)[None, :, None] * d / dist3[:, :, None], axis=1)
 
 
 def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
     """Fixed-step fourth-order integration of the gravitational equations."""
-    dim = np.shape(config)[-1]
-    q = _centered_config(masses, config, dim)
+    q = _centered_config(masses, config)
+    dim = q.shape[-1]
     v = np.array(velocities, dtype=float)
     if v.shape != q.shape:
         raise ValueError("velocities must match the configuration shape")

@@ -99,6 +99,14 @@ class TestSweptArea:
         curve = meridian_curve(1.1, n=301)
         assert swept_area(curve, C1_DIRECTION) == pytest.approx(0.0, abs=1e-15)
 
+    def test_pole_must_lie_on_the_chart_axis(self):
+        traj = generate("random_smooth", masses=M123, seed=2, duration=1.0, samples=501)
+        curve = shape_curve(traj)
+        assert swept_area(curve, 2.0 * C1_DIRECTION) == swept_area(curve, C1_DIRECTION)
+        for pole in ([0.0, 0.0, 1.0], [-1.0, 1e-3, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0]):
+            with pytest.raises(ValueError, match="chart axis"):
+                swept_area(curve, pole)
+
 
 class TestShapeCurve:
     def test_requires_sphere_points(self):
@@ -271,6 +279,38 @@ class TestReconstruct:
         enclosed = fan_area_oracle(curve.points, C1_DIRECTION)
         assert rep.geometric_term == pytest.approx(2.0 * enclosed, abs=1e-6)
         assert abs(rep.total - rep.oracle) <= 1e-6
+
+    def test_chart_axis_passage_flags_both_targets(self):
+        # bodies 2 and 3 pass through each other at t = 0.5, a sample time,
+        # so the shape curve sits on the chart axis there
+        t = np.linspace(0.0, 1.0, 101)
+        s = 1.0 - 2.0 * t
+        q = np.zeros((t.size, 3, 2))
+        q[:, 0, 1] = 1.0
+        q[:, 1] = np.stack([s, np.full_like(s, -0.5)], axis=1)
+        q[:, 2] = np.stack([-s, np.full_like(s, -0.5)], axis=1)
+        v = np.zeros_like(q)
+        v[:, 1, 0] = -2.0
+        v[:, 2, 0] = 2.0
+        traj = Trajectory.from_samples(M111, t, q, v)
+        assert shape_curve(traj).pole_crossings == [(50, "C1")]
+        for recon in (reconstruct_q1, reconstruct_Z1):
+            assert recon(traj, include_oracle=True).pole_crossed
+
+    def test_positions_and_velocities_mapped_once(self, monkeypatch):
+        import shapesphere.planar as planar
+
+        calls = []
+
+        def counting(positions, masses):
+            calls.append(positions)
+            return jacobi_series(positions, masses)
+
+        monkeypatch.setattr(planar, "jacobi_series", counting)
+        traj = generate("random_smooth", masses=M123, seed=3, duration=1.0, samples=201)
+        reconstruct_q1(traj, include_oracle=True)
+        assert len(calls) == 2
+        assert calls[0] is traj.positions and calls[1] is traj.velocities
 
     def test_report_serialization_fields(self):
         traj = generate("random_smooth", masses=M111, seed=8, duration=1.0, samples=501)

@@ -253,6 +253,14 @@ class TestGenerators:
 
         assert dynamic_term(traj) == pytest.approx(omega_pair * 2.0, abs=1e-8)
 
+    def test_newtonian_accepts_configuration_objects(self):
+        config = equilateral_configuration(M123)
+        params = dict(masses=M123, velocities=np.zeros((3, 2)), G=1.0, duration=0.5, samples=51)
+        from_object = generate("newtonian", config=config, **params)
+        from_array = generate("newtonian", config=config.as_array(), **params)
+        assert np.array_equal(from_object.positions, from_array.positions)
+        assert np.array_equal(from_object.velocities, from_array.velocities)
+
     def test_newtonian_conserves_energy_and_momentum(self):
         masses = derive_masses(1.0, 0.9, 0.8)
         rng = np.random.default_rng(0)
