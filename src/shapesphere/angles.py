@@ -6,9 +6,16 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap_angle(x):
-    """Representative of an angle in (-pi, pi]; accepts scalars or arrays."""
-    y = np.remainder(np.asarray(x, dtype=float), TWO_PI)
+    """Representative of an angle in (-pi, pi]; accepts scalars or arrays.
+
+    The result is x minus a multiple of 2 pi (TWO_PI, the float), computed
+    without rounding: x itself on (-pi, pi], so the map is odd away from
+    the ends of that interval and small increments keep their sign and
+    value.
+    """
+    y = np.fmod(np.asarray(x, dtype=float), TWO_PI)
     y = np.where(y > np.pi, y - TWO_PI, y)
+    y = np.where(y <= -np.pi, y + TWO_PI, y)
     if np.ndim(x) == 0:
         return float(y)
     return y

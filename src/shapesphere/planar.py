@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .angles import wrap_angle, unwrap_held
 from .shape_core import (
@@ -219,13 +217,47 @@ def swept_area(curve: ShapeCurve, pole) -> float:
     return area
 
 
+def _simpson(t: np.ndarray, y: np.ndarray) -> float:
+    """Composite Simpson rule over samples y at strictly increasing times t
+    (at least 3 samples), the rule of scipy.integrate.simpson with x given.
+
+    Pairs of intervals take the parabola through their three samples; at an
+    even sample count the last interval takes Cartwright's correction, the
+    parabola through the last three samples integrated over that interval.
+    """
+    n = t.size
+    h = np.diff(t)
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    parts = (hsum / 6.0) * (
+        y[0:stop:2] * (2.0 - 1.0 / ratio)
+        + y[1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
+        + y[2 : stop + 2 : 2] * (2.0 - ratio)
+    )
+    result = np.sum(parts)
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        beta = (b**2 + 3.0 * a * b) / (6 * a)
+        eta = b**3 / (6 * a * (a + b))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result)
+
+
 def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
-    """Simpson on uniform grids, trapezoid otherwise."""
+    """Integral of samples y over times t.
+
+    Composite Simpson (`_simpson`) when there are at least 3 samples on a
+    uniform grid, i.e. every spacing within 1e-9 of the first relative to
+    it; the trapezoid rule on other grids; 0 for a single sample.
+    """
     if t.size < 2:
         return 0.0
     dt = np.diff(t)
     if t.size >= 3 and np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]):
-        return float(simpson(y, x=t))
+        return _simpson(t, y)
     return float(np.trapezoid(y, t))
 
 
@@ -339,6 +371,8 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
     xi = curve.unwound_xi
 
     if t.size >= 4:
+        from scipy.interpolate import CubicSpline
+
         spline_r1 = CubicSpline(t, r1sq)
         spline_xi = CubicSpline(t, xi)
         xi_rate = spline_xi.derivative()

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .angles import TWO_PI, wrap_angle
 
@@ -339,6 +338,51 @@ def equilateral_configuration(masses: MassTriple) -> PlanarConfiguration:
     return PlanarConfiguration(scaled[0], scaled[1], scaled[2])
 
 
+def _collinear_imbalance(mj: float, mi: float, mk: float):
+    """Imbalance of the accelerations of bodies j, i, k at 0, 1, 1 + x on a
+    line (unit gravity constant): zero exactly when they are an affine
+    function of position.  Positive for small x, decreasing through the
+    one positive root."""
+
+    def imbalance(x):
+        aj = mi + mk / (1.0 + x) ** 2
+        ai = -mj + mk / x**2
+        ak = -mj / (1.0 + x) ** 2 - mi / x**2
+        return (ai - aj) * (1.0 + x) - (ak - aj)
+
+    return imbalance
+
+
+def _collinear_ratio(mj: float, mi: float, mk: float) -> float:
+    """Positive root of the collinear imbalance by bisection.
+
+    The bracket starts at [1e-9, 1] and doubles its upper end until the
+    imbalance changes sign; bisection then halves it until it is no wider
+    than 1e-15 or holds no float between its ends, and returns its midpoint
+    (or a point where the imbalance is exactly zero).
+    """
+    imbalance = _collinear_imbalance(float(mj), float(mi), float(mk))
+    lo, hi = 1e-9, 1.0
+    while (value := imbalance(hi)) > 0.0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise RuntimeError("failed to bracket the collinear ratio root")
+    for _ in range(200):
+        if value == 0.0:
+            return hi
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 or not lo < mid < hi:
+            return mid
+        value = imbalance(mid)
+        if value > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError(
+        f"collinear ratio root did not converge: bracket [{lo!r}, {hi!r}] after 200 bisections"
+    )
+
+
 def euler_collinear_point(masses: MassTriple, i: int) -> ShapePoint:
     """Normalized shape point of the collinear central configuration with
     body i between the other two.
@@ -351,24 +395,7 @@ def euler_collinear_point(masses: MassTriple, i: int) -> ShapePoint:
         raise ValueError(f"central body index must be 1, 2 or 3, got {i!r}")
     j, k = (b for b in (1, 2, 3) if b != i)
     m = masses.as_array()
-    mj, mi, mk = m[j - 1], m[i - 1], m[k - 1]
-
-    def imbalance(x):
-        # bodies j, i, k at 0, 1, 1 + x on a line, unit gravity constant
-        aj = mi + mk / (1.0 + x) ** 2
-        ai = -mj + mk / x**2
-        ak = -mj / (1.0 + x) ** 2 - mi / x**2
-        return (ai - aj) * (1.0 + x) - (ak - aj)
-
-    lo, hi = 1e-9, 1.0
-    while imbalance(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket the collinear ratio root")
-    try:
-        ratio = brentq(imbalance, lo, hi, xtol=1e-15, maxiter=200)
-    except RuntimeError as exc:
-        raise RuntimeError(f"collinear ratio root did not converge: {exc}") from exc
+    ratio = _collinear_ratio(m[j - 1], m[i - 1], m[k - 1])
 
     positions = np.zeros((3, 2))
     positions[j - 1, 0] = 0.0

@@ -329,11 +329,16 @@ def _projected_rate(w: np.ndarray, normals: np.ndarray, e: np.ndarray) -> np.nda
 
     Evaluated through the exact identity (e.w + n.w) / (1 + e.n), which
     stays conditioned near n = e; at n = +-e only the rate about n counts.
+    e is one axis (3,) or one axis per sample (n, 3).
     """
+    if e.ndim == 1:
+        ne, we = normals @ e, w @ e
+    else:
+        ne, we = np.einsum("nd,nd->n", normals, e), np.einsum("nd,nd->n", w, e)
     aligned = np.linalg.norm(np.cross(normals, e), axis=1) < ALIGNMENT_TOL
     nw = np.einsum("nd,nd->n", normals, w)
-    denom = np.where(aligned, 1.0, 1.0 + normals @ e)
-    return np.where(aligned, nw, (w @ e + nw) / denom)
+    denom = np.where(aligned, 1.0, 1.0 + ne)
+    return np.where(aligned, nw, (we + nw) / denom)
 
 
 def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> float:
@@ -457,9 +462,9 @@ def _runs(mask: np.ndarray) -> list:
     return np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
 
 
-def _steps_pass_antipode(normals: np.ndarray, e: np.ndarray) -> bool:
-    """Whether a great-circle step between consecutive normals passes within
-    ANTIPODAL_TOL of -e.
+def _steps_pass_antipode(normals: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Indices k of the great-circle steps from normals[k] to normals[k + 1]
+    that pass within ANTIPODAL_TOL of -e.
 
     A step from a to b can only do so if |a + e| <= |b - a| + ANTIPODAL_TOL;
     this also keeps steps shorter than roundoff, whose great circle is
@@ -471,15 +476,18 @@ def _steps_pass_antipode(normals: np.ndarray, e: np.ndarray) -> bool:
     which are tested apart.
     """
     a, b = normals[:-1], normals[1:]
-    near = np.linalg.norm(a + e, axis=1) <= np.linalg.norm(b - a, axis=1) + ANTIPODAL_TOL
+    near = np.flatnonzero(
+        np.linalg.norm(a + e, axis=1) <= np.linalg.norm(b - a, axis=1) + ANTIPODAL_TOL
+    )
     a, b = a[near], b[near]
     g = np.cross(a, b)
     g_norm = np.linalg.norm(g, axis=1)
     ea, eb = a @ e, b @ e
     ab = np.einsum("nd,nd->n", a, b)
-    on_step = (eb <= ab * ea) & (ea <= ab * eb) & (g_norm > 0.0)
+    on_step = np.flatnonzero((eb <= ab * ea) & (ea <= ab * eb) & (g_norm > 0.0))
     s = np.abs(g[on_step] @ e) / g_norm[on_step]
-    return bool(np.any(2.0 * np.sin(0.5 * np.arcsin(np.minimum(s, 1.0))) < ANTIPODAL_TOL))
+    passes = 2.0 * np.sin(0.5 * np.arcsin(np.minimum(s, 1.0))) < ANTIPODAL_TOL
+    return near[on_step[passes]]
 
 
 def reconstruct_spatial(
@@ -495,10 +503,12 @@ def reconstruct_spatial(
     initial angular momentum (or the third axis if that vanishes).  Supplied
     per-sample normals are used as-is; otherwise they are tracked from the
     triangle orientation.  Where the normal crosses -e the projected angle
-    jumps by 2 pi; each crossing adds antipodal_branch * 2 pi to the
-    dynamic term, the crossing samples are excised from the projection, and
-    the report is marked modulo-2pi, as it is when a step between samples
-    passes -e.  A positive bad-set dwell time leaves the result uncertified.
+    jumps by 2 pi.  Each crossing event, a run of samples within
+    ANTIPODAL_TOL of -e or a step between two samples that passes that
+    close, adds antipodal_branch * 2 pi to the dynamic term once; the
+    samples of a run are excised from the projection, and the report is
+    marked modulo-2pi.  A positive bad-set dwell time leaves the result
+    uncertified.
     """
     if traj.dim != 3:
         raise ValueError("reconstruct_spatial expects a spatial trajectory")
@@ -533,7 +543,9 @@ def reconstruct_spatial(
         # account for the crossing through the branch convention below
         frac = (traj.times[run] - traj.times[before]) / (traj.times[after] - traj.times[before])
         rate[run] = rate[before] + frac * (rate[after] - rate[before])
-    crossings = len(runs)
+    # a step into, out of or within a run belongs to that run's crossing
+    steps = _steps_pass_antipode(normals, e)
+    crossings = len(runs) + int(np.count_nonzero(~(antipodal[steps] | antipodal[steps + 1])))
 
     dyn = _quadrature(traj.times, rate) + 2.0 * np.pi * antipodal_branch * crossings
 
@@ -546,7 +558,7 @@ def reconstruct_spatial(
         oracle = _unwound_turn(body1, "q1")
 
     measure, _ = _bad_set(kernel, momentum_vec, traj.times, e)
-    crossed = pole_crossed or crossings > 0 or _steps_pass_antipode(normals, e)
+    crossed = pole_crossed or crossings > 0
     return _report(
         dyn,
         2.0 * area,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .angles import TWO_PI
 from .shape_core import (
@@ -168,6 +167,8 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
     t_new = np.linspace(t[0], t[-1], n)
     flat = traj.positions.reshape(t.size, -1)
     if t.size >= 4:
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(t, flat, axis=0)
         q_new = spline(t_new)
         v_new = spline.derivative()(t_new) if traj.velocities is not None else None
@@ -458,11 +459,22 @@ def _figure1_pinch(masses, duration, samples, stop_fraction=1.0) -> Trajectory:
     return Trajectory.from_samples(masses, t, q, v)
 
 
-def _gravity_accel(q: np.ndarray, m: np.ndarray, G: float) -> np.ndarray:
-    d = q[None, :, :] - q[:, None, :]  # d[i, j] = q[j] - q[i]
-    dist3 = np.linalg.norm(d, axis=-1) ** 3
-    np.fill_diagonal(dist3, np.inf)
-    return np.sum((G * m)[None, :, None] * d / dist3[:, :, None], axis=1)
+# Pair differences q[j] - q[i] of the pairs (1, 2), (1, 3), (2, 3).
+_PAIRS = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
+
+
+def _pair_weights(m: np.ndarray, G: float) -> np.ndarray:
+    """Signed mass matrix taking the pair forces (q_j - q_i) / |q_j - q_i|^3
+    of the pairs in _PAIRS to the bodies' accelerations."""
+    m1, m2, m3 = m
+    return G * np.array([[m2, m3, 0.0], [-m1, 0.0, m3], [0.0, -m1, -m2]])
+
+
+def _gravity_accel(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Accelerations of three bodies at q (3, d) from their pair forces."""
+    d = _PAIRS @ q
+    r2 = np.einsum("pd,pd->p", d, d)
+    return weights @ (d / (r2 * np.sqrt(r2))[:, None])
 
 
 def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
@@ -473,17 +485,17 @@ def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
     if v.shape != q.shape:
         raise ValueError("velocities must match the configuration shape")
     _recenter(v, masses)
-    m = masses.as_array()
+    weights = _pair_weights(masses.as_array(), G)
     t = np.linspace(0.0, duration, samples)
     h = t[1] - t[0]
     qs = np.empty((samples, 3, dim))
     vs = np.empty_like(qs)
     qs[0], vs[0] = q, v
     for k in range(samples - 1):
-        k1q, k1v = v, _gravity_accel(q, m, G)
-        k2q, k2v = v + 0.5 * h * k1v, _gravity_accel(q + 0.5 * h * k1q, m, G)
-        k3q, k3v = v + 0.5 * h * k2v, _gravity_accel(q + 0.5 * h * k2q, m, G)
-        k4q, k4v = v + h * k3v, _gravity_accel(q + h * k3q, m, G)
+        k1q, k1v = v, _gravity_accel(q, weights)
+        k2q, k2v = v + 0.5 * h * k1v, _gravity_accel(q + 0.5 * h * k1q, weights)
+        k3q, k3v = v + 0.5 * h * k2v, _gravity_accel(q + 0.5 * h * k2q, weights)
+        k4q, k4v = v + h * k3v, _gravity_accel(q + h * k3q, weights)
         q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         qs[k + 1], vs[k + 1] = q, v

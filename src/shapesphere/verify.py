@@ -23,7 +23,6 @@ from .planar import (
 from .shape_core import (
     MassTriple,
     PlanarConfiguration,
-    SpatialConfiguration,
     atlas,
     configuration_from_fiber,
     derive_masses,
@@ -34,9 +33,8 @@ from .shape_core import (
     _recenter,
 )
 from .spatial import (
-    F_of_J,
     _locked_inertia,
-    oriented_state,
+    _projected_rate,
     reconstruct_spatial,
 )
 from .trajectory import (
@@ -508,10 +506,8 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
     """
     rng = np.random.default_rng(1000 * (seed + 1) + 5)
     masses = derive_masses(1.0, 1.4, 0.7)
-    m = masses.as_array()
-    worst = 0.0
-    made = 0
-    while made < count:
+    draws = []
+    while len(draws) < count:
         flat = rng.uniform(-1.0, 1.0, size=(3, 2))
         q = np.concatenate([flat, np.zeros((3, 1))], axis=1)
         _recenter(q, masses)
@@ -530,18 +526,17 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
         if normal @ e < 0.0:
             normal = -normal
         j = float(rng.uniform(-2.0, 2.0))
-        inertia = float(np.einsum("i,id,id->", m, q, q))
-
-        config = SpatialConfiguration(q[0], q[1], q[2])
-        base = F_of_J(oriented_state(config, normal, e), j * e, inertia, masses)
-
         spin = rotation_matrices(e, rng.uniform(0.0, 2.0 * np.pi))[0]
-        q_rot = q @ spin.T
-        rotated = SpatialConfiguration(q_rot[0], q_rot[1], q_rot[2])
-        turned = F_of_J(oriented_state(rotated, spin @ normal, e), j * e, inertia, masses)
-        worst = max(worst, abs(turned - base))
-        made += 1
-    return worst
+        draws.append((q, normal, e, j * e, q @ spin.T, spin @ normal))
+    if not draws:
+        return 0.0
+
+    # F of the drawn states (rows [:count]) and of the spun ones, in one batch
+    states, normals, axes, momenta, spun, spun_normals = (np.array(c) for c in zip(*draws))
+    kernel = _locked_inertia(np.concatenate([states, spun]), masses)
+    w = kernel.inverse(np.concatenate([momenta, momenta]), kernel.inertia)
+    rate = _projected_rate(w, np.concatenate([normals, spun_normals]), np.concatenate([axes, axes]))
+    return float(np.max(np.abs(rate[count:] - rate[:count])))
 
 
 def negative_control_reports(n: int = 2001):

@@ -32,7 +32,12 @@ from shapesphere import (
 )
 from shapesphere.angles import wrap_angle
 from shapesphere.planar import shape_curve
-from shapesphere.spatial import COLLINEAR_EIG_TOL, _locked_inertia, _project_positions
+from shapesphere.spatial import (
+    COLLINEAR_EIG_TOL,
+    _locked_inertia,
+    _project_positions,
+    _steps_pass_antipode,
+)
 from shapesphere.trajectory import apply_rotation_profile, rotation_matrices
 from shapesphere.verify import (
     antipodal_crossing_reports,
@@ -704,3 +709,33 @@ class TestAntipodalBetweenSamples:
         )
         rep = reconstruct_spatial(traj, e=np.array([0.0, 0.0, 1.0]))
         assert rep.pole_crossed is crossed
+
+    @staticmethod
+    def full_turn(samples):
+        return generate(
+            "rigid_rotation",
+            masses=M111,
+            config=equilateral_3d(),
+            rate=np.pi,
+            duration=2.0,
+            samples=samples,
+            axis=np.array([1.0, 0.0, 0.0]),
+        )
+
+    @pytest.mark.parametrize("samples", [4000, 4001, 10_000, 10_001])
+    def test_one_branch_term_per_crossing_on_any_grid(self, samples):
+        # the crossing lands on a sample at odd counts and between two at
+        # even ones; either way it is one event and one 2 pi term
+        traj = self.full_turn(samples)
+        e = np.array([0.0, 0.0, 1.0])
+        for branch in (1, -1):
+            rep = reconstruct_spatial(traj, e=e, antipodal_branch=branch)
+            assert rep.pole_crossed
+            assert rep.total == pytest.approx(branch * 2.0 * np.pi, abs=1e-9)
+
+    @pytest.mark.parametrize("samples", [4000, 10_000])
+    def test_between_sample_crossing_is_one_step(self, samples):
+        traj = self.full_turn(samples)
+        normals = normal_track(traj, np.array([0.0, 0.0, 1.0]))
+        steps = _steps_pass_antipode(normals, np.array([0.0, 0.0, 1.0]))
+        assert steps.tolist() == [samples // 2 - 1]
