@@ -45,5 +45,6 @@ def unwrap_held(raw, defined=None):
         unwound_sub[1:] = sub[0] + np.cumsum(wrap_angle(np.diff(sub)))
     # hold: every sample takes the value of the latest defined sample at or
     # before it (leading undefined samples copy the first defined value)
-    pos = np.searchsorted(idx, np.arange(n), side="right") - 1
-    return unwound_sub[np.clip(pos, 0, None)]
+    held = np.zeros(n, dtype=np.intp)
+    held[idx] = np.arange(idx.size)
+    return unwound_sub[np.maximum.accumulate(held)]

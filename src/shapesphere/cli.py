@@ -86,7 +86,7 @@ def _parse_curve_csv(text: str) -> ShapeCurve:
     if data.shape[0] == 0:
         raise ParseError("curve CSV contains no data rows")
     try:
-        return ShapeCurve(data[:, 0], data[:, 1:4], data[:, 4], [])
+        return ShapeCurve(data[:, 0], data[:, 1:4], data[:, 4])
     except ValueError as exc:
         raise ParseError(f"invalid shape curve: {exc}") from exc
 
@@ -109,11 +109,7 @@ def cmd_reconstruct(args) -> int:
     elif args.target == "Z1":
         report = reconstruct_Z1(traj, include_oracle=args.with_oracle)
     else:
-        e = None
-        if args.e:
-            e = np.array([float(p) for p in args.e.split(",")])
-            if e.shape != (3,):
-                raise ValueError("--e expects three comma-separated components")
+        e = [float(p) for p in args.e.split(",")] if args.e else None
         report = reconstruct_spatial(
             traj, e=e, antipodal_branch=args.branch, include_oracle=args.with_oracle
         )
@@ -150,7 +146,12 @@ def cmd_lift(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"--params: {exc}") from exc
+    if not isinstance(params, dict):
+        raise ParseError("--params must be a JSON object")
     if "masses" in params:
         params["masses"] = derive_masses(*params["masses"])
     for key in ("config", "velocities", "axis"):

@@ -28,7 +28,7 @@ from .shape_core import (
     shape_map,
     shape_series,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _checked_times
 
 __all__ = [
     "ShapeCurve",
@@ -58,49 +58,48 @@ class ShapeCurve:
     points is (n, 3) with |point| = 1/2; unwound_xi is the continuously
     unwound meridian longitude, held constant across samples where it is
     undefined; pole_crossings lists (index, "C1" | "O1") for samples within
-    POLE_PROXIMITY_TOL of either end of the chart axis.
+    POLE_PROXIMITY_TOL of either end of the chart axis.  ShapeCurve(times,
+    points) unwinds the longitude; a given unwound_xi is checked against
+    the points instead.  The crossings are always derived from the points,
+    and a given list that disagrees is rejected.
     """
 
     times: np.ndarray
     points: np.ndarray
-    unwound_xi: np.ndarray
-    pole_crossings: list
+    unwound_xi: Optional[np.ndarray] = None
+    pole_crossings: Optional[list] = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _checked_times(self.times)
         w = np.asarray(self.points, dtype=float)
-        xi = np.asarray(self.unwound_xi, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "points", w)
-        object.__setattr__(self, "unwound_xi", xi)
-        if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
-            raise ValueError("times must be a nonempty finite 1-d array")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if w.shape != (t.size, 3) or xi.shape != t.shape:
-            raise ValueError("points must be (n, 3) and unwound_xi (n,)")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(xi))):
-            raise ValueError("points and unwound_xi must be finite")
+        if w.shape != (t.size, 3) or not np.all(np.isfinite(w)):
+            raise ValueError("points must be a finite (n, 3) array")
         radii = np.linalg.norm(w, axis=1)
         if np.any(np.abs(radii - 0.5) > 1e-10):
             raise ValueError("curve points must lie on the radius-1/2 sphere")
         defined = np.hypot(w[:, 1], w[:, 2]) > POLE_PROXIMITY_TOL
+        longitude = np.arctan2(w[:, 2], w[:, 1])
+        if self.unwound_xi is None:
+            xi = unwrap_held(longitude, defined)
+        else:
+            xi = np.asarray(self.unwound_xi, dtype=float)
+            if xi.shape != t.shape or not np.all(np.isfinite(xi)):
+                raise ValueError("unwound_xi must be a finite (n,) array")
+            if np.any(np.abs(wrap_angle(xi - longitude))[defined] > 1e-9):
+                raise ValueError("unwound_xi disagrees with the longitude of points")
         _require_dense(xi, defined, "longitude")
-        mismatch = np.abs(wrap_angle(xi - np.arctan2(w[:, 2], w[:, 1])))
-        if np.any(mismatch[defined] > 1e-9):
-            raise ValueError("unwound_xi disagrees with the longitude of points")
+        crossings = [(int(k), "C1" if w[k, 0] < 0.0 else "O1") for k in np.flatnonzero(~defined)]
+        if self.pole_crossings is not None and [tuple(c) for c in self.pole_crossings] != crossings:
+            raise ValueError("pole_crossings disagree with the chart-axis passages of points")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "points", w)
+        object.__setattr__(self, "unwound_xi", xi)
+        object.__setattr__(self, "pole_crossings", crossings)
 
     @classmethod
     def from_points(cls, times, points) -> "ShapeCurve":
         """Build a curve from normalized points, unwinding the longitude."""
-        w = np.asarray(points, dtype=float)
-        defined = np.hypot(w[:, 1], w[:, 2]) > POLE_PROXIMITY_TOL
-        xi = unwrap_held(np.arctan2(w[:, 2], w[:, 1]), defined)
-        crossings = [
-            (int(k), "C1" if w[k, 0] < 0.0 else "O1")
-            for k in np.flatnonzero(~defined)
-        ]
-        return cls(np.asarray(times, dtype=float), w, xi, crossings)
+        return cls(times, points)
 
     @property
     def n_samples(self) -> int:
@@ -184,7 +183,7 @@ def _curve_from_jacobi(times: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> Sha
     w = shape_series(Z1, Z2)
     if np.any(w[:, 3] <= 0.0):
         raise ValueError("trajectory passes through triple collision")
-    return ShapeCurve.from_points(times, 0.5 * w[:, :3] / w[:, 3:4])
+    return ShapeCurve(times, 0.5 * w[:, :3] / w[:, 3:4])
 
 
 def _swept_area_flagged(curve: ShapeCurve, pole) -> tuple[float, bool]:
@@ -370,12 +369,12 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
     r2sq = 0.5 - curve.points[:, 0]
     xi = curve.unwound_xi
 
-    if t.size >= 4:
+    if t.size >= 2:
+        # not-a-knot splines: a line through 2 samples, a parabola through 3
         from scipy.interpolate import CubicSpline
 
         spline_r1 = CubicSpline(t, r1sq)
-        spline_xi = CubicSpline(t, xi)
-        xi_rate = spline_xi.derivative()
+        xi_rate = CubicSpline(t, xi).derivative()
 
         def integrand(tt):
             return spline_r1(tt) * xi_rate(tt)
@@ -385,9 +384,10 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
             integrand(t[:-1]) + 4.0 * integrand(mid) + integrand(t[1:])
         )
         dxi_dt = xi_rate(t)
+        dr1sq = spline_r1.derivative()(t)
     else:
-        incr = 0.5 * (r1sq[:-1] + r1sq[1:]) * np.diff(xi)
-        dxi_dt = np.gradient(xi, t) if t.size > 1 else np.zeros_like(xi)
+        incr = np.zeros(0)
+        dxi_dt = dr1sq = np.zeros(1)
     accumulated = np.concatenate([[0.0], np.cumsum(incr)])
 
     angles0 = chart_angles(pair0)
@@ -408,10 +408,6 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
     positions = positions_from_jacobi_series(Z1, Z2, masses)
 
     # radial rates from d(r^2)/dt = +-d(w1)/dt; angle rates from the lift law
-    if t.size >= 4:
-        dr1sq = spline_r1.derivative()(t)
-    else:
-        dr1sq = np.gradient(r1sq, t) if t.size > 1 else np.zeros_like(r1sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         dr1 = np.where(r1 > 0.0, scale * dr1sq / (2.0 * np.sqrt(np.clip(r1sq, 1e-300, None))), 0.0)
         dr2 = np.where(r2 > 0.0, scale * -dr1sq / (2.0 * np.sqrt(np.clip(r2sq, 1e-300, None))), 0.0)

@@ -135,6 +135,15 @@ class SpatialConfiguration:
         return np.stack([self.q1, self.q2, self.q3])
 
 
+def _unit(v, name: str) -> np.ndarray:
+    """v / |v| for a finite nonzero 3-vector v; ValueError naming v otherwise."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v) if v.shape == (3,) else np.nan
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"{name} must be a finite nonzero 3-vector")
+    return v / norm
+
+
 def _centroid_residuals(q: np.ndarray, masses: MassTriple) -> np.ndarray:
     """Relative size of the mass-weighted centroid of samples q (..., 3, d):
     |sum_i m_i q_i| / sum_i m_i |q_i|, zero for samples at the origin."""

@@ -34,6 +34,7 @@ from .shape_core import (
     SpatialConfiguration,
     _centroid_residuals,
     _jacobi_vectors,
+    _unit,
 )
 from .trajectory import Trajectory
 
@@ -231,12 +232,10 @@ def decompose_e_n(w, e, n) -> tuple[float, float, float]:
 
 def plane_basis(e) -> tuple[np.ndarray, np.ndarray]:
     """Right-handed orthonormal basis (u1, u2) of the plane orthogonal to e."""
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
+    e = _unit(e, "e")
     seed = np.zeros(3)
     seed[np.argmin(np.abs(e))] = 1.0
-    u1 = seed - (seed @ e) * e
-    u1 /= np.linalg.norm(u1)
+    u1 = _unit(seed - (seed @ e) * e, "u1")
     return u1, np.cross(e, u1)
 
 
@@ -270,10 +269,7 @@ def project_P(config: SpatialConfiguration, n, e) -> PlanarConfiguration:
     antipodal case n = -e has no unique geodesic and is rejected.  The
     shape point is unchanged by the transport.
     """
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
+    n, e = _unit(n, "n"), _unit(e, "e")
     if np.linalg.norm(n + e) < ALIGNMENT_TOL:
         raise ValueError("n = -e: the transport to the plane is ambiguous")
     coords = _project_positions(config.as_array()[None, :, :], n[None, :], e)[0]
@@ -299,10 +295,7 @@ class OrientedState:
 
 def oriented_state(config: SpatialConfiguration, n, e) -> OrientedState:
     """Build the tilt chart of a configuration; n must be normal to its plane."""
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
+    n, e = _unit(n, "n"), _unit(e, "e")
     q = config.as_array()
     for span in (q[1] - q[0], q[2] - q[0]):
         span_norm = np.linalg.norm(span)
@@ -446,11 +439,10 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
     orthogonal to the configuration axis; returns the trapezoidal dwell
     time of flagged samples and the flagged time intervals.
     """
+    e = _unit(e, "e")
     traj = traj.ensure_velocities()
     if traj.dim != 3:
         raise ValueError("bad_set_measure expects a spatial trajectory")
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
     kernel = _locked_inertia(traj.positions, traj.masses)
     return _bad_set(kernel, _momentum_vectors(traj), traj.times, e)
 
@@ -519,8 +511,7 @@ def reconstruct_spatial(
     if e is None:
         j0 = momentum_vec[0]
         e = j0 if np.linalg.norm(j0) > 0.0 else np.array([0.0, 0.0, 1.0])
-    e = np.asarray(e, dtype=float)
-    e = e / np.linalg.norm(e)
+    e = _unit(e, "e")
     normals = traj.normals if traj.normals is not None else normal_track(traj, e)
 
     kernel = _locked_inertia(traj.positions, traj.masses)
@@ -550,7 +541,7 @@ def reconstruct_spatial(
     dyn = _quadrature(traj.times, rate) + 2.0 * np.pi * antipodal_branch * crossings
 
     keep = ~antipodal
-    curve = ShapeCurve.from_points(traj.times[keep], kernel.shape_points(normals)[keep])
+    curve = ShapeCurve(traj.times[keep], kernel.shape_points(normals)[keep])
     area, pole_crossed = _swept_area_flagged(curve, C1_DIRECTION)
     oracle = None
     if include_oracle:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -13,6 +14,7 @@ from .shape_core import (
     MassTriple,
     _centroid_residuals,
     _recenter,
+    _unit,
     derive_masses,
     positions_from_jacobi_series,
 )
@@ -35,6 +37,17 @@ class ParseError(ValueError):
     """Malformed trajectory file."""
 
 
+def _checked_times(times) -> np.ndarray:
+    """times as a float array; ValueError unless it is a nonempty, finite,
+    strictly increasing 1-d grid."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
+        raise ValueError("times must be a nonempty finite 1-d array")
+    if t.size > 1 and np.any(np.diff(t) <= 0.0):
+        raise ValueError("times must be strictly increasing")
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled three-body motion.
@@ -53,14 +66,10 @@ class Trajectory:
     max_center_shift: float = 0.0
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _checked_times(self.times)
         q = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", q)
-        if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
-            raise ValueError("times must be a nonempty finite 1-d array")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
         if q.ndim != 3 or q.shape[0] != t.size or q.shape[1] != 3 or q.shape[2] not in (2, 3):
             raise ValueError("positions must have shape (n, 3, 2) or (n, 3, 3)")
         if not np.all(np.isfinite(q)):
@@ -120,35 +129,17 @@ class Trajectory:
 def finite_difference_velocities(traj: Trajectory) -> Trajectory:
     """Differentiate positions with three-point stencils, exact on quadratics.
 
-    Interior samples use the nonuniform central stencil; the ends use the
-    matching one-sided second-order stencils.  Centered positions carry no
-    net momentum, so the roundoff left in the mass-weighted mean of the
-    differences is removed, as from_samples does for supplied velocities.
+    numpy's second-order gradient: the nonuniform central stencil inside
+    and the matching one-sided stencils at the ends.  Centered positions
+    carry no net momentum, so the roundoff left in the mass-weighted mean
+    of the differences is removed, as from_samples does for supplied
+    velocities.
     """
     if traj.n_samples < 3:
         raise ValueError("need at least 3 samples to difference velocities")
     t = traj.times
     q = traj.positions
-    v = np.empty_like(q)
-    h0 = (t[1:-1] - t[:-2])[:, None, None]
-    h1 = (t[2:] - t[1:-1])[:, None, None]
-    v[1:-1] = (
-        -(h1 / (h0 * (h0 + h1))) * q[:-2]
-        + ((h1 - h0) / (h0 * h1)) * q[1:-1]
-        + (h0 / (h1 * (h0 + h1))) * q[2:]
-    )
-    a, b = t[1] - t[0], t[2] - t[1]
-    v[0] = (
-        -((2 * a + b) / (a * (a + b))) * q[0]
-        + ((a + b) / (a * b)) * q[1]
-        - (a / (b * (a + b))) * q[2]
-    )
-    a, b = t[-2] - t[-3], t[-1] - t[-2]
-    v[-1] = (
-        (b / (a * (a + b))) * q[-3]
-        - ((a + b) / (a * b)) * q[-2]
-        + ((a + 2 * b) / (b * (a + b))) * q[-1]
-    )
+    v = np.gradient(q, t, axis=0, edge_order=2)
     _recenter(v, traj.masses)
     return Trajectory(traj.masses, t, q, v, traj.normals, traj.max_center_shift)
 
@@ -291,8 +282,10 @@ def _parse_json(text: str, masses: Optional[MassTriple]) -> Trajectory:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "samples" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("samples"), list):
         raise ParseError("JSON trajectory must be an object with a 'samples' list")
+    if not doc["samples"]:
+        raise ParseError("JSON trajectory contains no samples")
     if masses is None:
         if "masses" not in doc:
             raise ParseError("no masses: neither the JSON field nor an argument was given")
@@ -300,20 +293,21 @@ def _parse_json(text: str, masses: Optional[MassTriple]) -> Trajectory:
             masses = derive_masses(*doc["masses"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"bad masses field: {exc}") from exc
-    dim = int(doc.get("dim", 2))
+    dim = doc.get("dim", 2)
     if dim not in (2, 3):
-        raise ParseError(f"dim must be 2 or 3, got {dim}")
+        raise ParseError(f"dim must be 2 or 3, got {dim!r}")
+    dim = int(dim)
     times, qs, vs, ns = [], [], [], []
     for k, sample in enumerate(doc["samples"], start=1):
         try:
             times.append(float(sample["t"]))
             qs.append(np.asarray(sample["q"], dtype=float).reshape(3, dim))
+            if "v" in sample:
+                vs.append(np.asarray(sample["v"], dtype=float).reshape(3, dim))
+            if "n" in sample:
+                ns.append(np.asarray(sample["n"], dtype=float).reshape(3))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"sample {k}: {exc}") from exc
-        if "v" in sample:
-            vs.append(np.asarray(sample["v"], dtype=float).reshape(3, dim))
-        if "n" in sample:
-            ns.append(np.asarray(sample["n"], dtype=float).reshape(3))
     if vs and len(vs) != len(qs):
         raise ParseError("velocities must be present on all samples or none")
     if ns and len(ns) != len(qs):
@@ -368,8 +362,7 @@ def serialize(traj: Trajectory, format: str = "csv") -> str:
 
 def rotation_matrices(axis, angles) -> np.ndarray:
     """Rotation matrices about a fixed axis for a batch of angles."""
-    k = np.asarray(axis, dtype=float)
-    k = k / np.linalg.norm(k)
+    k = _unit(axis, "axis")
     K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     c = np.cos(angles)[:, None, None]
@@ -406,9 +399,7 @@ def _rigid_rotation(masses, config, rate, duration, samples, axis=None) -> Traje
         q0 = _centered_config(masses, config, 3)
         mats = rotation_matrices(axis, angles)
         q = np.einsum("nab,ib->nia", mats, q0)
-        k = np.asarray(axis, dtype=float)
-        k = k / np.linalg.norm(k)
-        v = rate * np.cross(k[None, None, :], q)
+        v = rate * np.cross(_unit(axis, "axis")[None, None, :], q)
     return Trajectory.from_samples(masses, t, q, v)
 
 
@@ -580,12 +571,17 @@ def generate(kind: str, **params) -> Trajectory:
     figure1_pinch(masses, duration, samples[, stop_fraction]),
     newtonian(masses, config, velocities, G, duration, samples),
     random_smooth(masses, seed, duration, samples[, amplitude, harmonics,
-    rotation_rate, periodic]).
+    rotation_rate, periodic]).  Unknown or missing parameters raise
+    ValueError.
     """
     try:
         builder = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown generator kind {kind!r}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"{kind} parameters: {exc}") from None
     return builder(**params)
 
 
@@ -627,8 +623,6 @@ def apply_rotation_profile(traj: Trajectory, axis, angle, rate) -> Trajectory:
         raise ValueError("angle and rate must align with the time grid")
     mats = rotation_matrices(axis, angle)
     q = np.einsum("nab,nib->nia", mats, traj.positions)
-    k = np.asarray(axis, dtype=float)
-    k = k / np.linalg.norm(k)
     v = np.einsum("nab,nib->nia", mats, traj.velocities)
-    v += rate[:, None, None] * np.cross(k[None, None, :], q)
+    v += rate[:, None, None] * np.cross(_unit(axis, "axis")[None, None, :], q)
     return Trajectory.from_samples(traj.masses, t, q, v)

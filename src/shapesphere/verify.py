@@ -31,6 +31,7 @@ from .shape_core import (
     shape_series,
     ShapePoint,
     _recenter,
+    _unit,
 )
 from .spatial import (
     _locked_inertia,
@@ -306,7 +307,7 @@ def meridian_curve(
     points = 0.5 * np.stack(
         [-np.cos(s), np.sin(s) * np.cos(xi0), np.sin(s) * np.sin(xi0)], axis=1
     )
-    return ShapeCurve(t, points, np.full(n, xi0), [])
+    return ShapeCurve(t, points, np.full(n, xi0))
 
 
 def lift_checks(seed: int = 0, curves: int = 20, samples: int = 1500) -> dict:
@@ -519,9 +520,8 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
         tilt = rotation_matrices(rng.standard_normal(3) + np.array([0, 0, 2.0]), rng.uniform(0, 2 * np.pi))[0]
         q = q @ tilt.T
         normal = np.cross(q[1] - q[0], q[2] - q[0])
-        normal /= np.linalg.norm(normal)
-        e = rng.standard_normal(3)
-        e /= np.linalg.norm(e)
+        normal = _unit(normal, "normal")
+        e = _unit(rng.standard_normal(3), "e")
         # orient the normal into the e hemisphere, as normal tracking does
         if normal @ e < 0.0:
             normal = -normal

@@ -167,6 +167,44 @@ class TestReconstruct:
         assert outputs[0] == outputs[1]
         assert "total" in json.loads(outputs[0])
 
+    @pytest.mark.parametrize("axis", ["0,0,0", "nan,0,1", "inf,0,1", "0,0,1,0"])
+    def test_degenerate_axis_exits_3(self, tmp_path, capsys, axis):
+        from shapesphere import embed_planar
+
+        base = generate("random_smooth", masses=M111, seed=5, duration=1.0, samples=101)
+        src = tmp_path / "spatial.json"
+        src.write_text(serialize(embed_planar(base), "json"))
+        assert main(["reconstruct", str(src), "--target", "spatial", "--e", axis]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: e must be" in captured.err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"masses": [1, 1, 1], "samples": 5}, "'samples' list"),
+            ({"masses": [1, 1, 1], "samples": []}, "JSON trajectory contains no samples"),
+            ({"masses": [1, 1, 1], "dim": "x", "samples": [{"t": 0, "q": [0] * 6}]},
+             "dim must be 2 or 3, got 'x'"),
+            ({"masses": [1, 1, 1], "samples": [
+                {"t": 0, "q": [[1, 0], [0, 1], [-1, -1]], "v": [0] * 6},
+                {"t": 1, "q": [[1, 0], [0, 1], [-1, -1]], "v": [0] * 4},
+            ]}, "sample 2: cannot reshape"),
+            ({"masses": [1, 1, 1], "dim": 3, "samples": [
+                {"t": 0, "q": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]], "n": [0, 0, 1]},
+                {"t": 1, "q": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]], "n": [0, 1]},
+            ]}, "sample 2: cannot reshape"),
+        ],
+        ids=["samples_not_a_list", "no_samples", "dim_not_a_number", "velocity_size",
+             "normal_size"],
+    )
+    def test_malformed_json_exits_2(self, tmp_path, capsys, doc, message):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        assert main(["reconstruct", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_degrees_echo_on_stderr(self, tmp_path, capsys):
         src = tmp_path / "rigid.csv"
         write_rigid_csv(src)
@@ -286,6 +324,15 @@ class TestLiftInput:
         assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_reader_derives_pole_crossings(self):
+        from shapesphere.cli import _curve_csv, _parse_curve_csv
+        from shapesphere.planar import ShapeCurve
+
+        pts = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.5, 0.0, 0.0]])
+        curve = ShapeCurve(np.linspace(0.0, 1.0, 4), pts)
+        assert curve.pole_crossings == [(1, "C1"), (3, "O1")]
+        assert _parse_curve_csv(_curve_csv(curve)).pole_crossings == curve.pole_crossings
+
 
 class TestGenerate:
     def test_emits_parseable_trajectory(self, tmp_path):
@@ -309,6 +356,24 @@ class TestGenerate:
 
     def test_unknown_kind_exits_3(self):
         assert main(["generate", "--kind", "nonsense"]) == 3
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ('{"masses": [1, 2, 3], "duration": 1.0, "samples": 33, "foo": 1}', "'foo'"),
+            ('{"masses": [1, 2, 3], "duration": 1.0}', "'samples'"),
+        ],
+        ids=["unknown", "missing"],
+    )
+    def test_bad_parameters_exit_3(self, capsys, params, message):
+        assert main(["generate", "--kind", "figure1_pinch", "--params", params]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: figure1_pinch parameters:") and message in err
+
+    @pytest.mark.parametrize("params", ["[1]", "{masses"], ids=["non_object", "invalid"])
+    def test_malformed_parameters_exit_2(self, capsys, params):
+        assert main(["generate", "--kind", "figure1_pinch", "--params", params]) == 2
+        assert "error: --params" in capsys.readouterr().err
 
 
 class TestVerify:

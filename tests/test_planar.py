@@ -138,6 +138,24 @@ class TestShapeCurve:
         curve = ShapeCurve.from_points(np.linspace(0, 1, 3), pts)
         assert curve.pole_crossings == [(1, "C1")]
 
+    def test_given_longitude_still_derives_crossings(self):
+        pts = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, -0.5, 0.0]])
+        t = np.linspace(0, 1, 3)
+        xi = ShapeCurve(t, pts).unwound_xi
+        assert ShapeCurve(t, pts, xi).pole_crossings == [(1, "C1")]
+        assert ShapeCurve(t, pts, xi, [(1, "C1")]).pole_crossings == [(1, "C1")]
+
+    @pytest.mark.parametrize(
+        "wrong", [[], [(1, "O1")], [(0, "C1")], [(1, "C1"), (2, "C1")]],
+        ids=["empty", "other_pole", "other_index", "extra"],
+    )
+    def test_rejects_disagreeing_pole_crossings(self, wrong):
+        pts = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, -0.5, 0.0]])
+        t = np.linspace(0, 1, 3)
+        xi = ShapeCurve(t, pts).unwound_xi
+        with pytest.raises(ValueError, match="pole_crossings"):
+            ShapeCurve(t, pts, xi, wrong)
+
     def test_rejects_spatial_trajectory(self):
         base = generate("random_smooth", masses=M123, seed=4, duration=1.0, samples=51)
         with pytest.raises(ValueError, match="planar"):
