@@ -153,7 +153,12 @@ def cmd_generate(args) -> int:
     if not isinstance(params, dict):
         raise ParseError("--params must be a JSON object")
     if "masses" in params:
-        params["masses"] = derive_masses(*params["masses"])
+        try:
+            params["masses"] = derive_masses(*params["masses"])
+        except TypeError:
+            raise ValueError(
+                f"{args.kind} parameters: masses must be three numbers, got {params['masses']!r}"
+            ) from None
     for key in ("config", "velocities", "axis"):
         if key in params:
             params[key] = np.asarray(params[key], dtype=float)

@@ -186,18 +186,6 @@ def _curve_from_jacobi(times: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> Sha
     return ShapeCurve(times, 0.5 * w[:, :3] / w[:, 3:4])
 
 
-def _swept_area_flagged(curve: ShapeCurve, pole) -> tuple[float, bool]:
-    p = np.asarray(pole, dtype=float)
-    if p.shape != (3,) or not np.isfinite(p[0]) or p[0] == 0.0 or np.any(p[1:] != 0.0):
-        raise ValueError("pole must be a nonzero direction along the chart axis (C1 or O1)")
-    # the longitude about C1 (p1 < 0) is +xi and about O1 is -xi
-    sign = 1.0 if p[0] < 0.0 else -1.0
-    g = 0.25 + sign * 0.5 * curve.points[:, 0]
-    d = sign * np.diff(curve.unwound_xi)
-    area = float(np.sum(0.5 * (g[1:] + g[:-1]) * d))
-    return area, bool(curve.pole_crossings)
-
-
 def swept_area(curve: ShapeCurve, pole) -> float:
     """Signed area swept about a chart pole along the curve.
 
@@ -212,8 +200,14 @@ def swept_area(curve: ShapeCurve, pole) -> float:
     half-sphere area.  For pole C1 this evaluates to the integral of
     r1^2 dxi / 2 on unit-inertia data.
     """
-    area, _ = _swept_area_flagged(curve, pole)
-    return area
+    p = np.asarray(pole, dtype=float)
+    if p.shape != (3,) or not np.isfinite(p[0]) or p[0] == 0.0 or np.any(p[1:] != 0.0):
+        raise ValueError("pole must be a nonzero direction along the chart axis (C1 or O1)")
+    # the longitude about C1 (p1 < 0) is +xi and about O1 is -xi
+    sign = 1.0 if p[0] < 0.0 else -1.0
+    g = 0.25 + sign * 0.5 * curve.points[:, 0]
+    d = sign * np.diff(curve.unwound_xi)
+    return float(np.sum(0.5 * (g[1:] + g[:-1]) * d))
 
 
 def _simpson(t: np.ndarray, y: np.ndarray) -> float:
@@ -250,13 +244,18 @@ def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
 
     Composite Simpson (`_simpson`) when there are at least 3 samples on a
     uniform grid, i.e. every spacing within 1e-9 of the first relative to
-    it; the trapezoid rule on other grids; 0 for a single sample.
+    it; the trapezoid rule on other grids; 0 for a single sample.  At an
+    even count the rule is the mean of `_simpson` run forwards and over the
+    reversed grid, so Cartwright's end correction sits at both ends and
+    reversing time negates the integral.
     """
     if t.size < 2:
         return 0.0
     dt = np.diff(t)
     if t.size >= 3 and np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]):
-        return _simpson(t, y)
+        if t.size % 2:
+            return _simpson(t, y)
+        return 0.5 * (_simpson(t, y) + _simpson(-t[::-1], y[::-1]))
     return float(np.trapezoid(y, t))
 
 
@@ -283,13 +282,16 @@ def oracle_rotation(traj: Trajectory, target: str) -> float:
     continuity, nothing else.  Per-step turns must stay below pi/2,
     otherwise the sampling cannot be unwound unambiguously.
     """
+    return _unwound_turn(_target_vectors(traj.positions, target), target)
+
+
+def _target_vectors(q: np.ndarray, target: str) -> np.ndarray:
+    """In-plane q1 or Z1 = q3 - q2 of samples q (n, 3, dim), shape (n, 2)."""
     if target == "q1":
-        vec = traj.positions[:, 0, :2]
-    elif target == "Z1":
-        vec = traj.positions[:, 2, :2] - traj.positions[:, 1, :2]
-    else:
-        raise ValueError("target must be 'q1' or 'Z1'")
-    return _unwound_turn(vec, target)
+        return q[:, 0, :2]
+    if target == "Z1":
+        return q[:, 2, :2] - q[:, 1, :2]
+    raise ValueError("target must be 'q1' or 'Z1'")
 
 
 def _require_dense(angles: np.ndarray, defined: np.ndarray, what: str):
@@ -313,10 +315,7 @@ def _unwound_turn(vec: np.ndarray, target: str) -> float:
 
 def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> ReconstructionReport:
     traj, Z1, Z2, inertia, rate = _momentum_rate(traj)
-    if target == "q1":
-        end_vecs = traj.positions[[0, -1], 0, :2]
-    else:
-        end_vecs = traj.positions[[0, -1], 2, :2] - traj.positions[[0, -1], 1, :2]
+    end_vecs = _target_vectors(traj.positions[[0, -1]], target)
     scale = np.sqrt(inertia[[0, -1]])
     if np.any(np.linalg.norm(end_vecs, axis=1) <= ENDPOINT_TOL * scale):
         raise ValueError(
@@ -324,9 +323,9 @@ def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> R
         )
     curve = _curve_from_jacobi(traj.times, Z1, Z2)
     dyn = _quadrature(traj.times, rate)
-    area, crossed = _swept_area_flagged(curve, pole)
+    area = swept_area(curve, pole)
     oracle = oracle_rotation(traj, target) if include_oracle else None
-    return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples)
+    return _report(dyn, 2.0 * area, oracle, bool(curve.pole_crossings), traj.n_samples)
 
 
 def reconstruct_q1(traj: Trajectory, include_oracle: bool = False) -> ReconstructionReport:
@@ -390,15 +389,11 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
         dxi_dt = dr1sq = np.zeros(1)
     accumulated = np.concatenate([[0.0], np.cumsum(incr)])
 
+    # start xi2 in whichever chart is defined; the curve start is not the
+    # triple collision, so at least one is
     angles0 = chart_angles(pair0)
-    if angles0.defined2:
-        xi2 = angles0.xi2 + accumulated
-        xi1 = xi2 - xi
-    elif angles0.defined1:
-        xi1 = angles0.xi1 + accumulated - (xi - xi[0])
-        xi2 = xi1 + xi
-    else:
-        raise ValueError("initial configuration is at triple collision")
+    xi2 = (angles0.xi2 if angles0.defined2 else angles0.xi1 + xi[0]) + accumulated
+    xi1 = xi2 - xi
 
     scale = np.sqrt(inertia0)
     r1 = scale * np.sqrt(np.clip(r1sq, 0.0, None))

@@ -85,32 +85,30 @@ def derive_masses(m1, m2, m3) -> MassTriple:
     return MassTriple(m1, m2, m3, float(mu1), float(mu2), m1 + m2 + m3)
 
 
-def _as_vectors(values, dim: int, names) -> list[np.ndarray]:
-    out = []
-    for name, value in zip(names, values):
-        v = np.asarray(value, dtype=float)
-        if v.shape != (dim,) or not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be a finite {dim}-vector")
-        out.append(v)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class PlanarConfiguration:
-    """Positions of the three bodies in the plane."""
+class _Configuration:
+    """Positions of the three bodies, each a finite vector of length _DIM."""
 
     q1: np.ndarray
     q2: np.ndarray
     q3: np.ndarray
 
     def __post_init__(self):
-        q1, q2, q3 = _as_vectors((self.q1, self.q2, self.q3), 2, ("q1", "q2", "q3"))
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "q3", q3)
+        for name in ("q1", "q2", "q3"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (self._DIM,) or not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be a finite {self._DIM}-vector")
+            object.__setattr__(self, name, v)
 
     def as_array(self) -> np.ndarray:
         return np.stack([self.q1, self.q2, self.q3])
+
+
+@dataclass(frozen=True, eq=False)
+class PlanarConfiguration(_Configuration):
+    """Positions of the three bodies in the plane."""
+
+    _DIM = 2
 
     def as_complex(self) -> np.ndarray:
         a = self.as_array()
@@ -118,21 +116,10 @@ class PlanarConfiguration:
 
 
 @dataclass(frozen=True, eq=False)
-class SpatialConfiguration:
+class SpatialConfiguration(_Configuration):
     """Positions of the three bodies in space."""
 
-    q1: np.ndarray
-    q2: np.ndarray
-    q3: np.ndarray
-
-    def __post_init__(self):
-        q1, q2, q3 = _as_vectors((self.q1, self.q2, self.q3), 3, ("q1", "q2", "q3"))
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "q3", q3)
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([self.q1, self.q2, self.q3])
+    _DIM = 3
 
 
 def _unit(v, name: str) -> np.ndarray:

@@ -24,8 +24,8 @@ from .planar import (
     ShapeCurve,
     _quadrature,
     _report,
-    _swept_area_flagged,
     _unwound_turn,
+    swept_area,
 )
 from .shape_core import (
     C1_DIRECTION,
@@ -324,10 +324,8 @@ def _projected_rate(w: np.ndarray, normals: np.ndarray, e: np.ndarray) -> np.nda
     stays conditioned near n = e; at n = +-e only the rate about n counts.
     e is one axis (3,) or one axis per sample (n, 3).
     """
-    if e.ndim == 1:
-        ne, we = normals @ e, w @ e
-    else:
-        ne, we = np.einsum("nd,nd->n", normals, e), np.einsum("nd,nd->n", w, e)
+    e = np.broadcast_to(e, normals.shape)
+    ne, we = np.einsum("nd,nd->n", normals, e), np.einsum("nd,nd->n", w, e)
     aligned = np.linalg.norm(np.cross(normals, e), axis=1) < ALIGNMENT_TOL
     nw = np.einsum("nd,nd->n", normals, w)
     denom = np.where(aligned, 1.0, 1.0 + ne)
@@ -377,15 +375,22 @@ def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -
     """
     if traj.dim != 3:
         raise ValueError("normal_track expects a spatial trajectory")
-    q = traj.positions
-    raw = np.cross(q[:, 2] - q[:, 1], q[:, 0] - q[:, 1])
-    norms = np.linalg.norm(raw, axis=1)
-    scale = np.linalg.norm(q[:, 2] - q[:, 1], axis=1) * np.linalg.norm(q[:, 0] - q[:, 1], axis=1)
-    triangular = norms > 1e-10 * np.maximum(scale, 1e-300)
+    return _track_normals(_locked_inertia(traj.positions, traj.masses), traj.times, e, initial_sign)
+
+
+def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) -> np.ndarray:
+    """normal_track over the samples of an inertia kernel.
+
+    The normal is sigma's eigenvector N = xi1 x xi2; a sample is triangular
+    when the sine of the angle between xi1 and xi2 exceeds 1e-10, i.e. when
+    |N|^2 > 1e-20 |xi1|^2 |xi2|^2.
+    """
+    lengths_sq = (0.5 * kernel.inertia + kernel.w1) * (0.5 * kernel.inertia - kernel.w1)
+    triangular = kernel.det > 1e-20 * lengths_sq
     if not np.any(triangular):
         raise ValueError("all samples are collinear: the orientation is undefined")
     idx = np.flatnonzero(triangular)
-    units = raw[idx] / norms[idx][:, None]
+    units = kernel.normal[idx] / np.sqrt(kernel.det[idx])[:, None]
     if idx.size > 1:
         dots = np.einsum("kd,kd->k", units[1:], units[:-1])
         flips = np.concatenate([[1.0], np.cumprod(np.where(dots >= 0.0, 1.0, -1.0))])
@@ -396,21 +401,19 @@ def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -
     elif units[0] @ reference < 0.0:
         units = -units
 
-    out = np.empty((traj.n_samples, 3))
+    out = np.empty((t.size, 3))
     out[idx] = units
-    if idx.size < traj.n_samples:
-        t = traj.times
-        for run in _runs(~triangular):
-            before = idx[idx < run[0]]
-            after = idx[idx > run[-1]]
-            if before.size == 0:
-                out[run] = out[after[0]]
-            elif after.size == 0:
-                out[run] = out[before[-1]]
-            else:
-                a, b = before[-1], after[0]
-                fractions = (t[run] - t[a]) / (t[b] - t[a])
-                out[run] = _slerp(out[a], out[b], fractions)
+    for run in _runs(~triangular):
+        before = idx[idx < run[0]]
+        after = idx[idx > run[-1]]
+        if before.size == 0:
+            out[run] = out[after[0]]
+        elif after.size == 0:
+            out[run] = out[before[-1]]
+        else:
+            a, b = before[-1], after[0]
+            fractions = (t[run] - t[a]) / (t[b] - t[a])
+            out[run] = _slerp(out[a], out[b], fractions)
     return out
 
 
@@ -512,9 +515,10 @@ def reconstruct_spatial(
         j0 = momentum_vec[0]
         e = j0 if np.linalg.norm(j0) > 0.0 else np.array([0.0, 0.0, 1.0])
     e = _unit(e, "e")
-    normals = traj.normals if traj.normals is not None else normal_track(traj, e)
-
     kernel = _locked_inertia(traj.positions, traj.masses)
+    normals = traj.normals
+    if normals is None:
+        normals = _track_normals(kernel, traj.times, e)
     if np.any(kernel.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
     rate = _projected_rate(kernel.inverse(momentum_vec, kernel.inertia), normals, e)
@@ -542,14 +546,14 @@ def reconstruct_spatial(
 
     keep = ~antipodal
     curve = ShapeCurve(traj.times[keep], kernel.shape_points(normals)[keep])
-    area, pole_crossed = _swept_area_flagged(curve, C1_DIRECTION)
+    area = swept_area(curve, C1_DIRECTION)
     oracle = None
     if include_oracle:
         body1 = _project_positions(traj.positions[keep, :1], normals[keep], e)[:, 0]
         oracle = _unwound_turn(body1, "q1")
 
     measure, _ = _bad_set(kernel, momentum_vec, traj.times, e)
-    crossed = pole_crossed or crossings > 0
+    crossed = bool(curve.pole_crossings) or crossings > 0
     return _report(
         dyn,
         2.0 * area,

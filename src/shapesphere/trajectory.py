@@ -147,28 +147,21 @@ def finite_difference_velocities(traj: Trajectory) -> Trajectory:
 def resample(traj: Trajectory, n: int) -> Trajectory:
     """Cubic resampling of positions onto a uniform grid of n samples.
 
-    Endpoint values are preserved exactly.  Velocities, when present, are
-    regenerated from the position spline; normals are renormalized linear
-    interpolants.  Inputs with fewer than 4 samples fall back to linear
-    interpolation and drop velocities.
+    Endpoint values are preserved exactly.  The not-a-knot spline is a line
+    through 2 samples and a parabola through 3, so any input of at least 2
+    samples resamples, and quadratic motions exactly.  Velocities, when
+    present, are regenerated from the position spline; normals are
+    renormalized linear interpolants.
     """
     if n < 2:
         raise ValueError("resample needs n >= 2")
+    from scipy.interpolate import CubicSpline
+
     t = traj.times
     t_new = np.linspace(t[0], t[-1], n)
-    flat = traj.positions.reshape(t.size, -1)
-    if t.size >= 4:
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(t, flat, axis=0)
-        q_new = spline(t_new)
-        v_new = spline.derivative()(t_new) if traj.velocities is not None else None
-    else:
-        q_new = np.stack([np.interp(t_new, t, flat[:, c]) for c in range(flat.shape[1])], axis=1)
-        v_new = None
-    q_new = q_new.reshape(n, 3, traj.dim)
-    if v_new is not None:
-        v_new = v_new.reshape(n, 3, traj.dim)
+    spline = CubicSpline(t, traj.positions, axis=0)
+    q_new = spline(t_new)
+    v_new = spline.derivative()(t_new) if traj.velocities is not None else None
     normals = None
     if traj.normals is not None:
         normals = np.stack([np.interp(t_new, t, traj.normals[:, c]) for c in range(3)], axis=1)
@@ -571,7 +564,8 @@ def generate(kind: str, **params) -> Trajectory:
     figure1_pinch(masses, duration, samples[, stop_fraction]),
     newtonian(masses, config, velocities, G, duration, samples),
     random_smooth(masses, seed, duration, samples[, amplitude, harmonics,
-    rotation_rate, periodic]).  Unknown or missing parameters raise
+    rotation_rate, periodic]).  Unknown or missing parameters, a sample
+    count that is not an integer and other wrongly typed parameters raise
     ValueError.
     """
     try:
@@ -582,7 +576,13 @@ def generate(kind: str, **params) -> Trajectory:
         inspect.signature(builder).bind(**params)
     except TypeError as exc:
         raise ValueError(f"{kind} parameters: {exc}") from None
-    return builder(**params)
+    samples = params["samples"]
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"{kind} parameters: samples must be an integer, got {samples!r}")
+    try:
+        return builder(**params)
+    except TypeError as exc:
+        raise ValueError(f"{kind} parameters: {exc}") from None
 
 
 def embed_planar(traj: Trajectory, rotation=None) -> Trajectory:

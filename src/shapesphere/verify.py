@@ -100,6 +100,13 @@ def _case_row(
     }
 
 
+def _timed(timing: bool, fn, *args, **kwargs):
+    """fn(*args, **kwargs) and its wall time in ms (None unless timing)."""
+    start = time.perf_counter()
+    value = fn(*args, **kwargs)
+    return value, (time.perf_counter() - start) * 1e3 if timing else None
+
+
 def pinch_expected_angle(masses: MassTriple) -> float:
     """Closed-form rotation of body 1 under the pinch motion."""
     return float(
@@ -362,16 +369,12 @@ def lift_checks(seed: int = 0, curves: int = 20, samples: int = 1500) -> dict:
 def _planar_rows(n: int, seed: int, timing: bool) -> list:
     rows = []
 
-    start = time.perf_counter()
-    worst = shape_invariant_deviation(1000, seed)
-    ms = (time.perf_counter() - start) * 1e3 if timing else None
+    worst, ms = _timed(timing, shape_invariant_deviation, 1000, seed)
     rows.append(
         _case_row("planar/shape_invariants", worst, 0.0, 1e-12, 3000, runtime_ms=ms)
     )
 
-    start = time.perf_counter()
-    alpha_dev, predicates = atlas_checks(100, seed)
-    ms = (time.perf_counter() - start) * 1e3 if timing else None
+    (alpha_dev, predicates), ms = _timed(timing, atlas_checks, 100, seed)
     rows.append(
         _case_row("planar/atlas_alpha_sum", alpha_dev, 0.0, 1e-12, 100, runtime_ms=ms)
     )
@@ -386,11 +389,11 @@ def _planar_rows(n: int, seed: int, timing: bool) -> list:
         )
     )
 
+    reports = {}
     for name, motion in planar_motion_cases(n, seed):
         for target, recon in (("q1", reconstruct_q1), ("Z1", reconstruct_Z1)):
-            start = time.perf_counter()
-            report = recon(motion, include_oracle=True)
-            ms = (time.perf_counter() - start) * 1e3 if timing else None
+            report, ms = _timed(timing, recon, motion, include_oracle=True)
+            reports[target] = report
             rows.append(
                 _case_row(
                     f"planar/{name}/{target}",
@@ -403,20 +406,17 @@ def _planar_rows(n: int, seed: int, timing: bool) -> list:
                 )
             )
         if name.startswith("figure1_pinch"):
-            report = reconstruct_q1(motion)
             rows.append(
                 _case_row(
                     f"planar/{name}/closed_form",
-                    report.total,
+                    reports["q1"].total,
                     pinch_expected_angle(motion.masses),
                     1e-6,
-                    report.samples,
+                    reports["q1"].samples,
                 )
             )
 
-    start = time.perf_counter()
-    lifts = lift_checks(seed)
-    ms = (time.perf_counter() - start) * 1e3 if timing else None
+    lifts, ms = _timed(timing, lift_checks, seed)
     rows.append(
         _case_row(
             "planar/lift_momentum_ratio",
@@ -604,9 +604,7 @@ def antipodal_crossing_reports(n: int = 10001):
 def _spatial_rows(n: int, seed: int, timing: bool) -> list:
     rows = []
     for name, motion, e, planar_base in spatial_motion_cases(n, seed):
-        start = time.perf_counter()
-        report = reconstruct_spatial(motion, e=e, include_oracle=True)
-        ms = (time.perf_counter() - start) * 1e3 if timing else None
+        report, ms = _timed(timing, reconstruct_spatial, motion, e=e, include_oracle=True)
         rows.append(
             _case_row(
                 f"spatial/{name}",
@@ -631,9 +629,7 @@ def _spatial_rows(n: int, seed: int, timing: bool) -> list:
                 )
             )
 
-    start = time.perf_counter()
-    drift = spin_invariance_deviation(1000, seed)
-    ms = (time.perf_counter() - start) * 1e3 if timing else None
+    drift, ms = _timed(timing, spin_invariance_deviation, 1000, seed)
     rows.append(
         _case_row("spatial/rotation_invariance_of_F", drift, 0.0, 1e-10, 1000, runtime_ms=ms)
     )

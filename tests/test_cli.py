@@ -362,8 +362,11 @@ class TestGenerate:
         [
             ('{"masses": [1, 2, 3], "duration": 1.0, "samples": 33, "foo": 1}', "'foo'"),
             ('{"masses": [1, 2, 3], "duration": 1.0}', "'samples'"),
+            ('{"masses": [1, 2, 3], "duration": 1.0, "samples": 2.5}', "samples"),
+            ('{"masses": 5, "duration": 1.0, "samples": 33}', "masses"),
+            ('{"masses": [1, 2, 3], "duration": "x", "samples": 33}', "not supported"),
         ],
-        ids=["unknown", "missing"],
+        ids=["unknown", "missing", "float_samples", "scalar_masses", "string_duration"],
     )
     def test_bad_parameters_exit_3(self, capsys, params, message):
         assert main(["generate", "--kind", "figure1_pinch", "--params", params]) == 3

@@ -1,17 +1,30 @@
-"""Planar reconstructions do not depend on how the motion is placed or labelled.
+"""Reconstructions do not depend on how the motion is placed or labelled.
 
 For random_smooth motions of the verify suite's mass triples, the q1 and Z1
 reports keep total_mod_2pi and pole_crossed under a global rotation, a
 shift of the time grid and a swap of bodies 2 and 3 (with their masses),
-and time reversal negates the raw total.
+and time reversal negates the raw total.  Spatial reports of the same
+motions, embedded and wobbled about a tilted axis as in verify's wobble
+cases, keep total_mod_2pi, pole_crossed and certified under a time shift
+and a global rotation of positions, velocities and e.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from shapesphere import Trajectory, derive_masses, generate, reconstruct_q1, reconstruct_Z1
+from shapesphere import (
+    Trajectory,
+    apply_rotation_profile,
+    derive_masses,
+    embed_planar,
+    generate,
+    reconstruct_q1,
+    reconstruct_spatial,
+    reconstruct_Z1,
+)
 from shapesphere.angles import wrap_angle
+from shapesphere.trajectory import rotation_matrices
 from shapesphere.verify import _MASS_TRIPLES
 
 RECONSTRUCT = {"q1": reconstruct_q1, "Z1": reconstruct_Z1}
@@ -78,6 +91,7 @@ class TestInvariance:
 
     @PROPERTY_SETTINGS
     @given(case=MOTIONS)
+    @example(case=((1.0, 1.0, 1.0), 1, 500))
     def test_time_reversal_negates_total(self, target, parity, case):
         traj = motion(case, parity)
         backwards = Trajectory(
@@ -85,9 +99,60 @@ class TestInvariance:
         )
         forward = RECONSTRUCT[target](traj)
         reverse = RECONSTRUCT[target](backwards)
-        # on even grids Simpson's corrected end interval moves to the other
-        # end, so the totals differ by that interval's quadrature error,
-        # O(h^4): about 5e-9 at 200 samples, below 1e-10 from 1000 on
-        tol = 1e-14 if parity else 1e-10
-        assert abs(reverse.total + forward.total) <= tol
+        # even grids average Simpson run from either end, so Cartwright's
+        # end correction sits at both ends and reversal leaves only roundoff
+        assert abs(reverse.total + forward.total) <= 1e-14
         assert reverse.pole_crossed == forward.pole_crossed
+
+
+# wobble profile: axis tilt (x, y) against z, amplitude and frequency
+WOBBLES = st.tuples(
+    st.floats(-0.6, 0.6), st.floats(-0.6, 0.6), st.floats(0.0, 0.6), st.floats(0.3, 2.0)
+)
+
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def wobble(case, parity, profile) -> Trajectory:
+    ax, ay, amplitude, freq = profile
+    return apply_rotation_profile(
+        embed_planar(motion(case, parity)),
+        axis=np.array([ax, ay, 1.0]),
+        angle=lambda t: amplitude * np.sin(freq * t),
+        rate=lambda t: amplitude * freq * np.cos(freq * t),
+    )
+
+
+def assert_same_spatial(original, e, transformed, e_transformed):
+    first = reconstruct_spatial(original, e=e)
+    second = reconstruct_spatial(transformed, e=e_transformed)
+    assert abs(wrap_angle(second.total_mod_2pi - first.total_mod_2pi)) <= 1e-14
+    assert second.pole_crossed == first.pole_crossed
+    assert second.certified == first.certified
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+class TestSpatialInvariance:
+    @PROPERTY_SETTINGS
+    @given(case=MOTIONS, profile=WOBBLES, offset=st.floats(-5.0, 5.0))
+    def test_time_shift(self, parity, case, profile, offset):
+        traj = wobble(case, parity, profile)
+        shifted = Trajectory(traj.masses, traj.times + offset, traj.positions, traj.velocities)
+        assert_same_spatial(traj, E3, shifted, E3)
+
+    @PROPERTY_SETTINGS
+    @given(
+        case=MOTIONS,
+        profile=WOBBLES,
+        polar=st.floats(0.0, np.pi),
+        azimuth=st.floats(-np.pi, np.pi),
+        angle=st.floats(-np.pi, np.pi),
+    )
+    def test_global_rotation(self, parity, case, profile, polar, azimuth, angle):
+        traj = wobble(case, parity, profile)
+        axis = [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
+        rot = rotation_matrices(axis, angle)[0]
+        turned = Trajectory(
+            traj.masses, traj.times, traj.positions @ rot.T, traj.velocities @ rot.T
+        )
+        assert_same_spatial(traj, E3, turned, rot @ E3)

@@ -387,6 +387,25 @@ class TestResample:
         # output grid must not degrade it and the knot error is quartic
         assert error_at(79) < 2e-4
 
+    @pytest.mark.parametrize("samples", [2, 3])
+    def test_small_inputs_keep_velocities_and_quadratics(self, samples):
+        # the not-a-knot spline through 3 samples is their parabola, and
+        # through 2 their line, so quadratic (linear) motions come back exactly
+        rng = np.random.default_rng(samples)
+        c0, c1, c2 = rng.standard_normal((3, 3, 2))
+        c2 *= samples - 2
+
+        def sampled(t):
+            q = c0 + t[:, None, None] * c1 + t[:, None, None] ** 2 * c2
+            v = c1 + 2.0 * t[:, None, None] * c2
+            return Trajectory.from_samples(M123, t, q, v)
+
+        out = resample(sampled(np.linspace(0.5, 2.0, samples)), 11)
+        exact = sampled(out.times)
+        assert out.velocities is not None
+        assert np.allclose(out.positions, exact.positions, rtol=0.0, atol=1e-13)
+        assert np.allclose(out.velocities, exact.velocities, rtol=0.0, atol=1e-13)
+
     def test_rejects_tiny_counts(self):
         with pytest.raises(ValueError):
             resample(linear_motion(), 1)
