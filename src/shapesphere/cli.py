@@ -19,8 +19,8 @@ import numpy as np
 from .planar import ShapeCurve, reconstruct_q1, reconstruct_Z1, shape_curve, zero_J_lift
 from .shape_core import PlanarConfiguration, atlas, derive_masses
 from .spatial import reconstruct_spatial
-from .trajectory import ParseError, Trajectory, generate, parse, serialize
-from .trajectory import _read_csv_table, _write_csv_table
+from .trajectory import ParseError, Trajectory, generate, parse
+from .trajectory import _csv_blocks, _read_csv_table, _serialized_blocks
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -47,12 +47,21 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _write(path: str, payload: str):
+def _write(path: str, payload):
+    """Write a string, or an iterable of string blocks, to path or stdout."""
+    blocks = [payload] if isinstance(payload, str) else payload
     if path == "-" or path is None:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe early, as `| head` does, and has
+            # what it wanted.  Point stdout at devnull so that the flush at
+            # exit raises nothing either.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(payload)
+            handle.writelines(blocks)
 
 
 def _guess_format(path: str, override: str | None) -> str:
@@ -71,9 +80,13 @@ def _load_trajectory(args) -> Trajectory:
 _CURVE_COLUMNS = ["t", "w1", "w2", "w3", "xi_unwound"]
 
 
-def _curve_csv(curve: ShapeCurve) -> str:
+def _curve_blocks(curve: ShapeCurve):
     table = np.column_stack([curve.times, curve.points, curve.unwound_xi])
-    return _write_csv_table(_CURVE_COLUMNS, table)
+    return _csv_blocks(_CURVE_COLUMNS, table)
+
+
+def _curve_csv(curve: ShapeCurve) -> str:
+    return "".join(_curve_blocks(curve))
 
 
 def _curve_header(header):
@@ -98,7 +111,7 @@ def _report_json(report_dict: dict) -> str:
 def cmd_project(args) -> int:
     traj = _load_trajectory(args)
     curve = shape_curve(traj)
-    _write(args.out, _curve_csv(curve))
+    _write(args.out, _curve_blocks(curve))
     return EXIT_OK
 
 
@@ -134,14 +147,20 @@ def cmd_atlas(args) -> int:
 
 def cmd_lift(args) -> int:
     curve = _parse_curve_csv(_read(args.input))
+    # a malformed file exits 2; the ValueErrors of derive_masses and
+    # PlanarConfiguration are domain violations and exit 3
     try:
         doc = json.loads(_read(args.initial))
+        positions = [np.asarray(v, dtype=float) for v in doc["q"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"initial configuration file: {exc}") from exc
+    try:
         masses = derive_masses(*doc["masses"])
-        config = PlanarConfiguration(*(np.asarray(v, dtype=float) for v in doc["q"]))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        config = PlanarConfiguration(*positions)
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"initial configuration file: {exc}") from exc
     lifted = zero_J_lift(curve, config, masses)
-    _write(args.out, serialize(lifted, args.format))
+    _write(args.out, _serialized_blocks(lifted, args.format))
     return EXIT_OK
 
 
@@ -163,7 +182,7 @@ def cmd_generate(args) -> int:
         if key in params:
             params[key] = np.asarray(params[key], dtype=float)
     traj = generate(args.kind, **params)
-    _write(args.out, serialize(traj, args.format))
+    _write(args.out, _serialized_blocks(traj, args.format))
     return EXIT_OK
 
 

@@ -217,33 +217,60 @@ def _read_csv_table(text: str, layout):
     Blank lines and lines starting with '#' are skipped.  The first other
     line is the header, split into stripped names; layout(header) raises
     ParseError unless it is valid (header is None when the text has none)
-    and its result is returned with the (rows, columns) data.  Malformed
-    rows raise ParseError naming the first bad data row, counted from 1.
+    and its result is returned with the (rows, columns) data.  Fields are
+    read by numpy's float parser, which rounds as float() does but takes
+    no '_' separators and no non-ASCII digits.  Malformed rows raise
+    ParseError naming the first bad data row, counted from 1.
     """
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line and not line.startswith("#")]
     header = [c.strip() for c in lines[0].split(",")] if lines else None
     found = layout(header)
-    data = np.empty((len(lines) - 1, len(header)))
-    for k, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"data row {k}: expected {len(header)} columns, got {len(parts)}")
+    rows = lines[1:]
+    data = np.empty((0, len(header)))
+    if rows:
         try:
-            data[k - 1] = [float(p) for p in parts]
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            raise ParseError(f"data row {k}: non-numeric field") from None
+            pass
+        if data.shape != (len(rows), len(header)):
+            raise ParseError(_first_bad_row(rows, len(header)))
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise ParseError(f"data row {bad[0] + 1}: non-finite number")
     return found, data
 
 
+def _first_bad_row(rows: list[str], width: int) -> str:
+    """The error of the first data row that is not `width` numbers, each
+    row read on its own by the parser that rejected the table."""
+    for k, line in enumerate(rows, start=1):
+        count = line.count(",") + 1
+        if count != width:
+            return f"data row {k}: expected {width} columns, got {count}"
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return f"data row {k}: non-numeric field"
+
+
+# Table rows per block of CSV text, about 1 MB at 13 columns: a writer
+# holds one block's strings at a time, not the whole file's.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(columns: list[str], table: np.ndarray):
+    """CSV text in blocks: the header line, then one line per table row,
+    each value written by repr, _CSV_BLOCK_ROWS rows to a block."""
+    yield ",".join(columns) + "\n"
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
+        yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
+
+
 def _write_csv_table(columns: list[str], table: np.ndarray) -> str:
-    """Header line plus one line per table row, each value written by repr."""
-    lines = [",".join(columns)]
-    lines += [",".join(map(repr, row.tolist())) for row in table]
-    return "\n".join(lines) + "\n"
+    """The CSV text of _csv_blocks as one string."""
+    return "".join(_csv_blocks(columns, table))
 
 
 def _parse_csv(text: str, masses: Optional[MassTriple]) -> Trajectory:
@@ -323,15 +350,20 @@ def _parse_json(text: str, masses: Optional[MassTriple]) -> Trajectory:
 
 def serialize(traj: Trajectory, format: str = "csv") -> str:
     """Render a trajectory as canonical CSV or JSON text."""
+    return "".join(_serialized_blocks(traj, format))
+
+
+def _serialized_blocks(traj: Trajectory, format: str):
+    """The text of serialize in blocks: CSV as _csv_blocks, JSON as one."""
     if format == "csv":
         cols = _csv_columns(traj.dim, traj.velocities is not None, traj.normals is not None)
-        blocks = [traj.times[:, None], traj.positions.reshape(traj.n_samples, -1)]
+        parts = [traj.times[:, None], traj.positions.reshape(traj.n_samples, -1)]
         if traj.velocities is not None:
-            blocks.append(traj.velocities.reshape(traj.n_samples, -1))
+            parts.append(traj.velocities.reshape(traj.n_samples, -1))
         if traj.normals is not None:
-            blocks.append(traj.normals)
-        return _write_csv_table(cols, np.concatenate(blocks, axis=1))
-    if format == "json":
+            parts.append(traj.normals)
+        yield from _csv_blocks(cols, np.concatenate(parts, axis=1))
+    elif format == "json":
         samples = []
         for k in range(traj.n_samples):
             sample = {"t": float(traj.times[k]), "q": traj.positions[k].tolist()}
@@ -345,8 +377,9 @@ def serialize(traj: Trajectory, format: str = "csv") -> str:
             "dim": traj.dim,
             "samples": samples,
         }
-        return json.dumps(doc, indent=2) + "\n"
-    raise ValueError(f"unknown trajectory format {format!r}")
+        yield json.dumps(doc, indent=2) + "\n"
+    else:
+        raise ValueError(f"unknown trajectory format {format!r}")
 
 
 # ---------------------------------------------------------------------------

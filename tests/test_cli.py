@@ -1,14 +1,20 @@
 """Command-line surface tests: payloads, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shapesphere
 from shapesphere import derive_masses, equilateral_configuration, generate, serialize
 from shapesphere.cli import main
+from shapesphere.trajectory import _CSV_BLOCK_ROWS
 
 M111 = derive_masses(1, 1, 1)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(shapesphere.__file__)))
 
 
 def write_rigid_csv(path, rate=0.5, samples=41):
@@ -81,6 +87,14 @@ class TestProject:
         src.write_text("t,q1x,q1y,q2x,q2y,q3x,q3y\n0,0,0,0,0,0,0\n")
         assert main(["project", str(src), "--masses", "1,1,1"]) == 3
 
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        src = tmp_path / "rigid.csv"
+        write_rigid_csv(src, samples=_CSV_BLOCK_ROWS + 3)
+        out = tmp_path / "curve.csv"
+        assert main(["project", str(src), "--masses", "1,1,1", "--out", str(out)]) == 0
+        assert main(["project", str(src), "--masses", "1,1,1"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
     def test_spatial_input_exits_3(self, tmp_path, capsys):
         from shapesphere import embed_planar
@@ -324,6 +338,12 @@ class TestLiftInput:
         assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_non_numeric_initial_exits_2(self, tmp_path, capsys):
+        curve_path, init_path = write_meridian_lift_inputs(tmp_path)
+        init_path.write_text(json.dumps({"masses": [1, 2, 3], "q": [[1, "a"], [0, 0], [1, 1]]}))
+        assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 2
+        assert "error: initial configuration file:" in capsys.readouterr().err
+
     def test_reader_derives_pole_crossings(self):
         from shapesphere.cli import _curve_csv, _parse_curve_csv
         from shapesphere.planar import ShapeCurve
@@ -332,6 +352,33 @@ class TestLiftInput:
         curve = ShapeCurve(np.linspace(0.0, 1.0, 4), pts)
         assert curve.pole_crossings == [(1, "C1"), (3, "O1")]
         assert _parse_curve_csv(_curve_csv(curve)).pole_crossings == curve.pole_crossings
+
+
+class TestClosedPipe:
+    """A reader that stops early (`shapesphere project ... | head`) is not a
+    failure: the writer exits 0 and prints nothing on stderr."""
+
+    @pytest.mark.parametrize("command", ["project", "lift"])
+    def test_reader_closing_early_exits_0(self, tmp_path, command):
+        n = 3 * _CSV_BLOCK_ROWS
+        src = tmp_path / "rigid.csv"
+        write_rigid_csv(src, samples=n)
+        if command == "project":
+            argv = ["project", str(src), "--masses", "1,1,1"]
+        else:
+            curve_path, init_path = write_meridian_lift_inputs(tmp_path, n=n)
+            argv = ["lift", str(curve_path), "--initial", str(init_path)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shapesphere.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(100).startswith(b"t,")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
 
 
 class TestGenerate:

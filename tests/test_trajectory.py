@@ -1,8 +1,10 @@
 """Trajectory container, file formats, differencing and generator tests."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shapesphere import (
     ParseError,
@@ -21,6 +23,13 @@ from shapesphere import (
     PlanarConfiguration,
 )
 from shapesphere.shape_core import jacobi_series, shape_series
+from shapesphere.trajectory import (
+    _CSV_BLOCK_ROWS,
+    _csv_blocks,
+    _header_layout,
+    _read_csv_table,
+    _write_csv_table,
+)
 
 M111 = derive_masses(1, 1, 1)
 M123 = derive_masses(1, 2, 3)
@@ -178,6 +187,114 @@ class TestParseSerialize:
         text = serialize(linear_motion(), "json")
         traj = parse(text, "json")
         assert traj.masses.m1 == 1.0
+
+
+PLANAR_HEADER = "t,q1x,q1y,q2x,q2y,q3x,q3y"
+GOOD_ROW = "0.0,1,0,-1,0,0,0"
+
+
+def one_string_csv(columns, table):
+    """The CSV writer as one join of all rows: the reference for the blocks."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(repr, row.tolist())) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+def read_table(text):
+    return _read_csv_table(text, lambda header: header)[1]
+
+
+class TestCsvTable:
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("0.3,1,0,-1,0,0", "data row 3: expected 7 columns, got 6"),
+            ("0.3,1,0,-1,0,0,0,", "data row 3: expected 7 columns, got 8"),
+            ("0.3,1,0,-1,0,x,0", "data row 3: non-numeric field"),
+            ("0.3,1,0,-1,0,,0", "data row 3: non-numeric field"),
+        ],
+        ids=["short", "trailing_comma", "word", "empty_field"],
+    )
+    def test_first_bad_row_after_good_rows(self, bad_row, message):
+        rows = ["0.1,1,0,-1,0,0,0", "0.2,1,0,-1,0,0,0", bad_row, "0.4,1,0,-1,0,0,0"]
+        text = "\n".join([PLANAR_HEADER] + rows) + "\n"
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse(text, "csv", M111)
+
+    def test_non_numeric_after_nan_names_the_non_numeric_row(self):
+        rows = ["0.1,1,0,-1,0,0,0", "0.2,nan,0,-1,0,0,0", "0.3,1,0,-1,0,0,0", "0.4,1,y,-1,0,0,0"]
+        text = "\n".join([PLANAR_HEADER] + rows)
+        with pytest.raises(ParseError, match="^data row 4: non-numeric field$"):
+            parse(text, "csv", M111)
+
+    @pytest.mark.parametrize(
+        "field", ["1_0", "\u0663", "\uff11"], ids=["underscore", "arabic", "fullwidth"]
+    )
+    def test_fields_outside_numpy_float_syntax_are_non_numeric(self, field):
+        # float() accepts these; the table reader takes numpy's syntax
+        text = f"{PLANAR_HEADER}\n{GOOD_ROW}\n0.1,{field},0,-1,0,0,0\n"
+        with pytest.raises(ParseError, match="^data row 2: non-numeric field$"):
+            parse(text, "csv", M111)
+
+    def test_blank_and_comment_lines_between_rows(self):
+        text = f"{PLANAR_HEADER}\n{GOOD_ROW}\n\n   \n# note\n  # indented\n0.5,1,0,-1,0,0,0\n"
+        table = read_table(text)
+        assert table.shape == (2, 7)
+        assert table[:, 0].tolist() == [0.0, 0.5]
+        bad = f"{PLANAR_HEADER}\n{GOOD_ROW}\n\n# note\n0.5,1,0\n"
+        with pytest.raises(ParseError, match="^data row 2: expected 7 columns, got 3$"):
+            read_table(bad)
+
+    def test_crlf_and_spaces_around_fields(self):
+        plain = f"{PLANAR_HEADER}\n0.25,1.5,0,-1,0,0,-0.5\n0.5,1,0,-1,0,0,1e-3\n"
+        crlf = plain.replace("\n", "\r\n")
+        spaced = f" {PLANAR_HEADER} \n 0.25 , 1.5,\t0,-1 ,0,0, -0.5\n0.5, 1 ,0,-1,0,0,1e-3  \n"
+        expected = read_table(plain)
+        assert np.array_equal(read_table(crlf), expected)
+        assert np.array_equal(read_table(spaced), expected)
+
+    def test_header_without_data_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            layout, table = _read_csv_table(f"# a header\n{PLANAR_HEADER}\n\n", _header_layout)
+        assert layout == (2, False, False)
+        assert table.shape == (0, 7)
+        with pytest.raises(ParseError, match="no data rows"):
+            parse(f"{PLANAR_HEADER}\n", "csv", M111)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=width,
+                    max_size=width,
+                ),
+                min_size=0,
+                max_size=12,
+            ).map(lambda rows: np.array(rows, dtype=float).reshape(-1, width))
+        )
+    )
+    @example(np.array([[-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300]]))
+    @example(np.array([[0.1, 1 / 3, 123456789.12345679, -9.876543210987654e-5, np.pi]]))
+    @example(np.array([[1.7976931348623157e308, -4.9406564584124654e-324, 0.30000000000000004]]))
+    def test_round_trip_is_bit_exact(self, table):
+        columns = [f"c{j}" for j in range(table.shape[1])]
+        back = read_table(_write_csv_table(columns, table))
+        assert back.shape == table.shape
+        assert back.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1]
+    )
+    def test_blocks_join_to_the_one_string_text(self, n):
+        table = np.random.default_rng(n).standard_normal((n, 3)) * 10.0 ** np.arange(-3, 3, 2)
+        blocks = list(_csv_blocks(["a", "b", "c"], table))
+        assert "".join(blocks) == one_string_csv(["a", "b", "c"], table)
+        assert _write_csv_table(["a", "b", "c"], table) == one_string_csv(["a", "b", "c"], table)
+        assert len(blocks) == 1 + -(-n // _CSV_BLOCK_ROWS)
+        assert all(block.count("\n") <= _CSV_BLOCK_ROWS for block in blocks)
 
 
 class TestGenerators:
