@@ -28,7 +28,7 @@ from .shape_core import (
     shape_map,
     shape_series,
 )
-from .trajectory import Trajectory, _checked_times
+from .trajectory import Trajectory, _checked_times, _spline_slopes
 
 __all__ = [
     "ShapeCurve",
@@ -368,25 +368,16 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
     r2sq = 0.5 - curve.points[:, 0]
     xi = curve.unwound_xi
 
-    if t.size >= 2:
-        # not-a-knot splines: a line through 2 samples, a parabola through 3
-        from scipy.interpolate import CubicSpline
-
-        spline_r1 = CubicSpline(t, r1sq)
-        xi_rate = CubicSpline(t, xi).derivative()
-
-        def integrand(tt):
-            return spline_r1(tt) * xi_rate(tt)
-
-        mid = 0.5 * (t[:-1] + t[1:])
-        incr = (np.diff(t) / 6.0) * (
-            integrand(t[:-1]) + 4.0 * integrand(mid) + integrand(t[1:])
-        )
-        dxi_dt = xi_rate(t)
-        dr1sq = spline_r1.derivative()(t)
-    else:
-        incr = np.zeros(0)
-        dxi_dt = dr1sq = np.zeros(1)
+    # not-a-knot splines of r1^2 and xi (a line through 2 samples, a
+    # parabola through 3) and Simpson's rule on each interval, with the
+    # midpoint value and slope of each Hermite cubic in closed form
+    slopes = _spline_slopes(t, np.stack([r1sq, xi], axis=1))
+    dr1sq, dxi_dt = slopes[:, 0], slopes[:, 1]
+    h = np.diff(t)
+    r1sq_mid = 0.5 * (r1sq[:-1] + r1sq[1:]) + h * (dr1sq[:-1] - dr1sq[1:]) / 8.0
+    xi_rate_mid = 1.5 * np.diff(xi) / h - 0.25 * (dxi_dt[:-1] + dxi_dt[1:])
+    knot = r1sq * dxi_dt
+    incr = (h / 6.0) * (knot[:-1] + 4.0 * r1sq_mid * xi_rate_mid + knot[1:])
     accumulated = np.concatenate([[0.0], np.cumsum(incr)])
 
     # start xi2 in whichever chart is defined; the curve start is not the

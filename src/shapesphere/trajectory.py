@@ -144,24 +144,129 @@ def finite_difference_velocities(traj: Trajectory) -> Trajectory:
     return Trajectory(traj.masses, t, q, v, traj.normals, traj.max_center_shift)
 
 
+def _cyclic_reduction(lower: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lower[i] x[i-1] + x[i] + upper[i] x[i+1] = rhs[..., i].
+
+    Rows run along the last axis of rhs and have unit diagonal, with
+    lower[0] = upper[-1] = 0, a row count of 2^p - 1 and |lower| + |upper|
+    < 1 (strict diagonal dominance), which the reduced systems inherit, so
+    no pivoting is needed.  Cyclic reduction (Hockney, J. ACM 12, 1965):
+    each level eliminates the even rows from the odd ones in whole-array
+    passes and halves the system, and back substitution recovers the even
+    rows from their two solved neighbours.
+    """
+    if rhs.shape[-1] == 1:
+        return rhs
+    a0, c0, d0 = lower[0::2], upper[0::2], rhs[..., 0::2]
+    a1, c1, d1 = lower[1::2], upper[1::2], rhs[..., 1::2]
+    scale = 1.0 / (1.0 - a1 * c0[:-1] - c1 * a0[1:])
+    alpha = a1 * scale
+    gamma = c1 * scale
+    kept = _cyclic_reduction(
+        -alpha * a0[:-1],
+        -gamma * c0[1:],
+        d1 * scale - alpha * d0[..., :-1] - gamma * d0[..., 1:],
+    )
+    x = np.empty_like(rhs)
+    x[..., 1::2] = kept
+    x0 = x[..., 0::2]
+    x0[...] = d0
+    x0[..., 1:] -= a0[1:] * kept
+    x0[..., :-1] -= c0[:-1] * kept
+    return x
+
+
+def _spline_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Knot first derivatives of the not-a-knot cubic spline through y.
+
+    t is a strictly increasing grid of n samples and y has shape (n,) or
+    (n, k).  The system is that of scipy.interpolate.CubicSpline with
+    bc_type="not-a-knot" (de Boor, A Practical Guide to Splines, 1978):
+    the line through 2 samples, the parabola through 3, and for n >= 4 the
+    tridiagonal continuity rows with the two not-a-knot end rows folded
+    into their neighbours, which leaves a diagonally dominant system in the
+    n - 2 interior slopes.  A single sample has slope 0.
+    """
+    y = np.asarray(y, dtype=float)
+    n = t.size
+    if n == 1:
+        return np.zeros_like(y)
+    h = np.diff(t)
+    cols = np.ascontiguousarray(y.reshape(n, -1).T)
+    slope = np.diff(cols, axis=-1) / h
+    if n == 2:
+        s = np.repeat(slope, 2, axis=-1)
+    elif n == 3:
+        mid = (h[1] * slope[:, 0] + h[0] * slope[:, 1]) / (h[0] + h[1])
+        s = np.stack([2.0 * slope[:, 0] - mid, mid, 2.0 * slope[:, 1] - mid], axis=-1)
+    else:
+        # continuity rows i = 1..n-2:
+        # h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1] = r[i]
+        diag = 2.0 * (h[:-1] + h[1:])
+        r = 3.0 * (h[1:] * slope[:, :-1] + h[:-1] * slope[:, 1:])
+        # not-a-knot rows h[1] s[0] + d0 s[1] = b0 and d1 s[-2] + h[-2] s[-1]
+        # = b1, subtracted from rows 1 and n-2
+        d0 = t[2] - t[0]
+        b0 = ((h[0] + 2.0 * d0) * h[1] * slope[:, 0] + h[0] ** 2 * slope[:, 1]) / d0
+        d1 = t[-1] - t[-3]
+        b1 = (h[-1] ** 2 * slope[:, -2] + (2.0 * d1 + h[-1]) * h[-2] * slope[:, -1]) / d1
+        diag[0] -= d0
+        diag[-1] -= d1
+        r[:, 0] -= b0
+        r[:, -1] -= b1
+        # unit-diagonal rows, padded to 2^p - 1 with decoupled zero rows
+        m = n - 2
+        size = 2 ** m.bit_length() - 1
+        lower = np.zeros(size)
+        upper = np.zeros(size)
+        rhs = np.zeros((cols.shape[0], size))
+        lower[1:m] = h[2:] / diag[1:]
+        upper[: m - 1] = h[:-2] / diag[:-1]
+        rhs[:, :m] = r / diag
+        inner = _cyclic_reduction(lower, upper, rhs)[:, :m]
+        s = np.empty_like(cols)
+        s[:, 1:-1] = inner
+        s[:, 0] = (b0 - d0 * inner[:, 0]) / h[1]
+        s[:, -1] = (b1 - d1 * inner[:, -1]) / h[-2]
+    return s.T.reshape(y.shape)
+
+
 def resample(traj: Trajectory, n: int) -> Trajectory:
     """Cubic resampling of positions onto a uniform grid of n samples.
 
-    Endpoint values are preserved exactly.  The not-a-knot spline is a line
-    through 2 samples and a parabola through 3, so any input of at least 2
-    samples resamples, and quadratic motions exactly.  Velocities, when
-    present, are regenerated from the position spline; normals are
-    renormalized linear interpolants.
+    The cubic returns the endpoint samples exactly; recentering the result
+    can move them at roundoff.  The not-a-knot spline is a line through 2
+    samples and a parabola through 3, so any input of at least 2 samples
+    resamples, and quadratic motions exactly.  Velocities, when present,
+    are regenerated from the position spline; normals are renormalized
+    linear interpolants.
     """
     if n < 2:
         raise ValueError("resample needs n >= 2")
-    from scipy.interpolate import CubicSpline
-
+    if traj.n_samples < 2:
+        raise ValueError("resample needs a motion of at least 2 samples")
     t = traj.times
     t_new = np.linspace(t[0], t[-1], n)
-    spline = CubicSpline(t, traj.positions, axis=0)
-    q_new = spline(t_new)
-    v_new = spline.derivative()(t_new) if traj.velocities is not None else None
+    y = traj.positions.reshape(t.size, -1)
+    m = _spline_slopes(t, y)
+    # the Hermite cubic of the interval holding each new time, in powers of
+    # the offset u from its left knot
+    i = np.minimum(np.searchsorted(t, t_new, side="right") - 1, t.size - 2)
+    h = (t[i + 1] - t[i])[:, None]
+    u = (t_new - t[i])[:, None]
+    chord = (y[i + 1] - y[i]) / h
+    excess = (m[i] + m[i + 1] - 2.0 * chord) / h
+    cubic = excess / h
+    quadratic = (chord - m[i]) / h - excess
+    q_new = ((cubic * u + quadratic) * u + m[i]) * u + y[i]
+    # the last new time is the last knot: its data, not the cubic's roundoff
+    q_new[-1] = y[-1]
+    q_new = q_new.reshape((n,) + traj.positions.shape[1:])
+    v_new = None
+    if traj.velocities is not None:
+        v_new = (3.0 * cubic * u + 2.0 * quadratic) * u + m[i]
+        v_new[-1] = m[-1]
+        v_new = v_new.reshape(q_new.shape)
     normals = None
     if traj.normals is not None:
         normals = np.stack([np.interp(t_new, t, traj.normals[:, c]) for c in range(3)], axis=1)
@@ -388,11 +493,19 @@ def _serialized_blocks(traj: Trajectory, format: str):
 
 def rotation_matrices(axis, angles) -> np.ndarray:
     """Rotation matrices about a fixed axis for a batch of angles."""
-    k = _unit(axis, "axis")
-    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    c = np.cos(angles)[:, None, None]
-    s = np.sin(angles)[:, None, None]
+    return _rodrigues(_unit(axis, "axis"), np.atleast_1d(np.asarray(angles, dtype=float)))
+
+
+def _rodrigues(k: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Rotation matrices about unit axes k (..., 3) by angles broadcasting
+    against k's leading axes: Id + sin K + (1 - cos) K^2 with K = [k]x."""
+    zero = np.zeros_like(k[..., 0])
+    K = np.stack(
+        [zero, -k[..., 2], k[..., 1], k[..., 2], zero, -k[..., 0], -k[..., 1], k[..., 0], zero],
+        axis=-1,
+    ).reshape(k.shape[:-1] + (3, 3))
+    c = np.cos(angles)[..., None, None]
+    s = np.sin(angles)[..., None, None]
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 

@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
 from shapesphere import F_of_J, SpatialConfiguration, derive_masses, oriented_state
 from shapesphere.planar import _quadrature, _simpson
 from shapesphere.shape_core import _collinear_imbalance, _collinear_ratio
 from shapesphere.spatial import _locked_inertia, _projected_rate
-from shapesphere.trajectory import _gravity_accel, _pair_weights
+from shapesphere.trajectory import _gravity_accel, _pair_weights, _spline_slopes
 
 COUNTS = list(range(3, 41)) + [10_000, 10_001]
 
@@ -17,6 +15,7 @@ COUNTS = list(range(3, 41)) + [10_000, 10_001]
 class TestSimpson:
     @pytest.mark.parametrize("n", COUNTS)
     def test_matches_scipy_on_uniform_grids(self, n):
+        simpson = pytest.importorskip("scipy.integrate").simpson
         rng = np.random.default_rng(n)
         for _ in range(5):
             start = rng.uniform(-5.0, 5.0)
@@ -33,6 +32,7 @@ class TestSimpson:
 
     @pytest.mark.parametrize("n", [3, 4, 7, 10])
     def test_matches_scipy_on_nonuniform_grids(self, n):
+        simpson = pytest.importorskip("scipy.integrate").simpson
         rng = np.random.default_rng(100 + n)
         t = np.cumsum(rng.uniform(0.1, 1.0, n))
         y = rng.standard_normal(n)
@@ -56,6 +56,100 @@ class TestSimpson:
         assert _quadrature(t, t) == pytest.approx(4.5)
 
 
+SPLINE_COUNTS = [2, 3, 4, 5, 50, 10_000]
+
+
+def spline_grid(n, uniform, rng):
+    """n knots from -0.7 to 2.3, evenly spaced or with steps that vary
+    tenfold."""
+    if uniform:
+        return np.linspace(-0.7, 2.3, n)
+    knots = np.cumsum(rng.uniform(0.1, 1.0, n))
+    return -0.7 + 3.0 * (knots - knots[0]) / (knots[-1] - knots[0])
+
+
+def hermite(t, y, slopes, x):
+    """Value and slope at points x of the piecewise Hermite cubic through
+    knot values y and knot slopes (both (n,) or (n, k))."""
+    i = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 2)
+    h = t[i + 1] - t[i]
+    tau = ((x - t[i]) / h).reshape((-1,) + (1,) * (y.ndim - 1))
+    h = h.reshape(tau.shape)
+    y0, y1, m0, m1 = y[i], y[i + 1], slopes[i] * h, slopes[i + 1] * h
+    value = (
+        (2 * tau**3 - 3 * tau**2 + 1) * y0
+        + (tau**3 - 2 * tau**2 + tau) * m0
+        + (-2 * tau**3 + 3 * tau**2) * y1
+        + (tau**3 - tau**2) * m1
+    )
+    slope = (
+        (6 * tau**2 - 6 * tau) * (y0 - y1)
+        + (3 * tau**2 - 4 * tau + 1) * m0
+        + (3 * tau**2 - 2 * tau) * m1
+    ) / h
+    return value, slope
+
+
+class TestSplineSlopes:
+    @pytest.mark.parametrize("n", SPLINE_COUNTS)
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "columns"])
+    def test_matches_scipy_cubic_spline(self, n, uniform, columns):
+        CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+        rng = np.random.default_rng(n)
+        t = spline_grid(n, uniform, rng)
+        y = rng.standard_normal(n if columns is None else (n, columns))
+        slopes = _spline_slopes(t, y)
+        assert slopes.shape == y.shape
+        spline = CubicSpline(t, y, bc_type="not-a-knot")
+        rate = spline.derivative()
+        points = np.concatenate([t, 0.5 * (t[:-1] + t[1:]), rng.uniform(t[0], t[-1], 200)])
+        value, slope = hermite(t, y, slopes, points)
+        expected_slope = rate(points)
+        assert np.max(np.abs(value - spline(points))) <= 1e-14 * np.max(np.abs(y))
+        assert np.max(np.abs(slope - expected_slope)) <= 1e-14 * np.max(np.abs(expected_slope))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 50, 1000])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    def test_reproduces_cubics(self, n, uniform):
+        rng = np.random.default_rng(10 + n)
+        t = spline_grid(n, uniform, rng)
+        coeffs = rng.standard_normal((4, 2))
+        y = sum(c * t[:, None] ** p for p, c in enumerate(coeffs))
+        exact = sum(p * c * t[:, None] ** (p - 1) for p, c in enumerate(coeffs) if p)
+        slopes = _spline_slopes(t, y)
+        # roundoff in the data turns into slope errors of order eps |y| / h
+        bound = 1e-14 * np.max(np.abs(y)) / np.min(np.diff(t))
+        assert np.max(np.abs(slopes - exact)) <= bound
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_line_and_parabola(self, n):
+        # the not-a-knot spline through 2 samples is their line, through 3
+        # their parabola
+        t = np.array([0.2, 0.5, 1.4])[:n]
+        y = 1.5 - 0.7 * t + (n - 2) * 2.0 * t**2
+        exact = -0.7 + (n - 2) * 4.0 * t
+        assert np.allclose(_spline_slopes(t, y), exact, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 50, 10_000])
+    def test_not_a_knot_conditions(self, n):
+        # the third derivative, 6 (m0 + m1 - 2 chord) / h^2 on each
+        # interval, is continuous across t[1] and t[-2]
+        rng = np.random.default_rng(20 + n)
+        t = spline_grid(n, False, rng)
+        y = rng.standard_normal(n)
+        m = _spline_slopes(t, y)
+        h = np.diff(t)
+        third = 6.0 * (m[:-1] + m[1:] - 2.0 * np.diff(y) / h) / h**2
+        scale = np.max(np.abs(third))
+        assert abs(third[0] - third[1]) <= 1e-12 * scale
+        assert abs(third[-1] - third[-2]) <= 1e-12 * scale
+
+    def test_single_sample_is_constant(self):
+        slopes = _spline_slopes(np.array([0.3]), np.array([[2.0, -1.0]]))
+        assert np.array_equal(slopes, [[0.0, 0.0]])
+
+
 # at least six mass triples, each with every body in the middle
 MASS_PANEL = [
     (1.0, 1.0, 1.0),
@@ -72,6 +166,7 @@ MASS_PANEL = [
 class TestCollinearRatio:
     @pytest.mark.parametrize("triple", MASS_PANEL)
     def test_matches_brentq(self, triple):
+        brentq = pytest.importorskip("scipy.optimize").brentq
         for mj, mi, mk in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
             imbalance = _collinear_imbalance(mj, mi, mk)
             hi = 1.0

@@ -363,6 +363,24 @@ class TestZeroJLift:
         again = shape_curve(lifted)
         assert np.max(np.linalg.norm(again.points - curve.points, axis=1)) <= 1e-7
 
+    @pytest.mark.parametrize("samples", [4, 5, 301])
+    def test_xi2_is_simpson_on_scipy_splines(self, samples):
+        # the angle of Z2 advances by Simpson's rule on the not-a-knot
+        # splines of r1^2 and xi, evaluated here through scipy
+        CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+        source = generate("random_smooth", masses=M123, seed=3, duration=0.5, samples=samples)
+        curve = shape_curve(source)
+        lifted = zero_J_lift(curve, PlanarConfiguration(*source.positions[0]), M123)
+        t = curve.times
+        r1sq = CubicSpline(t, 0.5 + curve.points[:, 0])
+        xi_rate = CubicSpline(t, curve.unwound_xi).derivative()
+        mid = 0.5 * (t[:-1] + t[1:])
+        f = [r1sq(x) * xi_rate(x) for x in (t[:-1], mid, t[1:])]
+        expected = np.cumsum(np.diff(t) / 6.0 * (f[0] + 4.0 * f[1] + f[2]))
+        _, Z2 = jacobi_series(lifted.positions, M123)
+        turned = np.unwrap(np.angle(Z2))
+        assert np.max(np.abs(turned[1:] - turned[0] - expected)) <= 1e-13
+
     def test_keeps_initial_inertia_scale(self):
         source = generate("random_smooth", masses=M111, seed=4, duration=1.0, samples=801)
         curve = shape_curve(source)

@@ -523,6 +523,22 @@ class TestResample:
         assert np.allclose(out.positions, exact.positions, rtol=0.0, atol=1e-13)
         assert np.allclose(out.velocities, exact.velocities, rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 17, 400])
+    def test_matches_scipy_cubic_spline(self, n):
+        CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+        rng = np.random.default_rng(n)
+        t = np.cumsum(rng.uniform(0.1, 1.0, n))
+        q = rng.standard_normal((n, 3, 3))
+        traj = Trajectory.from_samples(M123, t, q, np.zeros_like(q))
+        out = resample(traj, 3 * n + 1)
+        spline = CubicSpline(t, traj.positions, axis=0)
+        scale = np.max(np.abs(traj.positions))
+        assert np.max(np.abs(out.positions - spline(out.times))) <= 1e-14 * scale
+        rates = spline.derivative()(out.times)
+        assert np.max(np.abs(out.velocities - rates)) <= 1e-14 * np.max(np.abs(rates))
+        ends = out.positions[[0, -1]] - traj.positions[[0, -1]]
+        assert np.max(np.abs(ends)) <= 1e-15 * scale
+
     def test_rejects_tiny_counts(self):
         with pytest.raises(ValueError):
             resample(linear_motion(), 1)
