@@ -85,10 +85,6 @@ def _curve_blocks(curve: ShapeCurve):
     return _csv_blocks(_CURVE_COLUMNS, table)
 
 
-def _curve_csv(curve: ShapeCurve) -> str:
-    return "".join(_curve_blocks(curve))
-
-
 def _curve_header(header):
     if header != _CURVE_COLUMNS:
         raise ParseError("curve CSV must have header t,w1,w2,w3,xi_unwound")
@@ -171,16 +167,6 @@ def cmd_generate(args) -> int:
         raise ParseError(f"--params: {exc}") from exc
     if not isinstance(params, dict):
         raise ParseError("--params must be a JSON object")
-    if "masses" in params:
-        try:
-            params["masses"] = derive_masses(*params["masses"])
-        except TypeError:
-            raise ValueError(
-                f"{args.kind} parameters: masses must be three numbers, got {params['masses']!r}"
-            ) from None
-    for key in ("config", "velocities", "axis"):
-        if key in params:
-            params[key] = np.asarray(params[key], dtype=float)
     traj = generate(args.kind, **params)
     _write(args.out, _serialized_blocks(traj, args.format))
     return EXIT_OK

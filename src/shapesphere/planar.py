@@ -205,57 +205,38 @@ def swept_area(curve: ShapeCurve, pole) -> float:
         raise ValueError("pole must be a nonzero direction along the chart axis (C1 or O1)")
     # the longitude about C1 (p1 < 0) is +xi and about O1 is -xi
     sign = 1.0 if p[0] < 0.0 else -1.0
-    g = 0.25 + sign * 0.5 * curve.points[:, 0]
-    d = sign * np.diff(curve.unwound_xi)
-    return float(np.sum(0.5 * (g[1:] + g[:-1]) * d))
+    return float(np.trapezoid(0.25 + sign * 0.5 * curve.points[:, 0], sign * curve.unwound_xi))
 
 
-def _simpson(t: np.ndarray, y: np.ndarray) -> float:
-    """Composite Simpson rule over samples y at strictly increasing times t
-    (at least 3 samples), the rule of scipy.integrate.simpson with x given.
-
-    Pairs of intervals take the parabola through their three samples; at an
-    even sample count the last interval takes Cartwright's correction, the
-    parabola through the last three samples integrated over that interval.
-    """
-    n = t.size
-    h = np.diff(t)
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    parts = (hsum / 6.0) * (
-        y[0:stop:2] * (2.0 - 1.0 / ratio)
-        + y[1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
-        + y[2 : stop + 2 : 2] * (2.0 - ratio)
-    )
-    result = np.sum(parts)
-    if n % 2 == 0:
-        a, b = h[-2], h[-1]
-        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
-        beta = (b**2 + 3.0 * a * b) / (6 * a)
-        eta = b**3 / (6 * a * (a + b))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return float(result)
+def _simpson(t: np.ndarray, y: np.ndarray, step: int) -> float:
+    """Sum of Simpson's width/6 (y0 + 4 y1 + y2) over the triples of
+    consecutive samples that start every `step` samples, width being each
+    triple's own span t[k + 2] - t[k]."""
+    a, b, c = slice(0, -2, step), slice(1, -1, step), slice(2, None, step)
+    return float(np.sum((t[c] - t[a]) / 6.0 * (y[a] + 4.0 * y[b] + y[c])))
 
 
 def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
     """Integral of samples y over times t.
 
-    Composite Simpson (`_simpson`) when there are at least 3 samples on a
-    uniform grid, i.e. every spacing within 1e-9 of the first relative to
-    it; the trapezoid rule on other grids; 0 for a single sample.  At an
-    even count the rule is the mean of `_simpson` run forwards and over the
-    reversed grid, so Cartwright's end correction sits at both ends and
-    reversing time negates the integral.
+    Composite Simpson when there are at least 3 samples on a uniform grid,
+    i.e. every spacing within 1e-9 of the first relative to it; the
+    trapezoid rule on other grids; 0 for a single sample.  An even count
+    takes the mean of Simpson over the first n - 1 samples plus Cartwright's
+    last interval, dt (5 y[-1] + 8 y[-2] - y[-3]) / 12, and the mirror of
+    that sum at the start.  The two Simpson sums together take every triple
+    of consecutive samples once, so the mean is one pass, exact for cubics,
+    and reversing time negates it.
     """
     if t.size < 2:
         return 0.0
     dt = np.diff(t)
     if t.size >= 3 and np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]):
         if t.size % 2:
-            return _simpson(t, y)
-        return 0.5 * (_simpson(t, y) + _simpson(-t[::-1], y[::-1]))
+            return _simpson(t, y, 2)
+        last = dt[-1] * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
+        first = dt[0] * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
+        return 0.5 * (_simpson(t, y, 1) + last + first)
     return float(np.trapezoid(y, t))
 
 

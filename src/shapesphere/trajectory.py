@@ -373,11 +373,6 @@ def _csv_blocks(columns: list[str], table: np.ndarray):
         yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
 
 
-def _write_csv_table(columns: list[str], table: np.ndarray) -> str:
-    """The CSV text of _csv_blocks as one string."""
-    return "".join(_csv_blocks(columns, table))
-
-
 def _parse_csv(text: str, masses: Optional[MassTriple]) -> Trajectory:
     if masses is None:
         raise ParseError("CSV trajectories carry no masses: pass them explicitly")
@@ -617,10 +612,11 @@ def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
     _recenter(v, masses)
     weights = _pair_weights(masses.as_array(), G)
     t = np.linspace(0.0, duration, samples)
-    h = t[1] - t[0]
+    h = t[1] - t[0] if samples > 1 else 0.0
     qs = np.empty((samples, 3, dim))
     vs = np.empty_like(qs)
-    qs[0], vs[0] = q, v
+    # the initial state, left out for 0 samples, which from_samples rejects
+    qs[:1], vs[:1] = q, v
     for k in range(samples - 1):
         k1q, k1v = v, _gravity_accel(q, weights)
         k2q, k2v = v + 0.5 * h * k1v, _gravity_accel(q + 0.5 * h * k1q, weights)
@@ -710,9 +706,9 @@ def generate(kind: str, **params) -> Trajectory:
     figure1_pinch(masses, duration, samples[, stop_fraction]),
     newtonian(masses, config, velocities, G, duration, samples),
     random_smooth(masses, seed, duration, samples[, amplitude, harmonics,
-    rotation_rate, periodic]).  Unknown or missing parameters, a sample
-    count that is not an integer and other wrongly typed parameters raise
-    ValueError.
+    rotation_rate, periodic]).  masses is a MassTriple or three numbers.
+    Unknown or missing parameters, a sample count that is not an integer
+    and other wrongly typed parameters raise ValueError.
     """
     try:
         builder = _GENERATORS[kind]
@@ -722,6 +718,14 @@ def generate(kind: str, **params) -> Trajectory:
         inspect.signature(builder).bind(**params)
     except TypeError as exc:
         raise ValueError(f"{kind} parameters: {exc}") from None
+    masses = params["masses"]
+    if not isinstance(masses, MassTriple):
+        try:
+            params["masses"] = derive_masses(*masses)
+        except TypeError:
+            raise ValueError(
+                f"{kind} parameters: masses must be three numbers, got {masses!r}"
+            ) from None
     samples = params["samples"]
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
         raise ValueError(f"{kind} parameters: samples must be an integer, got {samples!r}")

@@ -7,7 +7,6 @@ form), and assembles them into a machine-checkable report.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -506,54 +505,43 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
     kept away from the antipodal singularity; the momentum is j e and the
     rotation R is about e, so F must be invariant.
     """
+    if count < 1:
+        return 0.0
     rng = np.random.default_rng(1000 * (seed + 1) + 5)
     masses = derive_masses(1.0, 1.4, 0.7)
-    m2, m3, mu1, mu2 = masses.m2, masses.m3, masses.mu1, masses.mu2
-    draws = []
-    while len(draws) < count:
-        flat = rng.uniform(-1.0, 1.0, size=(3, 2))
-        # keep the inertia map well conditioned so its inverse does not
-        # amplify roundoff past the invariance tolerance: its smallest
-        # eigenvalue D / (I/2 + rho) of _locked_inertia, here from the
-        # planar Jacobi pair in Python floats
-        p1, p2, p3 = (complex(x, y) for x, y in flat.tolist())
-        z1 = mu1 * (p3 - p2)
-        z2 = mu2 * (p1 - (m2 * p2 + m3 * p3) / (m2 + m3))
-        a = z1.real * z1.real + z1.imag * z1.imag
-        b = z2.real * z2.real + z2.imag * z2.imag
-        w = z1.conjugate() * z2
-        inertia = a + b
-        smallest = w.imag * w.imag / (0.5 * inertia + math.hypot(0.5 * (a - b), w.real))
-        if smallest < 0.05 * 2.0 * inertia:
-            continue
-        tilt_axis = rng.standard_normal(3) + np.array([0.0, 0.0, 2.0])
-        tilt_angle = rng.uniform(0, 2 * np.pi)
-        e = rng.standard_normal(3)
-        j = rng.uniform(-2.0, 2.0)
-        spin_angle = rng.uniform(0.0, 2.0 * np.pi)
-        draws.append((flat, tilt_axis, tilt_angle, e, j, spin_angle))
-    if not draws:
-        return 0.0
+    # planar candidates, kept where the inertia map is well conditioned so
+    # its inverse does not amplify roundoff past the invariance tolerance
+    accepted = np.empty((0, 3, 3))
+    while accepted.shape[0] < count:
+        batch = np.zeros((count, 3, 3))
+        batch[:, :, :2] = rng.uniform(-1.0, 1.0, size=(count, 3, 2))
+        kernel = _locked_inertia(batch, masses)
+        keep = kernel.smallest >= 0.05 * 2.0 * kernel.inertia
+        accepted = np.concatenate([accepted, batch[keep]])
+    states = accepted[:count]
+    tilt_axis = rng.standard_normal((count, 3)) + np.array([0.0, 0.0, 2.0])
+    tilt_angle = rng.uniform(0.0, 2.0 * np.pi, count)
+    e = rng.standard_normal((count, 3))
+    j = rng.uniform(-2.0, 2.0, count)
+    spin_angle = rng.uniform(0.0, 2.0 * np.pi, count)
 
-    flat, tilt_axis, tilt_angle, e, j, spin_angle = (np.array(c) for c in zip(*draws))
-    states = np.concatenate([flat, np.zeros((count, 3, 1))], axis=2)
     _recenter(states, masses)
     tilt = _rodrigues(tilt_axis / np.linalg.norm(tilt_axis, axis=1, keepdims=True), tilt_angle)
     states = states @ np.swapaxes(tilt, 1, 2)
-    normals = np.cross(states[:, 1] - states[:, 0], states[:, 2] - states[:, 0])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     axes = e / np.linalg.norm(e, axis=1, keepdims=True)
-    # orient each normal into the e hemisphere, as normal tracking does
-    normals *= np.where(np.einsum("nd,nd->n", normals, axes) < 0.0, -1.0, 1.0)[:, None]
     momenta = j[:, None] * axes
     spin = _rodrigues(axes, spin_angle)
     spun = states @ np.swapaxes(spin, 1, 2)
-    spun_normals = np.einsum("nab,nb->na", spin, normals)
 
-    # F of the drawn states (rows [:count]) and of the spun ones, in one batch
+    # F of the drawn states (rows [:count]) and of the spun ones, in one
+    # batch; each normal is oriented into the e hemisphere, as normal
+    # tracking does, and a spun normal keeps the side of the one it spins
     kernel = _locked_inertia(np.concatenate([states, spun]), masses)
+    normals = kernel.normal / np.linalg.norm(kernel.normal, axis=1, keepdims=True)
+    side = np.where(np.einsum("nd,nd->n", normals[:count], axes) < 0.0, -1.0, 1.0)
+    normals *= np.concatenate([side, side])[:, None]
     w = kernel.inverse(np.concatenate([momenta, momenta]), kernel.inertia)
-    rate = _projected_rate(w, np.concatenate([normals, spun_normals]), np.concatenate([axes, axes]))
+    rate = _projected_rate(w, normals, np.concatenate([axes, axes]))
     return float(np.max(np.abs(rate[count:] - rate[:count])))
 
 

@@ -345,13 +345,14 @@ class TestLiftInput:
         assert "error: initial configuration file:" in capsys.readouterr().err
 
     def test_reader_derives_pole_crossings(self):
-        from shapesphere.cli import _curve_csv, _parse_curve_csv
+        from shapesphere.cli import _curve_blocks, _parse_curve_csv
         from shapesphere.planar import ShapeCurve
 
         pts = np.array([[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.5, 0.0, 0.0]])
         curve = ShapeCurve(np.linspace(0.0, 1.0, 4), pts)
         assert curve.pole_crossings == [(1, "C1"), (3, "O1")]
-        assert _parse_curve_csv(_curve_csv(curve)).pole_crossings == curve.pole_crossings
+        text = "".join(_curve_blocks(curve))
+        assert _parse_curve_csv(text).pole_crossings == curve.pole_crossings
 
 
 class TestClosedPipe:
@@ -425,6 +426,19 @@ class TestGenerate:
         assert main(["generate", "--kind", "figure1_pinch", "--params", params]) == 2
         assert "error: --params" in capsys.readouterr().err
 
+    def test_single_sample_newtonian_writes_one_row(self, capsys):
+        params = {
+            "masses": [1, 2, 3],
+            "config": [[0.8, 0.0], [-0.2, 0.7], [-0.3, -0.6]],
+            "velocities": [[0.0, 0.3], [0.2, -0.1], [-0.1, 0.0]],
+            "G": 1.0,
+            "duration": 1.0,
+            "samples": 1,
+        }
+        assert main(["generate", "--kind", "newtonian", "--params", json.dumps(params)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("0.0,")
+
 
 class TestVerify:
     def test_small_planar_suite_runs(self, tmp_path, capsys):
@@ -444,6 +458,13 @@ class TestVerify:
         assert first == second
         doc = json.loads(first)
         assert all(c["runtime_ms"] is None for c in doc["cases"])
+
+    def test_single_sample_reports_failures(self, capsys):
+        # one sample cannot resolve the motions: a report and exit 1, not a crash
+        assert main(["verify", "--n", "1"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["summary"]["failures"] == 2
+        assert captured.err == "2 case(s) failed\n"
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("SHAPESPHERE_SEED", "9")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapesphere import F_of_J, SpatialConfiguration, derive_masses, oriented_state
-from shapesphere.planar import _quadrature, _simpson
+from shapesphere.planar import _quadrature
 from shapesphere.shape_core import _collinear_imbalance, _collinear_ratio
 from shapesphere.spatial import _locked_inertia, _projected_rate
 from shapesphere.trajectory import _gravity_accel, _pair_weights, _spline_slopes
@@ -12,42 +12,41 @@ from shapesphere.trajectory import _gravity_accel, _pair_weights, _spline_slopes
 COUNTS = list(range(3, 41)) + [10_000, 10_001]
 
 
+def scipy_rule(t, y):
+    """scipy's Simpson on odd counts; on even counts the mean of scipy's
+    Simpson run from either end, which puts Cartwright's end interval at
+    both ends."""
+    simpson = pytest.importorskip("scipy.integrate").simpson
+    if t.size % 2:
+        return float(simpson(y, x=t))
+    return 0.5 * (float(simpson(y, x=t)) + float(simpson(y[::-1], x=-t[::-1])))
+
+
 class TestSimpson:
     @pytest.mark.parametrize("n", COUNTS)
     def test_matches_scipy_on_uniform_grids(self, n):
-        simpson = pytest.importorskip("scipy.integrate").simpson
         rng = np.random.default_rng(n)
         for _ in range(5):
             start = rng.uniform(-5.0, 5.0)
             t = np.linspace(start, start + rng.uniform(0.1, 10.0), n)
+            h = t[1] - t[0]
             for y in (rng.standard_normal(n), np.sin(3.0 * t) + 2.0):
-                expected = float(simpson(y, x=t))
-                assert abs(_simpson(t, y) - expected) <= 1e-15 * abs(expected)
-                if n % 2:
-                    assert _quadrature(t, y) == _simpson(t, y)
-                else:
-                    # even counts average the forward and the reversed rule
-                    mean = 0.5 * (_simpson(t, y) + _simpson(-t[::-1], y[::-1]))
-                    assert _quadrature(t, y) == mean
-
-    @pytest.mark.parametrize("n", [3, 4, 7, 10])
-    def test_matches_scipy_on_nonuniform_grids(self, n):
-        simpson = pytest.importorskip("scipy.integrate").simpson
-        rng = np.random.default_rng(100 + n)
-        t = np.cumsum(rng.uniform(0.1, 1.0, n))
-        y = rng.standard_normal(n)
-        expected = float(simpson(y, x=t))
-        assert _simpson(t, y) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+                scale = h * np.sum(np.abs(y))
+                assert abs(_quadrature(t, y) - scipy_rule(t, y)) <= 1e-13 * scale
+                # the mirrored grid sums the same triples in reverse order
+                assert abs(_quadrature(-t[::-1], y[::-1]) - _quadrature(t, y)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("n", [3, 4, 9, 10])
     def test_exact_for_parabolas(self, n):
-        # odd counts are exact for cubics too; the last interval at an even
-        # count takes a parabola
-        t = np.linspace(0.5, 2.0, n)
-        cubic = n % 2
-        y = cubic * t**3 - 2.0 * t**2 + 0.5
-        exact = cubic * (2.0**4 - 0.5**4) / 4.0 - 2.0 * (2.0**3 - 0.5**3) / 3.0 + 0.5 * 1.5
-        assert _simpson(t, y) == pytest.approx(exact, rel=1e-14)
+        # cubics too, at odd and even counts: the end corrections' errors
+        # on a cubic cancel between the two ends
+        offset = np.random.default_rng(n).uniform(-3.0, 3.0)
+        for a in (0.5, 0.5 + offset):
+            b = a + 1.5
+            t = np.linspace(a, b, n)
+            y = t**3 - 2.0 * t**2 + 0.5
+            exact = (b**4 - a**4) / 4.0 - 2.0 * (b**3 - a**3) / 3.0 + 0.5 * (b - a)
+            assert _quadrature(t, y) == pytest.approx(exact, rel=1e-14)
 
     def test_short_and_nonuniform_fall_back(self):
         assert _quadrature(np.array([0.0]), np.array([3.0])) == 0.0
