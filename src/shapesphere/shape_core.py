@@ -492,13 +492,17 @@ def jacobi_series(positions: np.ndarray, masses: MassTriple) -> tuple[np.ndarray
 def _jacobi_vectors(q: np.ndarray, masses: MassTriple) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi map over the body axis (axis 1) of a batch of samples.
 
-    Complex (n, 3) input gives the planar pair; real (n, 3, 3) input gives
-    the mass-weighted Jacobi 3-vectors of spatial samples.
+    Complex (n, 3) input gives the planar pair; the view q.T of real
+    (n, 3, 3) samples gives the mass-weighted Jacobi 3-vectors as C-ordered
+    (3, n) rows, since each pass that reads q writes in C order.
     """
-    Z1 = masses.mu1 * (q[:, 2] - q[:, 1])
-    Z2 = masses.mu2 * (
-        q[:, 0] - (masses.m2 * q[:, 1] + masses.m3 * q[:, 2]) / (masses.m2 + masses.m3)
-    )
+    Z1 = np.subtract(q[:, 2], q[:, 1], order="C")
+    Z1 *= masses.mu1
+    Z2 = np.multiply(masses.m2, q[:, 1], order="C")
+    Z2 += np.multiply(masses.m3, q[:, 2], order="C")
+    Z2 /= masses.m2 + masses.m3
+    np.subtract(q[:, 0], Z2, out=Z2)
+    Z2 *= masses.mu2
     return Z1, Z2
 
 

@@ -9,6 +9,10 @@ and sigma is the configuration's inertia map.  The formula loses validity
 on the set of collinear, spinning samples whose axis is not orthogonal to
 e; its dwell time is measured and reported, and any positive value leaves
 the result uncertified.
+
+Per-sample 3-vectors (Jacobi vectors, normals, momenta, angular
+velocities) are C-contiguous (3, n) component rows, so each pass is one
+loop over the samples; reconstruct_spatial drops rows after their last use.
 """
 
 from __future__ import annotations
@@ -90,6 +94,22 @@ class SigmaTensor:
         return self.smallest_eigenvalue < COLLINEAR_EIG_TOL * self.trace
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample dot products of (3, n) rows; b may be one 3-vector.  The
+    sum runs in np.einsum's order for a length-3 axis, (x0 + x2) + x1, so it
+    is bit-identical to einsum over (n, 3) samples."""
+    return a[0] * b[0] + a[2] * b[2] + a[1] * b[1]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-sample cross products a x b as (3, n) rows; a or b may be a 3-vector."""
+    out = np.empty((3,) + np.broadcast_shapes(np.shape(a[0]), np.shape(b[0])))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class _LockedInertia:
     """Closed form of the inertia map for a batch of spatial samples.
@@ -113,53 +133,48 @@ class _LockedInertia:
     smallest: np.ndarray
     collinear: np.ndarray
 
-    def inverse(self, momentum: np.ndarray, inertia: np.ndarray) -> np.ndarray:
-        """sigma^{-1} J per sample; collinear samples take J / inertia.
+    def inverse(self, momentum: np.ndarray, inertia) -> np.ndarray:
+        """sigma^{-1} J per sample for momentum rows (3, n); collinear
+        samples take J / inertia.
 
         By Cayley-Hamilton the inverse of sigma on the configuration plane
         is S / D, and along N it is 1 / I.
         """
         det = np.where(self.collinear, 1.0, self.det)
-        xi1_j = np.einsum("nd,nd->n", self.xi1, momentum) / det
-        xi2_j = np.einsum("nd,nd->n", self.xi2, momentum) / det
-        n_j = np.einsum("nd,nd->n", self.normal, momentum) / (
-            det * np.maximum(self.inertia, 1e-300)
-        )
-        w = self.xi1 * xi1_j[:, None] + self.xi2 * xi2_j[:, None] + self.normal * n_j[:, None]
+        w = self.xi1 * (_dot(self.xi1, momentum) / det)
+        w += self.xi2 * (_dot(self.xi2, momentum) / det)
+        w += self.normal * (_dot(self.normal, momentum) / (det * np.maximum(self.inertia, 1e-300)))
         if np.any(self.collinear):
             inertia = np.broadcast_to(np.asarray(inertia, dtype=float), self.det.shape)
-            w[self.collinear] = momentum[self.collinear] / inertia[self.collinear, None]
+            w[:, self.collinear] = momentum[:, self.collinear] / inertia[self.collinear]
         return w
 
     def axis(self, index=slice(None)) -> np.ndarray:
-        """Unit eigenvectors of the smallest eigenvalue of the indexed
+        """Unit eigenvectors (3, k) of the smallest eigenvalue of the indexed
         samples, S xi - lambda xi for the longer Jacobi vector xi: the
         kernel direction on collinear samples."""
-        xi1, xi2 = self.xi1[index], self.xi2[index]
-        xi = np.where((self.w1[index] >= 0.0)[:, None], xi1, xi2)
-        v = (
-            xi1 * np.einsum("nd,nd->n", xi1, xi)[:, None]
-            + xi2 * np.einsum("nd,nd->n", xi2, xi)[:, None]
-            - self.smallest[index][:, None] * xi
-        )
-        return v / np.maximum(np.linalg.norm(v, axis=1), 1e-300)[:, None]
+        xi1, xi2 = self.xi1[:, index], self.xi2[:, index]
+        xi = np.where(self.w1[index] >= 0.0, xi1, xi2)
+        v = xi1 * _dot(xi1, xi) + xi2 * _dot(xi2, xi) - self.smallest[index] * xi
+        return v / np.maximum(np.linalg.norm(v, axis=0), 1e-300)
 
     def shape_points(self, normals: np.ndarray) -> np.ndarray:
-        """Shape-sphere points of the samples viewed from the normals' side;
-        the points shape_curve gives for the samples transported to X."""
-        w3 = np.sign(np.einsum("nd,nd->n", self.normal, normals)) * np.sqrt(self.det)
-        return np.stack([self.w1, self.w2, w3], axis=1) / self.inertia[:, None]
+        """Shape-sphere points (3, n) of the samples viewed from the side of
+        the normal rows; the points shape_curve gives for the samples
+        transported to X."""
+        w3 = np.sign(_dot(self.normal, normals)) * np.sqrt(self.det)
+        return np.stack([self.w1, self.w2, w3]) / self.inertia
 
 
 def _locked_inertia(q: np.ndarray, masses: MassTriple) -> _LockedInertia:
     """Inertia maps of samples q (n, 3, 3) about their mass centroids."""
-    xi1, xi2 = _jacobi_vectors(q, masses)
-    a = np.einsum("nd,nd->n", xi1, xi1)
-    b = np.einsum("nd,nd->n", xi2, xi2)
+    xi1, xi2 = _jacobi_vectors(q.T, masses)
+    a = _dot(xi1, xi1)
+    b = _dot(xi2, xi2)
     w1 = 0.5 * (a - b)
-    w2 = np.einsum("nd,nd->n", xi1, xi2)
-    normal = np.cross(xi1, xi2)
-    det = np.einsum("nd,nd->n", normal, normal)
+    w2 = _dot(xi1, xi2)
+    normal = _cross(xi1, xi2)
+    det = _dot(normal, normal)
     inertia = a + b
     half = 0.5 * inertia + np.hypot(w1, w2)
     smallest = det / np.maximum(half, 1e-300)
@@ -171,9 +186,9 @@ def sigma_tensor(config: SpatialConfiguration, masses: MassTriple) -> SigmaTenso
     """Inertia map of a configuration about its mass centroid (the origin
     for centered configurations)."""
     kernel = _locked_inertia(config.as_array()[None, :, :], masses)
-    xi1, xi2 = kernel.xi1[0], kernel.xi2[0]
+    xi1, xi2 = kernel.xi1[:, 0], kernel.xi2[:, 0]
     mat = kernel.inertia[0] * np.eye(3) - np.outer(xi1, xi1) - np.outer(xi2, xi2)
-    axis = kernel.axis()[0] if kernel.collinear[0] else None
+    axis = kernel.axis()[:, 0] if kernel.collinear[0] else None
     return SigmaTensor(mat, float(kernel.smallest[0]), axis)
 
 
@@ -219,46 +234,43 @@ def decompose_e_n(w, e, n) -> tuple[float, float, float]:
     component drives the tilt and is never consumed downstream, which is why
     normalizing e^n is unnecessary.
     """
-    w = np.asarray(w, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = np.asarray(n, dtype=float)
+    w, e, n = (np.asarray(v, dtype=float) for v in (w, e, n))
     wedge = np.cross(e, n)
     if np.linalg.norm(wedge) < ALIGNMENT_TOL:
         raise ValueError("e and n are (anti)parallel: use the aligned branch instead")
-    basis = np.column_stack([wedge, e, n])
-    coeff = np.linalg.solve(basis, w)
+    coeff = np.linalg.solve(np.column_stack([wedge, e, n]), w)
     return float(coeff[0]), float(coeff[1]), float(coeff[2])
 
 
 def plane_basis(e) -> tuple[np.ndarray, np.ndarray]:
     """Right-handed orthonormal basis (u1, u2) of the plane orthogonal to e."""
     e = _unit(e, "e")
-    seed = np.zeros(3)
-    seed[np.argmin(np.abs(e))] = 1.0
+    seed = np.eye(3)[np.argmin(np.abs(e))]
     u1 = _unit(seed - (seed @ e) * e, "u1")
     return u1, np.cross(e, u1)
 
 
 def _project_positions(q: np.ndarray, normals: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Rotate samples (n, 3, 3) so each normal lands on e; coordinates in X.
+    """Coordinates (2, ..., n) in X of points q (3, ..., n) rotated about
+    n x e so that each sample's normal (3, n) lands on e.
 
-    The rotation is about the common perpendicular of n and e by the tilt
-    angle; callers must exclude antipodal samples.
+    In the basis (u1, u2, e) of plane_basis, with n = (n1, n2, c) and
+    q = (p1, p2, p3), Rodrigues' formula reads x = c p1 - n1 p3 + g n2 a and
+    y = c p2 - n2 p3 - g n1 a, where a = (n x e).q = n2 p1 - n1 p2 and
+    g = (1 - c) / |n x e|^2.  Samples with |n x e| <= ALIGNMENT_TOL keep q;
+    callers must exclude antipodal samples.
     """
-    axis = np.cross(normals, e[None, :])
-    sin_phi = np.linalg.norm(axis, axis=1)
-    cos_phi = normals @ e
-    safe = sin_phi > ALIGNMENT_TOL
-    khat = np.where(safe[:, None], axis / np.maximum(sin_phi, 1e-300)[:, None], 0.0)
-    proj = np.einsum("nd,nid->ni", khat, q)
-    rotated = (
-        q * cos_phi[:, None, None]
-        + np.cross(np.broadcast_to(khat[:, None, :], q.shape), q) * sin_phi[:, None, None]
-        + khat[:, None, :] * proj[:, :, None] * (1.0 - cos_phi)[:, None, None]
-    )
-    rotated = np.where(safe[:, None, None], rotated, q)
     u1, u2 = plane_basis(e)
-    return np.stack([rotated @ u1, rotated @ u2], axis=-1)
+    basis = np.stack([u1, u2, e])
+    n1, n2, c = basis @ normals
+    p1, p2, p3 = (basis @ q.reshape(3, -1)).reshape(q.shape)
+    sin_sq = n1 * n1 + n2 * n2
+    g = (1.0 - c) / np.maximum(sin_sq, 1e-300)
+    a = n2 * p1 - n1 * p2
+    x = c * p1 - n1 * p3 + g * n2 * a
+    y = c * p2 - n2 * p3 - g * n1 * a
+    safe = sin_sq > ALIGNMENT_TOL**2
+    return np.stack([np.where(safe, x, p1), np.where(safe, y, p2)])
 
 
 def project_P(config: SpatialConfiguration, n, e) -> PlanarConfiguration:
@@ -272,7 +284,7 @@ def project_P(config: SpatialConfiguration, n, e) -> PlanarConfiguration:
     n, e = _unit(n, "n"), _unit(e, "e")
     if np.linalg.norm(n + e) < ALIGNMENT_TOL:
         raise ValueError("n = -e: the transport to the plane is ambiguous")
-    coords = _project_positions(config.as_array()[None, :, :], n[None, :], e)[0]
+    coords = _project_positions(config.as_array().T, n[:, None], e).T
     return PlanarConfiguration(coords[0], coords[1], coords[2])
 
 
@@ -311,9 +323,7 @@ def oriented_state(config: SpatialConfiguration, n, e) -> OrientedState:
     else:
         khat = axis / axis_norm
         eta = float(np.arctan2(n @ u2, n @ u1))
-        d1 = np.cross(n, khat)
-        d2 = -khat
-        theta1 = float(np.arctan2(q[0] @ d2, q[0] @ d1))
+        theta1 = float(np.arctan2(-(q[0] @ khat), q[0] @ np.cross(n, khat)))
     return OrientedState(config, n, e, phi, eta, theta1)
 
 
@@ -322,64 +332,60 @@ def _projected_rate(w: np.ndarray, normals: np.ndarray, e: np.ndarray) -> np.nda
 
     Evaluated through the exact identity (e.w + n.w) / (1 + e.n), which
     stays conditioned near n = e; at n = +-e only the rate about n counts.
-    e is one axis (3,) or one axis per sample (n, 3).
+    w and normals are (3, n) rows; e is one axis (3,) or one per sample
+    (3, n).
     """
-    e = np.broadcast_to(e, normals.shape)
-    ne, we = np.einsum("nd,nd->n", normals, e), np.einsum("nd,nd->n", w, e)
-    aligned = np.linalg.norm(np.cross(normals, e), axis=1) < ALIGNMENT_TOL
-    nw = np.einsum("nd,nd->n", normals, w)
-    denom = np.where(aligned, 1.0, 1.0 + ne)
-    return np.where(aligned, nw, (we + nw) / denom)
+    aligned = np.linalg.norm(_cross(normals, e), axis=0) < ALIGNMENT_TOL
+    nw = _dot(normals, w)
+    denom = np.where(aligned, 1.0, 1.0 + _dot(normals, e))
+    return np.where(aligned, nw, (_dot(w, e) + nw) / denom)
 
 
 def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> float:
-    """Rotation rate of the projected first body due to the rigid part.
-
-    With w = sigma^{-1}(J) this is sigma_e + sigma_n of the {e^n, e, n}
-    decomposition, evaluated through the exact identity
-    (e.w + n.w) / (1 + e.n), which stays conditioned near n = e; at
-    n = +-e only the rate about n contributes.
-    """
+    """Rotation rate of the projected first body due to the rigid part:
+    the projected rate (e.w + n.w) / (1 + e.n) of w = sigma^{-1}(J), or n.w
+    at n = +-e."""
     J = _finite_momentum(Jvec)
     kernel = _locked_inertia(state.config.as_array()[None, :, :], masses)
     _warn_near_collinear(
         bool(kernel.collinear[0]), float(kernel.smallest[0]), 2.0 * float(kernel.inertia[0])
     )
-    w = kernel.inverse(J[None, :], inertia)
-    return float(_projected_rate(w, state.n[None, :], state.e)[0])
+    w = kernel.inverse(J[:, None], inertia)
+    return float(_projected_rate(w, state.n[:, None], state.e)[0])
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    cosang = float(np.clip(a @ b, -1.0, 1.0))
-    angle = np.arccos(cosang)
+    angle = np.arccos(np.clip(a @ b, -1.0, 1.0))
     if angle > np.pi - 1e-6:
         raise ValueError("collinear gap too wide to bridge: flanking normals are antipodal")
     if angle < 1e-9:
-        out = a[None, :] + fractions[:, None] * (b - a)[None, :]
+        out = a[:, None] + fractions * (b - a)[:, None]
     else:
         out = (
-            np.sin((1.0 - fractions) * angle)[:, None] * a[None, :]
-            + np.sin(fractions * angle)[:, None] * b[None, :]
+            np.sin((1.0 - fractions) * angle) * a[:, None] + np.sin(fractions * angle) * b[:, None]
         ) / np.sin(angle)
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    return out / np.linalg.norm(out, axis=0)
 
 
 def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -> np.ndarray:
-    """Smooth unit normals along a spatial trajectory.
+    """Smooth unit normals (n, 3) along a spatial trajectory.
 
     Triangle normals with the sign continued sample to sample (the branch
     maximizing the dot product with the previous normal); collinear
     stretches are bridged by spherical interpolation between the flanking
     triangular samples.  The first normal is flipped so n(0) . e >= 0 unless
-    initial_sign overrides.
+    initial_sign, +1 or -1, overrides.
     """
     if traj.dim != 3:
         raise ValueError("normal_track expects a spatial trajectory")
-    return _track_normals(_locked_inertia(traj.positions, traj.masses), traj.times, e, initial_sign)
+    if initial_sign not in (None, 1, -1):
+        raise ValueError("initial_sign must be None, +1 or -1")
+    kernel = _locked_inertia(traj.positions, traj.masses)
+    return _track_normals(kernel, traj.times, e, initial_sign).T
 
 
 def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) -> np.ndarray:
-    """normal_track over the samples of an inertia kernel.
+    """normal_track over the samples of an inertia kernel, as (3, n) rows.
 
     The normal is sigma's eigenvector N = xi1 x xi2; a sample is triangular
     when the sine of the angle between xi1 and xi2 exceeds 1e-10, i.e. when
@@ -389,49 +395,59 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
     triangular = kernel.det > 1e-20 * lengths_sq
     if not np.any(triangular):
         raise ValueError("all samples are collinear: the orientation is undefined")
-    idx = np.flatnonzero(triangular)
-    units = kernel.normal[idx] / np.sqrt(kernel.det[idx])[:, None]
-    if idx.size > 1:
-        dots = np.einsum("kd,kd->k", units[1:], units[:-1])
-        flips = np.concatenate([[1.0], np.cumprod(np.where(dots >= 0.0, 1.0, -1.0))])
-        units *= flips[:, None]
+    gaps = _runs(~triangular)
+    idx = np.flatnonzero(triangular) if gaps else slice(None)
+    units = kernel.normal[:, idx] / np.sqrt(kernel.det[idx])
+    if units.shape[1] > 1:
+        dots = _dot(units[:, 1:], units[:, :-1])
+        units[:, 1:] *= np.cumprod(np.where(dots >= 0.0, 1.0, -1.0))
     reference = np.array([0.0, 0.0, 1.0]) if e is None else np.asarray(e, dtype=float)
     if initial_sign is not None:
-        units *= float(np.sign(initial_sign))
-    elif units[0] @ reference < 0.0:
-        units = -units
+        units *= initial_sign
+    elif reference @ units[:, 0] < 0.0:
+        units *= -1.0
+    if not gaps:
+        return units
 
-    out = np.empty((t.size, 3))
-    out[idx] = units
-    for run in _runs(~triangular):
-        before = idx[idx < run[0]]
-        after = idx[idx > run[-1]]
-        if before.size == 0:
-            out[run] = out[after[0]]
-        elif after.size == 0:
-            out[run] = out[before[-1]]
+    out = np.empty((3, t.size))
+    out[:, idx] = units
+    for run in gaps:
+        # a gap is a maximal run, so its flanks are triangular samples
+        a, b = run[0] - 1, run[-1] + 1
+        if a < 0 or b == t.size:
+            out[:, run] = out[:, b if a < 0 else a, None]
         else:
-            a, b = before[-1], after[0]
-            fractions = (t[run] - t[a]) / (t[b] - t[a])
-            out[run] = _slerp(out[a], out[b], fractions)
+            out[:, run] = _slerp(out[:, a], out[:, b], (t[run] - t[a]) / (t[b] - t[a]))
     return out
 
 
-def _momentum_vectors(traj: Trajectory) -> np.ndarray:
-    m = traj.masses.as_array()
-    return np.einsum("i,nid->nd", m, np.cross(traj.positions, traj.velocities))
+def _momentum_vectors(q: np.ndarray, v: np.ndarray, masses: MassTriple) -> np.ndarray:
+    """Angular momenta (3, n), sum_i m_i q_i x v_i, of samples q, v (n, 3, 3)."""
+    m = masses.as_array()
+    return sum(m[i] * _cross(q.T[:, i], v.T[:, i]) for i in range(3))
 
 
 def _bad_set(kernel: _LockedInertia, momentum, times, e) -> tuple[float, list]:
+    """bad_set_measure over the samples of an inertia kernel.  The normal
+    N = xi1 x xi2 reverses across a collinear passage, so a step between two
+    triangular samples with N_k . N_{k+1} <= 0 passes one."""
     duration = max(float(times[-1] - times[0]), 1e-300)
-    momentous = np.linalg.norm(momentum, axis=1) > _BAD_SET_J_TOL * kernel.inertia / duration
-    flagged = kernel.collinear & momentous
-    hits = np.flatnonzero(flagged)
-    # only collinear samples have a kernel direction, so only they can tilt
-    flagged[hits] = np.abs(kernel.axis(hits) @ e) > _BAD_SET_AXIS_TOL
-    measure = float(np.trapezoid(flagged.astype(float), times))
+
+    def tilted_spin(index):
+        size = np.linalg.norm(momentum[:, index], axis=0)
+        spin = size > _BAD_SET_J_TOL * kernel.inertia[index] / duration
+        return spin & (np.abs(e @ kernel.axis(index)) > _BAD_SET_AXIS_TOL)
+
+    hits = np.flatnonzero(kernel.collinear)
+    flagged = np.zeros(times.size)
+    flagged[hits[tilted_spin(hits)]] = 1.0
+    ends = ~kernel.collinear[:-1] & ~kernel.collinear[1:]
+    steps = np.flatnonzero((_dot(kernel.normal[:, :-1], kernel.normal[:, 1:]) <= 0.0) & ends)
+    steps = steps[tilted_spin(steps) & tilted_spin(steps + 1)]
+    measure = float(np.trapezoid(flagged, times) + np.sum(times[steps + 1] - times[steps]))
     intervals = [(float(times[run[0]]), float(times[run[-1]])) for run in _runs(flagged)]
-    return measure, intervals
+    intervals += [(float(times[k]), float(times[k + 1])) for k in steps]
+    return measure, sorted(intervals)
 
 
 def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
@@ -439,15 +455,17 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
 
     Flags samples that are collinear (smallest sigma eigenvalue under
     1e-8 x trace) while carrying nonzero angular momentum with e not
-    orthogonal to the configuration axis; returns the trapezoidal dwell
-    time of flagged samples and the flagged time intervals.
+    orthogonal to the configuration axis, and steps that pass a collinear
+    configuration between two samples that carry such momentum about such
+    an axis; returns the trapezoidal dwell time of flagged samples plus the
+    lengths of flagged steps, and the flagged time intervals.
     """
     e = _unit(e, "e")
     traj = traj.ensure_velocities()
     if traj.dim != 3:
         raise ValueError("bad_set_measure expects a spatial trajectory")
-    kernel = _locked_inertia(traj.positions, traj.masses)
-    return _bad_set(kernel, _momentum_vectors(traj), traj.times, e)
+    momentum = _momentum_vectors(traj.positions, traj.velocities, traj.masses)
+    return _bad_set(_locked_inertia(traj.positions, traj.masses), momentum, traj.times, e)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -458,8 +476,8 @@ def _runs(mask: np.ndarray) -> list:
 
 
 def _steps_pass_antipode(normals: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Indices k of the great-circle steps from normals[k] to normals[k + 1]
-    that pass within ANTIPODAL_TOL of -e.
+    """Indices k of the great-circle steps from normals[:, k] to
+    normals[:, k + 1] (rows (3, n)) that pass within ANTIPODAL_TOL of -e.
 
     A step from a to b can only do so if |a + e| <= |b - a| + ANTIPODAL_TOL;
     this also keeps steps shorter than roundoff, whose great circle is
@@ -470,26 +488,20 @@ def _steps_pass_antipode(normals: np.ndarray, e: np.ndarray) -> np.ndarray:
     s = |e.g| / |g|.  Closest points at the ends of a step are samples,
     which are tested apart.
     """
-    a, b = normals[:-1], normals[1:]
-    near = np.flatnonzero(
-        np.linalg.norm(a + e, axis=1) <= np.linalg.norm(b - a, axis=1) + ANTIPODAL_TOL
-    )
-    a, b = a[near], b[near]
-    g = np.cross(a, b)
-    g_norm = np.linalg.norm(g, axis=1)
-    ea, eb = a @ e, b @ e
-    ab = np.einsum("nd,nd->n", a, b)
+    a, b = normals[:, :-1], normals[:, 1:]
+    reach = np.linalg.norm(b - a, axis=0) + ANTIPODAL_TOL
+    near = np.flatnonzero(np.linalg.norm(a + e[:, None], axis=0) <= reach)
+    a, b = a[:, near], b[:, near]
+    g, ea, eb, ab = _cross(a, b), e @ a, e @ b, _dot(a, b)
+    g_norm = np.linalg.norm(g, axis=0)
     on_step = np.flatnonzero((eb <= ab * ea) & (ea <= ab * eb) & (g_norm > 0.0))
-    s = np.abs(g[on_step] @ e) / g_norm[on_step]
+    s = np.abs(e @ g[:, on_step]) / g_norm[on_step]
     passes = 2.0 * np.sin(0.5 * np.arcsin(np.minimum(s, 1.0))) < ANTIPODAL_TOL
     return near[on_step[passes]]
 
 
 def reconstruct_spatial(
-    traj: Trajectory,
-    e=None,
-    antipodal_branch: int = 1,
-    include_oracle: bool = False,
+    traj: Trajectory, e=None, antipodal_branch: int = 1, include_oracle: bool = False
 ) -> ReconstructionReport:
     """Rotation angle of the projected first body over a spatial motion.
 
@@ -510,26 +522,27 @@ def reconstruct_spatial(
     if antipodal_branch not in (1, -1):
         raise ValueError("antipodal_branch must be +1 or -1")
     traj = traj.ensure_velocities()
-    momentum_vec = _momentum_vectors(traj)
-    if e is None:
-        j0 = momentum_vec[0]
-        e = j0 if np.linalg.norm(j0) > 0.0 else np.array([0.0, 0.0, 1.0])
-    e = _unit(e, "e")
     kernel = _locked_inertia(traj.positions, traj.masses)
-    normals = traj.normals
-    if normals is None:
-        normals = _track_normals(kernel, traj.times, e)
+    momentum = _momentum_vectors(traj.positions, traj.velocities, traj.masses)
+    if e is None:
+        e = momentum[:, 0] if np.linalg.norm(momentum[:, 0]) > 0.0 else np.array([0.0, 0.0, 1.0])
+    e = _unit(e, "e")
+    normals = _track_normals(kernel, traj.times, e) if traj.normals is None else traj.normals.T
     if np.any(kernel.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-    rate = _projected_rate(kernel.inverse(momentum_vec, kernel.inertia), normals, e)
+    rate = _projected_rate(kernel.inverse(momentum, kernel.inertia), normals, e)
+    measure, _ = _bad_set(kernel, momentum, traj.times, e)
+    points = kernel.shape_points(normals)
+    # last use of the inertia map's rows and of the momenta
+    del kernel, momentum
 
-    antipodal = np.linalg.norm(normals + e[None, :], axis=1) < ANTIPODAL_TOL
+    antipodal = np.linalg.norm(normals + e[:, None], axis=0) < ANTIPODAL_TOL
     runs = _runs(antipodal)
     if runs and (antipodal[0] or antipodal[-1]):
         raise ValueError("normal is antipodal to e at an endpoint: the projection is undefined")
     for run in runs:
         before, after = run[0] - 1, run[-1] + 1
-        if np.linalg.norm(normals[after] - normals[before]) < 1e-10:
+        if np.linalg.norm(normals[:, after] - normals[:, before]) < 1e-10:
             raise ValueError(
                 "normal stalls at -e instead of crossing it: the projected motion "
                 "cannot be continued"
@@ -544,25 +557,19 @@ def reconstruct_spatial(
 
     dyn = _quadrature(traj.times, rate) + 2.0 * np.pi * antipodal_branch * crossings
 
-    keep = ~antipodal
-    curve = ShapeCurve(traj.times[keep], kernel.shape_points(normals)[keep])
+    times, body1 = traj.times, traj.positions[:, 0].T
+    if runs:
+        keep = ~antipodal
+        times, body1 = times[keep], body1[:, keep]
+        points, normals = points[:, keep], normals[:, keep]
+    curve = ShapeCurve(times, points.T)
     area = swept_area(curve, C1_DIRECTION)
     oracle = None
     if include_oracle:
-        body1 = _project_positions(traj.positions[keep, :1], normals[keep], e)[:, 0]
-        oracle = _unwound_turn(body1, "q1")
+        oracle = _unwound_turn(_project_positions(body1, normals, e).T, "q1")
 
-    measure, _ = _bad_set(kernel, momentum_vec, traj.times, e)
     crossed = bool(curve.pole_crossings) or crossings > 0
-    return _report(
-        dyn,
-        2.0 * area,
-        oracle,
-        crossed,
-        traj.n_samples,
-        certified=bool(measure == 0.0),
-        bad=float(measure),
-    )
+    return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples, measure == 0.0, measure)
 
 
 def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTriple):
@@ -579,9 +586,6 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
     if _centroid_residuals(v, masses) > 1e-10:
         raise ValueError("velocity carries net linear momentum")
     q = config.as_array()
-    m = masses.as_array()
-    momentum = np.einsum("i,id->d", m, np.cross(q, v))
-    inertia = float(np.einsum("i,id,id->", m, q, q))
     kernel = _locked_inertia(q[None, :, :], masses)
     if kernel.collinear[0]:
         warnings.warn(
@@ -590,6 +594,6 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
             RuntimeWarning,
             stacklevel=2,
         )
-    w = kernel.inverse(momentum[None, :], inertia)[0]
-    v_rigid = np.cross(np.broadcast_to(w, (3, 3)), q)
+    w = kernel.inverse(_momentum_vectors(q[None], v[None], masses), kernel.inertia)[:, 0]
+    v_rigid = _cross(w, q.T).T
     return v_rigid, v - v_rigid

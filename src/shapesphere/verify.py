@@ -32,11 +32,7 @@ from .shape_core import (
     ShapePoint,
     _recenter,
 )
-from .spatial import (
-    _locked_inertia,
-    _projected_rate,
-    reconstruct_spatial,
-)
+from .spatial import _locked_inertia, _projected_rate, reconstruct_spatial
 from .trajectory import (
     Trajectory,
     apply_rotation_profile,
@@ -537,11 +533,11 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
     # batch; each normal is oriented into the e hemisphere, as normal
     # tracking does, and a spun normal keeps the side of the one it spins
     kernel = _locked_inertia(np.concatenate([states, spun]), masses)
-    normals = kernel.normal / np.linalg.norm(kernel.normal, axis=1, keepdims=True)
-    side = np.where(np.einsum("nd,nd->n", normals[:count], axes) < 0.0, -1.0, 1.0)
-    normals *= np.concatenate([side, side])[:, None]
-    w = kernel.inverse(np.concatenate([momenta, momenta]), kernel.inertia)
-    rate = _projected_rate(w, normals, np.concatenate([axes, axes]))
+    normals = kernel.normal / np.linalg.norm(kernel.normal, axis=0)
+    side = np.where(np.einsum("dn,nd->n", normals[:, :count], axes) < 0.0, -1.0, 1.0)
+    normals *= np.concatenate([side, side])
+    w = kernel.inverse(np.concatenate([momenta, momenta]).T, kernel.inertia)
+    rate = _projected_rate(w, normals, np.concatenate([axes, axes]).T)
     return float(np.max(np.abs(rate[count:] - rate[:count])))
 
 
@@ -559,12 +555,8 @@ def negative_control_reports(n: int = 2001):
     about_e = generate(
         "rigid_rotation", masses=masses, config=raw, rate=omega, duration=duration, samples=n, axis=e
     )
-    normals_e = np.einsum(
-        "nab,b->na", rotation_matrices(e, omega * about_e.times), normal
-    )
-    about_e = Trajectory(
-        masses, about_e.times, about_e.positions, about_e.velocities, normals_e
-    )
+    normals_e = np.einsum("nab,b->na", rotation_matrices(e, omega * about_e.times), normal)
+    about_e = Trajectory(masses, about_e.times, about_e.positions, about_e.velocities, normals_e)
 
     about_n = generate(
         "rigid_rotation",
@@ -576,9 +568,7 @@ def negative_control_reports(n: int = 2001):
         axis=normal,
     )
     normals_n = np.tile(normal, (n, 1))
-    about_n = Trajectory(
-        masses, about_n.times, about_n.positions, about_n.velocities, normals_n
-    )
+    about_n = Trajectory(masses, about_n.times, about_n.positions, about_n.velocities, normals_n)
 
     report_e = reconstruct_spatial(about_e, e=e, include_oracle=True)
     report_n = reconstruct_spatial(about_n, e=e, include_oracle=True)

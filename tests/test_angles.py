@@ -63,7 +63,7 @@ class TestUnwrapHeld:
             axis=np.array([0.3, 0.1, 1.0]),
         )
         e = np.array([0.0, 0.0, 1.0])
-        points = _locked_inertia(motion.positions, masses).shape_points(normal_track(motion, e))
+        points = _locked_inertia(motion.positions, masses).shape_points(normal_track(motion, e).T).T
         curve = ShapeCurve.from_points(motion.times, points)
         raw = np.arctan2(curve.points[:, 2], curve.points[:, 1])
         assert curve.unwound_xi[-1] - curve.unwound_xi[0] == 0.0

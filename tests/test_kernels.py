@@ -212,12 +212,12 @@ class TestProjectedRate:
         q = rng.standard_normal((50, 3, 3))
         q -= (masses.as_array() @ q)[:, None, :] / masses.M
         kernel = _locked_inertia(q, masses)
-        normals = kernel.normal / np.linalg.norm(kernel.normal, axis=1)[:, None]
+        normals = kernel.normal.T / np.linalg.norm(kernel.normal.T, axis=1)[:, None]
         axes = rng.standard_normal((50, 3))
         axes /= np.linalg.norm(axes, axis=1)[:, None]
         axes[0] = normals[0]  # the aligned branch
         momenta = rng.standard_normal((50, 3))
-        batched = _projected_rate(kernel.inverse(momenta, kernel.inertia), normals, axes)
+        batched = _projected_rate(kernel.inverse(momenta.T, kernel.inertia), normals.T, axes.T)
         for k in range(50):
             state = oriented_state(SpatialConfiguration(*q[k]), normals[k], axes[k])
             single = F_of_J(state, momenta[k], kernel.inertia[k], masses)

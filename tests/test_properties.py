@@ -6,7 +6,8 @@ shift of the time grid and a swap of bodies 2 and 3 (with their masses),
 and time reversal negates the raw total.  Spatial reports of the same
 motions, embedded and wobbled about a tilted axis as in verify's wobble
 cases, keep total_mod_2pi, pole_crossed and certified under a time shift
-and a global rotation of positions, velocities and e.
+and a global rotation of positions, velocities and e.  A spinning collinear
+passage is uncertified on every grid, wherever its samples fall.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from shapesphere import (
     Trajectory,
     apply_rotation_profile,
+    bad_set_measure,
     derive_masses,
     embed_planar,
     generate,
@@ -156,3 +158,50 @@ class TestSpatialInvariance:
             traj.masses, traj.times, traj.positions @ rot.T, traj.velocities @ rot.T
         )
         assert_same_spatial(traj, E3, turned, rot @ E3)
+
+
+def collinear_passage(samples, phase=0.0, omega=0.7) -> Trajectory:
+    """Masses 1, 1, 1: body 1 at (0.3, t - 0.5, 0) crosses the line of bodies
+    2 and 3 at (-1, 0, 0) and (1, 0, 0) at t = 0.5, while the triangle turns
+    about the third axis at omega.  The grid has step 1 / (samples - 1) and
+    starts phase steps after t = 0."""
+    t = (np.arange(samples) + phase) / (samples - 1)
+    q = np.zeros((samples, 3, 3))
+    q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 2, 0] = 0.3, t - 0.5, -1.0, 1.0
+    v = np.zeros((samples, 3, 3))
+    v[:, 0, 1] = 1.0
+    turn = rotation_matrices([0.0, 0.0, 1.0], omega * t)
+    q = np.einsum("nab,nib->nia", turn, q)
+    v = np.einsum("nab,nib->nia", turn, v) + np.cross([0.0, 0.0, omega], q)
+    return Trajectory.from_samples(derive_masses(1.0, 1.0, 1.0), t, q, v)
+
+
+PASSAGE_E = np.array([0.3, -0.2, 1.0])
+
+
+class TestCollinearPassage:
+    @pytest.mark.parametrize("samples", [1000, 1001, 10_000, 10_001])
+    def test_uncertified_on_every_grid(self, samples):
+        # odd counts land a sample on the passage, even ones step across it
+        traj = collinear_passage(samples)
+        report = reconstruct_spatial(traj, e=PASSAGE_E, include_oracle=True)
+        assert report.certified is False and report.bad_set_measure > 0.0
+        _, intervals = bad_set_measure(traj, PASSAGE_E)
+        assert any(start <= 0.5 <= end for start, end in intervals)
+        assert abs(wrap_angle(report.total - report.oracle)) <= 1e-5
+
+    @pytest.mark.parametrize("samples", [1000, 1001, 10_000, 10_001])
+    def test_axis_orthogonal_to_e_stays_certified(self, samples):
+        # the line turns in the plane orthogonal to e, where the formula holds
+        report = reconstruct_spatial(collinear_passage(samples), e=E3)
+        assert report.certified is True and report.bad_set_measure == 0.0
+
+    @PROPERTY_SETTINGS
+    @given(half=st.integers(200, 2000), phase=st.floats(0.0, 1.0), offset=st.floats(-5.0, 5.0))
+    @example(half=500, phase=0.0, offset=0.0)
+    def test_grid_and_time_shift(self, half, phase, offset):
+        for samples in (2 * half, 2 * half + 1):
+            traj = collinear_passage(samples, phase)
+            shifted = Trajectory(traj.masses, traj.times + offset, traj.positions, traj.velocities)
+            assert_same_spatial(traj, PASSAGE_E, shifted, PASSAGE_E)
+            assert reconstruct_spatial(traj, e=PASSAGE_E).certified is False

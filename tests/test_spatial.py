@@ -35,7 +35,9 @@ from shapesphere.planar import shape_curve
 from shapesphere.spatial import (
     COLLINEAR_EIG_TOL,
     _locked_inertia,
+    _momentum_vectors,
     _project_positions,
+    _projected_rate,
     _steps_pass_antipode,
 )
 from shapesphere.trajectory import apply_rotation_profile, rotation_matrices
@@ -339,6 +341,15 @@ class TestNormalTrack:
         flipped = normal_track(spatial, initial_sign=-1)
         assert np.allclose(flipped, [0.0, 0.0, -1.0], atol=1e-14)
 
+    @pytest.mark.parametrize("sign", [0, 0.5, 2, np.nan, "up"])
+    def test_initial_sign_must_be_plus_or_minus_one(self, sign):
+        # 0 used to scale every normal to zero and nan to nan
+        base = generate("random_smooth", masses=M111, seed=2, duration=1.0, samples=51)
+        spatial = embed_planar(base)
+        with pytest.raises(ValueError, match="initial_sign"):
+            normal_track(spatial, initial_sign=sign)
+        assert np.allclose(normal_track(spatial, initial_sign=1), [0.0, 0.0, 1.0], atol=1e-14)
+
 
 class TestBadSet:
     def test_triangular_motion_is_clean(self):
@@ -581,9 +592,9 @@ class TestLockedInertiaKernel:
         if abs(eig[0] - COLLINEAR_EIG_TOL * trace) > 1e-12 * trace:
             assert kernel.collinear[0] == (eig[0] < COLLINEAR_EIG_TOL * trace)
         if eig[1] - eig[0] > 1e-3 * trace:
-            assert abs(kernel.axis()[0] @ vec[:, 0]) == pytest.approx(1.0, abs=1e-9)
+            assert abs(kernel.axis().T[0] @ vec[:, 0]) == pytest.approx(1.0, abs=1e-9)
         J = rng.uniform(-2, 2, size=3)
-        w = kernel.inverse(J[None], kernel.inertia)[0]
+        w = kernel.inverse(J[None].T, kernel.inertia).T[0]
         if kernel.collinear[0]:
             assert np.array_equal(w, J / kernel.inertia[0])
         else:
@@ -603,11 +614,11 @@ class TestLockedInertiaKernel:
             smallest = kernel.smallest[0]
             assert 0.0 < smallest and abs(smallest - eig[0]) <= 1e-14 * trace
             assert kernel.collinear[0] == (eig[0] < COLLINEAR_EIG_TOL * trace)
-            axis = kernel.axis()[0]
+            axis = kernel.axis().T[0]
             assert abs(axis @ vec[:, 0]) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(sigma @ axis) <= smallest + 1e-14 * trace
             J = rng.uniform(-2, 2, size=3)
-            w = kernel.inverse(J[None], kernel.inertia)[0]
+            w = kernel.inverse(J[None].T, kernel.inertia).T[0]
             if kernel.collinear[0]:
                 assert np.array_equal(w, J / kernel.inertia[0])
             else:
@@ -625,9 +636,9 @@ class TestLockedInertiaKernel:
             assert kernel.collinear[0]
             assert 0.0 <= kernel.smallest[0] <= 1e-14 * trace
             assert np.linalg.eigvalsh(sigma)[0] < COLLINEAR_EIG_TOL * trace
-            assert abs(kernel.axis()[0] @ line) == pytest.approx(1.0, abs=1e-14)
+            assert abs(kernel.axis().T[0] @ line) == pytest.approx(1.0, abs=1e-14)
             J = rng.uniform(-2, 2, size=3)
-            assert np.array_equal(kernel.inverse(J[None], 1.7)[0], J / 1.7)
+            assert np.array_equal(kernel.inverse(J[None].T, 1.7).T[0], J / 1.7)
 
     @pytest.mark.parametrize(
         "offsets",
@@ -638,8 +649,8 @@ class TestLockedInertiaKernel:
         q = centered_spatial(M111, np.outer(offsets, line)).as_array()
         kernel = _locked_inertia(q[None], M111)
         assert kernel.collinear[0]
-        assert abs(kernel.axis()[0] @ line) == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(dense_sigma(q, M111) @ kernel.axis()[0], 0.0, atol=1e-14)
+        assert abs(kernel.axis().T[0] @ line) == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(dense_sigma(q, M111) @ kernel.axis().T[0], 0.0, atol=1e-14)
 
     def test_triple_collision_is_not_collinear(self):
         kernel = _locked_inertia(np.zeros((1, 3, 3)), M111)
@@ -663,10 +674,108 @@ class TestLockedInertiaKernel:
         for motion in motions:
             normals = normal_track(motion, e)
             assert np.min(np.linalg.norm(normals + e, axis=1)) > 1e-3
-            projected = _project_positions(motion.positions, normals, e)
+            projected = _project_positions(motion.positions.T, normals.T, e).T
             view = shape_curve(Trajectory(motion.masses, motion.times, projected))
             kernel = _locked_inertia(motion.positions, motion.masses)
-            assert np.max(np.abs(kernel.shape_points(normals) - view.points)) <= 1e-12
+            assert np.max(np.abs(kernel.shape_points(normals.T).T - view.points)) <= 1e-12
+
+
+def rotation_to(n, e):
+    """Rotation about n x e taking the unit vector n to e, as a matrix."""
+    axis = np.cross(n, e)
+    sin_phi = np.linalg.norm(axis)
+    if sin_phi <= 1e-10:
+        return np.eye(3)
+    k = axis / sin_phi
+    K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + sin_phi * K + (1.0 - n @ e) * (K @ K)
+
+
+def sample_batch(masses, rng, count=60):
+    """Centered samples with momentum-free velocities: generic triangles, ten
+    exactly collinear rows and ten near-collinear ones."""
+    q = rng.standard_normal((count, 3, 3))
+    for k in range(10):
+        q[k] = near_collinear(masses, rng, 0.0)[0]
+    for k, eps in zip(range(10, 20), np.logspace(-1, -9, 10)):
+        q[k] = near_collinear(masses, rng, eps)[0]
+    m = masses.as_array()
+    q -= (m @ q)[:, None, :] / masses.M
+    v = rng.standard_normal((count, 3, 3))
+    v -= (m @ v)[:, None, :] / masses.M
+    return q, v
+
+
+class TestComponentRowsAgainstBodies:
+    """The (3, n) row kernels against body-by-body linear algebra: np.cross,
+    dense_sigma with np.linalg.solve and explicit rotation matrices."""
+
+    @pytest.mark.parametrize("masses", [M111, M123])
+    def test_momentum_vectors(self, masses):
+        q, v = sample_batch(masses, np.random.default_rng(21))
+        rows = _momentum_vectors(q, v, masses)
+        assert rows.shape == (3, q.shape[0]) and rows.flags.c_contiguous
+        m = masses.as_array()
+        for k in range(q.shape[0]):
+            expected = sum(m[i] * np.cross(q[k, i], v[k, i]) for i in range(3))
+            scale = sum(m[i] * np.linalg.norm(q[k, i]) * np.linalg.norm(v[k, i]) for i in range(3))
+            assert np.linalg.norm(rows[:, k] - expected) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("masses", [M111, M123])
+    def test_inverse_and_projected_rate(self, masses):
+        rng = np.random.default_rng(22)
+        q, v = sample_batch(masses, rng)
+        kernel = _locked_inertia(q, masses)
+        momenta = _momentum_vectors(q, v, masses)
+        w = kernel.inverse(momenta, kernel.inertia)
+        e = rng.standard_normal(3)
+        e /= np.linalg.norm(e)
+        normals = rng.standard_normal((q.shape[0], 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        normals[normals @ e < -0.9] *= -1.0  # away from the antipode
+        rate = _projected_rate(w, np.ascontiguousarray(normals.T), e)
+        for k in range(q.shape[0]):
+            sigma = dense_sigma(q[k], masses)
+            trace = np.trace(sigma)
+            if kernel.collinear[k]:
+                expected = momenta[:, k] / (0.5 * trace)
+                assert np.linalg.norm(w[:, k] - expected) <= 1e-12 * np.linalg.norm(expected)
+            else:
+                expected = np.linalg.solve(sigma, momenta[:, k])
+                condition = trace / np.linalg.eigvalsh(sigma)[0]
+                bound = 1e-12 + 1e-15 * condition
+                assert np.linalg.norm(w[:, k] - expected) <= bound * np.linalg.norm(expected)
+            _, sigma_e, sigma_n = decompose_e_n(w[:, k], e, normals[k])
+            assert rate[k] == pytest.approx(sigma_e + sigma_n, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("masses", [M111, M123])
+    def test_shape_points_and_oracle_projection(self, masses):
+        rng = np.random.default_rng(23)
+        q, _ = sample_batch(masses, rng)
+        kernel = _locked_inertia(q, masses)
+        e = rng.standard_normal(3)
+        e /= np.linalg.norm(e)
+        # each sample's own normal, on a random side; collinear rows take any
+        # direction across their line
+        normals = np.empty((q.shape[0], 3))
+        for k in range(q.shape[0]):
+            n = kernel.normal[:, k]
+            if not np.linalg.norm(n) > 1e-9 * kernel.inertia[k]:
+                n = np.cross(q[k, 2] - q[k, 1], rng.standard_normal(3))
+            normals[k] = rng.choice([-1.0, 1.0]) * n / np.linalg.norm(n)
+        normals[:2] = [e, e + np.array([1e-12, 0.0, 0.0])]  # q is kept as is there
+        points = kernel.shape_points(np.ascontiguousarray(normals.T))
+        body1 = _project_positions(q[:, 0].T, np.ascontiguousarray(normals.T), e)
+        u1, u2 = plane_basis(e)
+        for k in range(2, q.shape[0]):
+            turned = q[k] @ rotation_to(normals[k], e).T
+            flat = PlanarConfiguration(*(turned @ np.column_stack([u1, u2])))
+            expected = normalize_shape(shape_map(jacobi(flat, masses)))
+            assert np.max(np.abs(points[:, k] - [expected.w1, expected.w2, expected.w3])) <= 1e-12
+            scale = np.linalg.norm(q[k, 0])
+            assert np.max(np.abs(body1[:, k] - flat.q1)) <= 1e-12 * scale
+        for k in range(2):
+            assert np.array_equal(body1[:, k], [q[k, 0] @ u1, q[k, 0] @ u2])
 
 
 class TestAntipodalBetweenSamples:
@@ -737,5 +846,5 @@ class TestAntipodalBetweenSamples:
     def test_between_sample_crossing_is_one_step(self, samples):
         traj = self.full_turn(samples)
         normals = normal_track(traj, np.array([0.0, 0.0, 1.0]))
-        steps = _steps_pass_antipode(normals, np.array([0.0, 0.0, 1.0]))
+        steps = _steps_pass_antipode(normals.T, np.array([0.0, 0.0, 1.0]))
         assert steps.tolist() == [samples // 2 - 1]
