@@ -118,7 +118,10 @@ def cmd_reconstruct(args) -> int:
     elif args.target == "Z1":
         report = reconstruct_Z1(traj, include_oracle=args.with_oracle)
     else:
-        e = [float(p) for p in args.e.split(",")] if args.e else None
+        try:
+            e = [float(p) for p in args.e.split(",")] if args.e else None
+        except ValueError as exc:
+            raise ParseError(f"--e expects comma separated numbers: {exc}") from exc
         report = reconstruct_spatial(
             traj, e=e, antipodal_branch=args.branch, include_oracle=args.with_oracle
         )

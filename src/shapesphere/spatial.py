@@ -38,6 +38,7 @@ from .shape_core import (
     SpatialConfiguration,
     _centroid_residuals,
     _jacobi_vectors,
+    _require_centered,
     _unit,
 )
 from .trajectory import Trajectory
@@ -401,7 +402,7 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
     if units.shape[1] > 1:
         dots = _dot(units[:, 1:], units[:, :-1])
         units[:, 1:] *= np.cumprod(np.where(dots >= 0.0, 1.0, -1.0))
-    reference = np.array([0.0, 0.0, 1.0]) if e is None else np.asarray(e, dtype=float)
+    reference = np.array([0.0, 0.0, 1.0]) if e is None else _unit(e, "e")
     if initial_sign is not None:
         units *= initial_sign
     elif reference @ units[:, 0] < 0.0:
@@ -421,10 +422,10 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
     return out
 
 
-def _momentum_vectors(q: np.ndarray, v: np.ndarray, masses: MassTriple) -> np.ndarray:
-    """Angular momenta (3, n), sum_i m_i q_i x v_i, of samples q, v (n, 3, 3)."""
-    m = masses.as_array()
-    return sum(m[i] * _cross(q.T[:, i], v.T[:, i]) for i in range(3))
+def _momentum_vectors(kernel: _LockedInertia, v: np.ndarray, masses: MassTriple) -> np.ndarray:
+    """Angular momenta (3, n) xi1 x eta1 + xi2 x eta2, eta the Jacobi rows of velocities v
+    (n, 3, 3); the Jacobi map is orthogonal, so on centered samples this is sum_i m_i q_i x v_i."""
+    return sum(map(_cross, (kernel.xi1, kernel.xi2), _jacobi_vectors(v.T, masses)))
 
 
 def _bad_set(kernel: _LockedInertia, momentum, times, e) -> tuple[float, list]:
@@ -464,8 +465,8 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
     traj = traj.ensure_velocities()
     if traj.dim != 3:
         raise ValueError("bad_set_measure expects a spatial trajectory")
-    momentum = _momentum_vectors(traj.positions, traj.velocities, traj.masses)
-    return _bad_set(_locked_inertia(traj.positions, traj.masses), momentum, traj.times, e)
+    kernel = _locked_inertia(traj.positions, traj.masses)
+    return _bad_set(kernel, _momentum_vectors(kernel, traj.velocities, traj.masses), traj.times, e)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -523,7 +524,7 @@ def reconstruct_spatial(
         raise ValueError("antipodal_branch must be +1 or -1")
     traj = traj.ensure_velocities()
     kernel = _locked_inertia(traj.positions, traj.masses)
-    momentum = _momentum_vectors(traj.positions, traj.velocities, traj.masses)
+    momentum = _momentum_vectors(kernel, traj.velocities, traj.masses)
     if e is None:
         e = momentum[:, 0] if np.linalg.norm(momentum[:, 0]) > 0.0 else np.array([0.0, 0.0, 1.0])
     e = _unit(e, "e")
@@ -577,6 +578,7 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
 
     v_R,i = w x q_i with w = sigma^{-1}(J); the remainder v_I carries no
     linear momentum and, on triangular configurations, no angular momentum.
+    The configuration must be centered and the velocity free of net momentum.
     Collinear configurations fall back to the J/I convention, with a
     warning, and then v_I may retain angular momentum.
     """
@@ -585,6 +587,7 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
         raise ValueError("velocity must be a finite (3, 3) array, one row per body")
     if _centroid_residuals(v, masses) > 1e-10:
         raise ValueError("velocity carries net linear momentum")
+    _require_centered(config, masses)
     q = config.as_array()
     kernel = _locked_inertia(q[None, :, :], masses)
     if kernel.collinear[0]:
@@ -594,6 +597,6 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
             RuntimeWarning,
             stacklevel=2,
         )
-    w = kernel.inverse(_momentum_vectors(q[None], v[None], masses), kernel.inertia)[:, 0]
+    w = kernel.inverse(_momentum_vectors(kernel, v[None], masses), kernel.inertia)[:, 0]
     v_rigid = _cross(w, q.T).T
     return v_rigid, v - v_rigid

@@ -193,6 +193,19 @@ class TestReconstruct:
         assert captured.out == ""
         assert "error: e must be" in captured.err
 
+    @pytest.mark.parametrize("axis", ["1,a,2", "1,,2", "x"])
+    def test_non_numeric_axis_exits_2(self, tmp_path, capsys, axis):
+        # a component that is not a number is a parse error, as in --masses
+        from shapesphere import embed_planar
+
+        base = generate("random_smooth", masses=M111, seed=5, duration=1.0, samples=101)
+        src = tmp_path / "spatial.json"
+        src.write_text(serialize(embed_planar(base), "json"))
+        assert main(["reconstruct", str(src), "--target", "spatial", "--e", axis]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--e expects comma separated numbers" in captured.err
+
     @pytest.mark.parametrize(
         "doc, message",
         [

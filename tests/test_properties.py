@@ -6,9 +6,14 @@ shift of the time grid and a swap of bodies 2 and 3 (with their masses),
 and time reversal negates the raw total.  Spatial reports of the same
 motions, embedded and wobbled about a tilted axis as in verify's wobble
 cases, keep total_mod_2pi, pole_crossed and certified under a time shift
-and a global rotation of positions, velocities and e.  A spinning collinear
-passage is uncertified on every grid, wherever its samples fall.
+and a global rotation of positions, velocities and e.  Resampling either
+kind onto a grid of 600 to 3000 samples keeps pole_crossed and certified
+and moves the total by no more than the two reports' errors against the
+oracle.  A spinning collinear passage is uncertified on every grid,
+wherever its samples fall.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from shapesphere import (
     reconstruct_q1,
     reconstruct_spatial,
     reconstruct_Z1,
+    resample,
 )
 from shapesphere.angles import wrap_angle
 from shapesphere.trajectory import rotation_matrices
@@ -158,6 +164,35 @@ class TestSpatialInvariance:
             traj.masses, traj.times, traj.positions @ rot.T, traj.velocities @ rot.T
         )
         assert_same_spatial(traj, E3, turned, rot @ E3)
+
+
+def assert_resampling_within_errors(reconstruct, original, resampled):
+    """Resampling changes a total by no more than the two reports' errors
+    against the oracle, and keeps pole_crossed and certified."""
+    a = reconstruct(original, include_oracle=True)
+    b = reconstruct(resampled, include_oracle=True)
+    assert b.pole_crossed == a.pole_crossed
+    assert b.certified == a.certified
+    bound = abs(a.total - a.oracle) + abs(b.total - b.oracle) + 1e-12
+    assert abs(b.total - a.total) <= bound
+
+
+@pytest.mark.parametrize("target", ["q1", "Z1"])
+@PROPERTY_SETTINGS
+@given(case=MOTIONS, parity=st.integers(0, 1), samples=st.integers(600, 3000))
+def test_planar_resampling(target, case, parity, samples):
+    traj = motion(case, parity)
+    assert_resampling_within_errors(RECONSTRUCT[target], traj, resample(traj, samples))
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=MOTIONS, parity=st.integers(0, 1), profile=WOBBLES, samples=st.integers(600, 3000)
+)
+def test_spatial_resampling(case, parity, profile, samples):
+    traj = wobble(case, parity, profile)
+    reconstruct = partial(reconstruct_spatial, e=E3)
+    assert_resampling_within_errors(reconstruct, traj, resample(traj, samples))
 
 
 def collinear_passage(samples, phase=0.0, omega=0.7) -> Trajectory:

@@ -32,6 +32,7 @@ from shapesphere import (
 )
 from shapesphere.angles import wrap_angle
 from shapesphere.planar import shape_curve
+from shapesphere.shape_core import _jacobi_vectors
 from shapesphere.spatial import (
     COLLINEAR_EIG_TOL,
     _locked_inertia,
@@ -350,6 +351,20 @@ class TestNormalTrack:
             normal_track(spatial, initial_sign=sign)
         assert np.allclose(normal_track(spatial, initial_sign=1), [0.0, 0.0, 1.0], atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "e", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 1.0], [1.0, 2.0], [0, 0, 1, 0]]
+    )
+    def test_reference_axis_is_validated(self, e):
+        # e decides the sign of the first normal, so it must be a usable axis
+        base = generate("random_smooth", masses=M111, seed=2, duration=1.0, samples=51)
+        with pytest.raises(ValueError, match="e must be a finite nonzero 3-vector"):
+            normal_track(embed_planar(base), e=e)
+
+    def test_reference_axis_need_not_be_unit(self):
+        base = generate("random_smooth", masses=M111, seed=2, duration=1.0, samples=51)
+        spatial = embed_planar(base)
+        assert np.allclose(normal_track(spatial, e=[0.0, 0.0, -5.0]), [0.0, 0.0, -1.0], atol=1e-14)
+
 
 class TestBadSet:
     def test_triangular_motion_is_clean(self):
@@ -426,6 +441,20 @@ class TestVelocityDecompose:
             linear = np.einsum("i,id->d", m, v_internal)
             assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(v))
             assert np.linalg.norm(linear) <= 1e-10
+
+    def test_uncentered_configuration_rejected(self):
+        # v_R = w x q_i holds for positions about the centroid; on shifted
+        # ones the internal part would carry net linear momentum
+        rng = np.random.default_rng(15)
+        m = M123.as_array()
+        cfg = centered_spatial(M123, rng.standard_normal((3, 3)))
+        v = rng.standard_normal((3, 3))
+        v -= (m @ v) / M123.M
+        _, v_internal = velocity_decompose(cfg, v, M123)
+        assert np.linalg.norm(m @ v_internal) <= 1e-12
+        shifted = SpatialConfiguration(*(cfg.as_array() + 5.0))
+        with pytest.raises(ValueError, match="not centered"):
+            velocity_decompose(shifted, v, M123)
 
     def test_collinear_warns(self):
         cfg = centered_spatial(M111, [[0, 0, -1.0], [0, 0, 0.2], [0, 0, 0.8]])
@@ -548,6 +577,29 @@ class TestReconstructSpatial:
             )
             rep = reconstruct_spatial(prefix, e=e, include_oracle=True)
             assert abs(rep.total - rep.oracle) <= 1e-5, stop
+
+    def test_positions_and_velocities_mapped_once(self, monkeypatch):
+        import shapesphere.spatial as spatial
+
+        calls = []
+
+        def counting(rows, masses):
+            calls.append(rows)
+            return _jacobi_vectors(rows, masses)
+
+        monkeypatch.setattr(spatial, "_jacobi_vectors", counting)
+        traj = spatial_motion_cases(2001, 1)[1][1]
+        reconstruct_spatial(traj, include_oracle=True)
+        assert len(calls) == 2
+        assert np.shares_memory(calls[0], traj.positions)
+        assert np.shares_memory(calls[1], traj.velocities)
+
+    def test_momentum_matches_planar_formula_exactly(self):
+        # both paths read J off the Jacobi pair, so an embedded planar motion
+        # gets the planar total to the last bit
+        base = generate("random_smooth", masses=M123, seed=31, duration=2.0, samples=2001)
+        e = np.array([0.0, 0.0, 1.0])
+        assert reconstruct_spatial(embed_planar(base), e=e).total == reconstruct_q1(base).total
 
     def test_velocity_free_input_uses_differences(self):
         base = generate("random_smooth", masses=M111, seed=41, duration=2.0, samples=3001)
@@ -713,7 +765,7 @@ class TestComponentRowsAgainstBodies:
     @pytest.mark.parametrize("masses", [M111, M123])
     def test_momentum_vectors(self, masses):
         q, v = sample_batch(masses, np.random.default_rng(21))
-        rows = _momentum_vectors(q, v, masses)
+        rows = _momentum_vectors(_locked_inertia(q, masses), v, masses)
         assert rows.shape == (3, q.shape[0]) and rows.flags.c_contiguous
         m = masses.as_array()
         for k in range(q.shape[0]):
@@ -726,7 +778,7 @@ class TestComponentRowsAgainstBodies:
         rng = np.random.default_rng(22)
         q, v = sample_batch(masses, rng)
         kernel = _locked_inertia(q, masses)
-        momenta = _momentum_vectors(q, v, masses)
+        momenta = _momentum_vectors(kernel, v, masses)
         w = kernel.inverse(momenta, kernel.inertia)
         e = rng.standard_normal(3)
         e /= np.linalg.norm(e)
