@@ -119,7 +119,7 @@ def cmd_reconstruct(args) -> int:
         report = reconstruct_Z1(traj, include_oracle=args.with_oracle)
     else:
         try:
-            e = [float(p) for p in args.e.split(",")] if args.e else None
+            e = [float(p) for p in args.e.split(",")] if args.e is not None else None
         except ValueError as exc:
             raise ParseError(f"--e expects comma separated numbers: {exc}") from exc
         report = reconstruct_spatial(
@@ -178,7 +178,10 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("SHAPESPHERE_SEED", "0"))
+        try:
+            seed = int(os.environ.get("SHAPESPHERE_SEED", "0"))
+        except ValueError as exc:
+            raise ParseError(f"SHAPESPHERE_SEED must be an integer: {exc}") from exc
     report = run_suite(args.suite, n=args.n, seed=seed, timing=args.timing)
     _write(args.out, _report_json(report))
     failures = report["summary"]["failures"]

@@ -383,6 +383,24 @@ def _collinear_ratio(mj: float, mi: float, mk: float) -> float:
     )
 
 
+def _euler_angle(masses: MassTriple, i: int) -> float:
+    """Equator angle in [0, 2 pi) of the Euler point with body i in the middle.
+
+    The bodies sit at 0, 1 and 1 + ratio on the real axis, so the Jacobi
+    pair is real and its normalized shape point is
+    (cos 2 theta, sin 2 theta, 0) / 2 with theta = atan2(Z2, Z1).
+    """
+    if i not in (1, 2, 3):
+        raise ValueError(f"central body index must be 1, 2 or 3, got {i!r}")
+    j, k = (b for b in (1, 2, 3) if b != i)
+    m = masses.as_array()
+    x = np.zeros((1, 3))
+    x[0, i - 1] = 1.0
+    x[0, k - 1] = 1.0 + _collinear_ratio(m[j - 1], m[i - 1], m[k - 1])
+    Z1, Z2 = _jacobi_vectors(x, masses)
+    return float(2.0 * np.arctan2(Z2[0], Z1[0]) % TWO_PI)
+
+
 def euler_collinear_point(masses: MassTriple, i: int) -> ShapePoint:
     """Normalized shape point of the collinear central configuration with
     body i between the other two.
@@ -391,19 +409,8 @@ def euler_collinear_point(masses: MassTriple, i: int) -> ShapePoint:
     the acceleration be an affine function of position along the line; the
     condition has exactly one positive root, found by bracketing.
     """
-    if i not in (1, 2, 3):
-        raise ValueError(f"central body index must be 1, 2 or 3, got {i!r}")
-    j, k = (b for b in (1, 2, 3) if b != i)
-    m = masses.as_array()
-    ratio = _collinear_ratio(m[j - 1], m[i - 1], m[k - 1])
-
-    positions = np.zeros((3, 2))
-    positions[j - 1, 0] = 0.0
-    positions[i - 1, 0] = 1.0
-    positions[k - 1, 0] = 1.0 + ratio
-    _recenter(positions, masses)
-    config = PlanarConfiguration(positions[0], positions[1], positions[2])
-    return normalize_shape(shape_map(jacobi(config, masses)))
+    theta = _euler_angle(masses, i)
+    return ShapePoint(0.5 * np.cos(theta), 0.5 * np.sin(theta), 0.0, 0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,7 +443,7 @@ def atlas(masses: MassTriple) -> MarkedAtlas:
     is 2 alpha1 and from C2 back to C1 is 2 alpha3, giving the ordering
     C1, O2, C3, O1, C2, O3.  L1 is the projected equilateral configuration
     with counterclockwise labels, L2 its mirror below the collinear plane,
-    and P1/P2 the poles of maximal triangle area.
+    and P1/P2 the poles of maximal triangle area; beta = atan2(w3, w2) at L1.
     """
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     a1 = float(np.arccos(np.sqrt(m2 * m3 / ((m2 + m1) * (m3 + m1)))))
@@ -450,28 +457,26 @@ def atlas(masses: MassTriple) -> MarkedAtlas:
         "C1": np.pi,
         "O2": 2.0 * (a1 + a2),
         "C3": np.pi + 2.0 * a2,
+        "E1": _euler_angle(masses, 1),
+        "E2": _euler_angle(masses, 2),
+        "E3": _euler_angle(masses, 3),
     }
 
-    points = {}
-    for name, theta in angles.items():
-        points[name] = np.array([0.5 * np.cos(theta), 0.5 * np.sin(theta), 0.0])
+    points = {
+        name: np.array([0.5 * np.cos(theta), 0.5 * np.sin(theta), 0.0])
+        for name, theta in angles.items()
+    }
 
-    for i in (1, 2, 3):
-        e_point = euler_collinear_point(masses, i)
-        points[f"E{i}"] = e_point.vec()
-        angles[f"E{i}"] = float(np.arctan2(e_point.w2, e_point.w1) % TWO_PI)
-
-    lagrange_pair = jacobi(equilateral_configuration(masses), masses)
-    l1 = normalize_shape(shape_map(lagrange_pair)).vec()
-    points["L1"] = l1
-    points["L2"] = l1 * np.array([1.0, 1.0, -1.0])
+    Z1, Z2 = _jacobi_vectors(np.array([[0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)]]), masses)
+    w1, w2, w3, w4 = shape_series(Z1, Z2)[0]
+    points["L1"] = np.array([w1, w2, w3]) * (0.5 / w4)
+    points["L2"] = points["L1"] * np.array([1.0, 1.0, -1.0])
     points["P1"] = np.array([0.0, 0.0, 0.5])
     points["P2"] = np.array([0.0, 0.0, -0.5])
-    beta = chart_angles(lagrange_pair).xi
 
     return MarkedAtlas(
         alpha=np.array([a1, a2, a3]),
-        beta=float(beta),
+        beta=float(np.arctan2(w3, w2)),
         points=points,
         equator_angles={k: float(v) for k, v in angles.items()},
     )

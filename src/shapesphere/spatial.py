@@ -18,7 +18,7 @@ loop over the samples; reconstruct_spatial drops rows after their last use.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -79,20 +79,22 @@ class SigmaTensor:
 
     matrix is sum_i m_i (|q_i|^2 Id - q_i q_i^T), symmetric positive
     semidefinite with trace 2I; it is singular exactly at collinear
-    configurations, where axis carries the kernel direction.
+    configurations, where axis carries the kernel direction.  The trace,
+    the collinear flag and the inverse come from its 1-sample kernel.
     """
 
     matrix: np.ndarray
     smallest_eigenvalue: float
     axis: Optional[np.ndarray]
+    _kernel: _LockedInertia = field(repr=False)
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        return 2.0 * float(self._kernel.inertia[0])
 
     @property
     def is_collinear(self) -> bool:
-        return self.smallest_eigenvalue < COLLINEAR_EIG_TOL * self.trace
+        return bool(self._kernel.collinear[0])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,42 +192,32 @@ def sigma_tensor(config: SpatialConfiguration, masses: MassTriple) -> SigmaTenso
     xi1, xi2 = kernel.xi1[:, 0], kernel.xi2[:, 0]
     mat = kernel.inertia[0] * np.eye(3) - np.outer(xi1, xi1) - np.outer(xi2, xi2)
     axis = kernel.axis()[:, 0] if kernel.collinear[0] else None
-    return SigmaTensor(mat, float(kernel.smallest[0]), axis)
-
-
-def _finite_momentum(Jvec) -> np.ndarray:
-    J = np.asarray(Jvec, dtype=float)
-    if not np.all(np.isfinite(J)):
-        raise ValueError("angular momentum must be finite")
-    return J
-
-
-def _warn_near_collinear(collinear: bool, smallest: float, trace: float):
-    # warn where the collinear convention overrides a map that is singular
-    # beyond roundoff: there the literal inverse would turn a tiny momentum
-    # into a huge rate, and the outcome depends on the convention
-    if collinear and smallest > 64.0 * np.finfo(float).eps * trace:
-        warnings.warn(
-            f"near-collinear configuration (smallest eigenvalue / trace {smallest / trace:.2e}): "
-            "the J/I convention replaced the angular-velocity solve",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    return SigmaTensor(mat, float(kernel.smallest[0]), axis, kernel)
 
 
 def sigma_inverse(tensor: SigmaTensor, Jvec, inertia: float) -> np.ndarray:
     """Angular-velocity vector whose angular momentum under sigma is Jvec.
 
-    Collinear configurations use the Jvec/I convention since the literal
-    inverse does not exist there; where the configuration is collinear only
-    to within COLLINEAR_EIG_TOL, not to roundoff, a warning says that the
-    convention replaced the solve.
+    Read off the closed-form inverse of the tensor's kernel.  Collinear
+    configurations use the Jvec/I convention since the literal inverse does
+    not exist there; where the configuration is collinear only to within
+    COLLINEAR_EIG_TOL, not to roundoff, a warning says so.
     """
-    J = _finite_momentum(Jvec)
-    _warn_near_collinear(tensor.is_collinear, tensor.smallest_eigenvalue, tensor.trace)
-    if tensor.is_collinear:
-        return J / inertia
-    return np.linalg.solve(tensor.matrix, J)
+    J = np.asarray(Jvec, dtype=float)
+    if not np.all(np.isfinite(J)):
+        raise ValueError("angular momentum must be finite")
+    # warn where the collinear convention overrides a map that is singular
+    # beyond roundoff: there the literal inverse would turn a tiny momentum
+    # into a huge rate, and the outcome depends on the convention
+    smallest, trace = tensor.smallest_eigenvalue, tensor.trace
+    if tensor.is_collinear and smallest > 64.0 * np.finfo(float).eps * trace:
+        warnings.warn(
+            f"near-collinear configuration (smallest eigenvalue / trace {smallest / trace:.2e}): "
+            "the J/I convention replaced the angular-velocity solve",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return tensor._kernel.inverse(J[:, None], inertia)[:, 0]
 
 
 def decompose_e_n(w, e, n) -> tuple[float, float, float]:
@@ -346,13 +338,8 @@ def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> fl
     """Rotation rate of the projected first body due to the rigid part:
     the projected rate (e.w + n.w) / (1 + e.n) of w = sigma^{-1}(J), or n.w
     at n = +-e."""
-    J = _finite_momentum(Jvec)
-    kernel = _locked_inertia(state.config.as_array()[None, :, :], masses)
-    _warn_near_collinear(
-        bool(kernel.collinear[0]), float(kernel.smallest[0]), 2.0 * float(kernel.inertia[0])
-    )
-    w = kernel.inverse(J[:, None], inertia)
-    return float(_projected_rate(w, state.n[:, None], state.e)[0])
+    w = sigma_inverse(sigma_tensor(state.config, masses), Jvec, inertia)
+    return float(_projected_rate(w[:, None], state.n[:, None], state.e)[0])
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, fractions: np.ndarray) -> np.ndarray:

@@ -87,6 +87,8 @@ class Trajectory:
             if np.any(_centroid_residuals(v, self.masses) > 1e-10):
                 raise ValueError("velocities carry net linear momentum")
         if self.normals is not None:
+            if q.shape[2] != 3:
+                raise ValueError("normals are defined on spatial (dim 3) trajectories only")
             nrm = np.asarray(self.normals, dtype=float)
             object.__setattr__(self, "normals", nrm)
             if nrm.shape != (t.size, 3) or not np.all(np.isfinite(nrm)):

@@ -82,6 +82,18 @@ class TestGeneralMasses:
         assert ok
         assert dev <= 1e-12
 
+    def test_equator_points_read_off_their_angles(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            m = derive_masses(*rng.uniform(0.2, 5.0, size=3))
+            marked = atlas(m)
+            for name in ("C1", "C2", "C3", "O1", "O2", "O3", "E1", "E2", "E3"):
+                theta = marked.equator_angles[name]
+                expected = 0.5 * np.array([np.cos(theta), np.sin(theta), 0.0])
+                assert np.array_equal(marked.points[name], expected), name
+            for i in (1, 2, 3):
+                assert np.array_equal(euler_collinear_point(m, i).vec(), marked.points[f"E{i}"])
+
 
 class TestEulerPoints:
     def test_equal_masses_center(self):

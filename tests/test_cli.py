@@ -193,7 +193,7 @@ class TestReconstruct:
         assert captured.out == ""
         assert "error: e must be" in captured.err
 
-    @pytest.mark.parametrize("axis", ["1,a,2", "1,,2", "x"])
+    @pytest.mark.parametrize("axis", ["1,a,2", "1,,2", "x", ""])
     def test_non_numeric_axis_exits_2(self, tmp_path, capsys, axis):
         # a component that is not a number is a parse error, as in --masses
         from shapesphere import embed_planar
@@ -221,9 +221,13 @@ class TestReconstruct:
                 {"t": 0, "q": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]], "n": [0, 0, 1]},
                 {"t": 1, "q": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]], "n": [0, 1]},
             ]}, "sample 2: cannot reshape"),
+            ({"masses": [1, 1, 1], "samples": [
+                {"t": 0, "q": [[1, 0], [0, 1], [-1, -1]], "n": [0, 0, 1]},
+                {"t": 1, "q": [[1, 0], [0, 1], [-1, -1]], "n": [0, 0, 1]},
+            ]}, "normals are defined on spatial (dim 3) trajectories only"),
         ],
         ids=["samples_not_a_list", "no_samples", "dim_not_a_number", "velocity_size",
-             "normal_size"],
+             "normal_size", "planar_normals"],
     )
     def test_malformed_json_exits_2(self, tmp_path, capsys, doc, message):
         src = tmp_path / "bad.json"
@@ -487,3 +491,35 @@ class TestVerify:
         explicit = capsys.readouterr().out
         assert json.loads(via_env)["seed"] == 9
         assert via_env == explicit
+
+    def test_non_integer_seed_env_exits_2(self, capsys, monkeypatch):
+        # a usage error naming the variable, as `--seed abc` is for the option
+        monkeypatch.setenv("SHAPESPHERE_SEED", "abc")
+        assert main(["verify", "--suite", "planar", "--n", "801"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: SHAPESPHERE_SEED must be an integer")
+
+    def test_timing_fills_runtime_of_timed_rows_only(self, capsys):
+        from shapesphere.cli import _report_json
+        from shapesphere.verify import planar_motion_cases, spatial_motion_cases
+
+        main(["verify", "--n", "801", "--seed", "3", "--timing"])
+        timed = json.loads(capsys.readouterr().out)
+        main(["verify", "--n", "801", "--seed", "3"])
+        untimed = capsys.readouterr().out
+        # the rows whose computation runs under verify._timed
+        wrapped = {"planar/shape_invariants", "planar/atlas_alpha_sum",
+                   "planar/lift_momentum_ratio", "spatial/rotation_invariance_of_F"}
+        wrapped |= {f"planar/{case[0]}/{target}"
+                    for case in planar_motion_cases(801, 3) for target in ("q1", "Z1")}
+        wrapped |= {f"spatial/{case[0]}" for case in spatial_motion_cases(801, 3)}
+        names = {case["name"] for case in timed["cases"]}
+        assert wrapped < names
+        for case in timed["cases"]:
+            if case["name"] in wrapped:
+                assert isinstance(case["runtime_ms"], float) and case["runtime_ms"] >= 0.0
+            else:
+                assert case["runtime_ms"] is None
+            case["runtime_ms"] = None
+        assert _report_json(timed) == untimed

@@ -148,6 +148,17 @@ class TestSigmaInverse:
         with pytest.warns(RuntimeWarning, match="near-collinear"):
             sigma_inverse(tensor, np.array([1.0, 0, 0]), 0.5 * tensor.trace)
 
+    def test_is_the_kernel_inverse(self):
+        # one implementation: the 1-sample call into the closed-form kernel
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            cfg = centered_spatial(M123, rng.uniform(-1, 1, size=(3, 3)))
+            J = rng.uniform(-2, 2, size=3)
+            inertia = rng.uniform(0.5, 2.0)
+            kernel = _locked_inertia(cfg.as_array()[None], M123)
+            expected = kernel.inverse(J[:, None], inertia)[:, 0]
+            assert np.array_equal(sigma_inverse(sigma_tensor(cfg, M123), J, inertia), expected)
+
     def test_exact_collinear_is_silent(self):
         cfg = centered_spatial(M111, [[0, 0, -1.0], [0, 0, 0.2], [0, 0, 0.8]])
         tensor = sigma_tensor(cfg, M111)
