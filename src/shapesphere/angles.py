@@ -13,12 +13,10 @@ def wrap_angle(x):
     the ends of that interval and small increments keep their sign and
     value.
     """
-    y = np.fmod(np.asarray(x, dtype=float), TWO_PI)
-    y = np.where(y > np.pi, y - TWO_PI, y)
-    y = np.where(y <= -np.pi, y + TWO_PI, y)
-    if np.ndim(x) == 0:
-        return float(y)
-    return y
+    y = np.fmod(x, TWO_PI, out=np.empty(np.shape(x)))
+    np.subtract(y, TWO_PI, out=y, where=y > np.pi)
+    np.add(y, TWO_PI, out=y, where=y <= -np.pi)
+    return float(y) if y.ndim == 0 else y
 
 
 def unwrap_held(raw, defined=None):
@@ -28,23 +26,31 @@ def unwrap_held(raw, defined=None):
     (-pi, pi], which is the true increment as long as the underlying angle
     turns by less than pi per step.  Samples flagged undefined inherit the
     running value, so the continuation keeps the last defined branch across
-    singular points instead of producing garbage there.
+    singular points instead of producing garbage there.  raw must be 1-D
+    and defined, if given, a mask of the same shape; ValueError otherwise.
     """
     raw = np.asarray(raw, dtype=float)
-    n = raw.size
-    if defined is None:
-        idx = np.arange(n)
-    else:
-        idx = np.flatnonzero(np.asarray(defined, dtype=bool))
+    defined = np.ones(raw.shape, bool) if defined is None else np.asarray(defined, dtype=bool)
+    if raw.ndim != 1 or defined.shape != raw.shape:
+        raise ValueError(
+            f"raw must be a 1-D angle series and defined a mask of its shape, "
+            f"got shapes {raw.shape} and {defined.shape}"
+        )
+    if defined.all():
+        return _unwound(raw)
+    idx = np.flatnonzero(defined)
     if idx.size == 0:
-        return np.zeros(n)
-    sub = raw[idx]
-    unwound_sub = np.empty(sub.size)
-    unwound_sub[0] = sub[0]
-    if sub.size > 1:
-        unwound_sub[1:] = sub[0] + np.cumsum(wrap_angle(np.diff(sub)))
+        return np.zeros(raw.size)
     # hold: every sample takes the value of the latest defined sample at or
     # before it (leading undefined samples copy the first defined value)
-    held = np.zeros(n, dtype=np.intp)
+    held = np.zeros(raw.size, dtype=np.intp)
     held[idx] = np.arange(idx.size)
-    return unwound_sub[np.maximum.accumulate(held)]
+    return _unwound(raw[idx])[np.maximum.accumulate(held)]
+
+
+def _unwound(raw: np.ndarray) -> np.ndarray:
+    """raw[0] plus the cumulative wrapped increments of a 1-D series."""
+    out = np.empty(raw.size)
+    out[:1] = raw[:1]
+    out[1:] = raw[:1] + np.cumsum(wrap_angle(np.diff(raw)))
+    return out

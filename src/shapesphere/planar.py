@@ -19,14 +19,12 @@ from .shape_core import (
     O1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
-    _inertia_momentum,
+    _planar_rows,
     chart_angles,
     jacobi,
-    jacobi_series,
     normalize_shape,
     positions_from_jacobi_series,
     shape_map,
-    shape_series,
 )
 from .trajectory import Trajectory, _checked_times, _spline_slopes
 
@@ -74,7 +72,7 @@ class ShapeCurve:
         w = np.asarray(self.points, dtype=float)
         if w.shape != (t.size, 3) or not np.all(np.isfinite(w)):
             raise ValueError("points must be a finite (n, 3) array")
-        radii = np.linalg.norm(w, axis=1)
+        radii = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2 + w[:, 2] ** 2)
         if np.any(np.abs(radii - 0.5) > 1e-10):
             raise ValueError("curve points must lie on the radius-1/2 sphere")
         defined = np.hypot(w[:, 1], w[:, 2]) > POLE_PROXIMITY_TOL
@@ -167,23 +165,27 @@ def planar_series(traj: Trajectory):
         raise ValueError("planar series require a planar trajectory")
     if traj.velocities is None:
         raise ValueError("velocities are required; call ensure_velocities first")
-    Z1, Z2 = jacobi_series(traj.positions, traj.masses)
-    inertia, momentum = _inertia_momentum(Z1, Z2, *jacobi_series(traj.velocities, traj.masses))
-    return Z1, Z2, inertia, momentum
+    rows = _planar_rows(traj.positions, traj.velocities, traj.masses)
+    Z1 = rows.xi1[0] + 1j * rows.xi1[1]
+    Z2 = rows.xi2[0] + 1j * rows.xi2[1]
+    return Z1, Z2, rows.inertia, rows.momentum
 
 
 def shape_curve(traj: Trajectory) -> ShapeCurve:
     """Project a planar trajectory to its normalized shape curve."""
     if traj.dim != 2:
         raise ValueError("shape_curve expects a planar trajectory")
-    return _curve_from_jacobi(traj.times, *jacobi_series(traj.positions, traj.masses))
+    rows = _planar_rows(traj.positions, None, traj.masses)
+    return _curve_from_rows(traj.times, rows.inertia, rows.w)
 
 
-def _curve_from_jacobi(times: np.ndarray, Z1: np.ndarray, Z2: np.ndarray) -> ShapeCurve:
-    w = shape_series(Z1, Z2)
-    if np.any(w[:, 3] <= 0.0):
+def _curve_from_rows(times: np.ndarray, inertia: np.ndarray, w: np.ndarray) -> ShapeCurve:
+    """The normalized shape curve w / I of shape rows w (3, n), which are
+    scaled in place."""
+    if np.any(inertia <= 0.0):
         raise ValueError("trajectory passes through triple collision")
-    return ShapeCurve(times, 0.5 * w[:, :3] / w[:, 3:4])
+    np.divide(w, inertia, out=w)
+    return ShapeCurve(times, w.T)
 
 
 def swept_area(curve: ShapeCurve, pole) -> float:
@@ -241,18 +243,20 @@ def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
 
 
 def _momentum_rate(traj: Trajectory):
-    """The trajectory with velocities, its Jacobi pair, moment of inertia
-    and J/I per sample."""
+    """The trajectory with velocities, I, the shape rows and J/I per sample;
+    the Jacobi rows are dropped here, before the curve and the oracle."""
+    if traj.dim != 2:
+        raise ValueError("planar series require a planar trajectory")
     traj = traj.ensure_velocities()
-    Z1, Z2, inertia, momentum = planar_series(traj)
-    if np.any(inertia <= 0.0):
+    rows = _planar_rows(traj.positions, traj.velocities, traj.masses)
+    if np.any(rows.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-    return traj, Z1, Z2, inertia, momentum / inertia
+    return traj, rows.inertia, rows.w, rows.momentum / rows.inertia
 
 
 def dynamic_term(traj: Trajectory) -> float:
     """Time integral of J/I over the motion."""
-    traj, _, _, _, rate = _momentum_rate(traj)
+    traj, _, _, rate = _momentum_rate(traj)
     return _quadrature(traj.times, rate)
 
 
@@ -295,14 +299,14 @@ def _unwound_turn(vec: np.ndarray, target: str) -> float:
 
 
 def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> ReconstructionReport:
-    traj, Z1, Z2, inertia, rate = _momentum_rate(traj)
+    traj, inertia, w, rate = _momentum_rate(traj)
     end_vecs = _target_vectors(traj.positions[[0, -1]], target)
     scale = np.sqrt(inertia[[0, -1]])
     if np.any(np.linalg.norm(end_vecs, axis=1) <= ENDPOINT_TOL * scale):
         raise ValueError(
             f"{target} is at the origin at an endpoint; the rotation angle is undefined"
         )
-    curve = _curve_from_jacobi(traj.times, Z1, Z2)
+    curve = _curve_from_rows(traj.times, inertia, w)
     dyn = _quadrature(traj.times, rate)
     area = swept_area(curve, pole)
     oracle = oracle_rotation(traj, target) if include_oracle else None

@@ -1,7 +1,8 @@
 """Masses, Jacobi coordinates, the shape-sphere projection, and marked points.
 
-Three centered bodies map to normalized Jacobi coordinates (Z1, Z2), treated
-as complex numbers in the planar case, and on to shape coordinates
+Three centered bodies map to normalized Jacobi coordinates (Z1, Z2): in
+the planar case one complex number each at the public entry points, and
+(2, n) component rows for batches.  They map on to shape coordinates
 (w1, w2, w3, w4) with w4 = I/2.  Fixing the moment of inertia I = 1 puts the
 shape on a sphere of radius 1/2; `atlas` lays out its marked points (binary
 collisions C_i, center markers O_i, Euler and Lagrange central
@@ -11,6 +12,7 @@ configurations, poles) for a given mass triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -182,7 +184,7 @@ class JacobiPair:
 def jacobi(config: PlanarConfiguration, masses: MassTriple) -> JacobiPair:
     """Normalized Jacobi coordinates of a centered planar configuration."""
     _require_centered(config, masses)
-    Z1, Z2 = _jacobi_vectors(config.as_complex()[None, :], masses)
+    Z1, Z2 = jacobi_series(config.as_array()[None], masses)
     return JacobiPair(complex(Z1[0]), complex(Z2[0]))
 
 
@@ -194,7 +196,7 @@ def jacobi_pivot3(config: PlanarConfiguration, masses: MassTriple) -> JacobiPair
     shape space.
     """
     relabeled = derive_masses(masses.m3, masses.m1, masses.m2)
-    Z1, Z2 = _jacobi_vectors(config.as_complex()[None, [2, 0, 1]], relabeled)
+    Z1, Z2 = jacobi_series(config.as_array()[None, [2, 0, 1]], relabeled)
     return JacobiPair(complex(Z1[0]), complex(Z2[0]))
 
 
@@ -206,21 +208,15 @@ def configuration_from_jacobi(pair: JacobiPair, masses: MassTriple) -> PlanarCon
     return PlanarConfiguration(q[0], q[1], q[2])
 
 
-def _inertia_momentum(Z1, Z2, dZ1, dZ2):
-    """I = |Z1|^2 + |Z2|^2 and J = Im(conj(Z1) dZ1 + conj(Z2) dZ2), per sample."""
-    inertia = np.abs(Z1) ** 2 + np.abs(Z2) ** 2
-    momentum = (np.conj(Z1) * dZ1 + np.conj(Z2) * dZ2).imag
-    return inertia, momentum
-
-
 def inertia_and_momentum(pair: JacobiPair, pair_rate: JacobiPair) -> tuple[float, float]:
     """Moment of inertia and angular momentum from Jacobi data.
 
     I = |Z1|^2 + |Z2|^2 and J = Im(conj(Z1) dZ1 + conj(Z2) dZ2), which
     agrees with sum_i m_i (x_i vy_i - y_i vx_i) over the bodies.
     """
-    inertia, momentum = _inertia_momentum(pair.Z1, pair.Z2, pair_rate.Z1, pair_rate.Z2)
-    return float(inertia), float(momentum)
+    rows = (_complex_rows([z]) for z in (pair.Z1, pair.Z2, pair_rate.Z1, pair_rate.Z2))
+    inertia, momentum, _ = _planar_invariants(*rows)
+    return float(inertia[0]), float(momentum[0])
 
 
 @dataclass(frozen=True)
@@ -467,16 +463,17 @@ def atlas(masses: MassTriple) -> MarkedAtlas:
         for name, theta in angles.items()
     }
 
-    Z1, Z2 = _jacobi_vectors(np.array([[0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)]]), masses)
-    w1, w2, w3, w4 = shape_series(Z1, Z2)[0]
-    points["L1"] = np.array([w1, w2, w3]) * (0.5 / w4)
+    equilateral = np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]]])
+    rows = _planar_rows(equilateral, None, masses)
+    w = rows.w[:, 0]
+    points["L1"] = w * (1.0 / rows.inertia[0])
     points["L2"] = points["L1"] * np.array([1.0, 1.0, -1.0])
     points["P1"] = np.array([0.0, 0.0, 0.5])
     points["P2"] = np.array([0.0, 0.0, -0.5])
 
     return MarkedAtlas(
         alpha=np.array([a1, a2, a3]),
-        beta=float(np.arctan2(w3, w2)),
+        beta=float(np.arctan2(w[2], w[1])),
         points=points,
         equator_angles={k: float(v) for k, v in angles.items()},
     )
@@ -491,15 +488,16 @@ def jacobi_series(positions: np.ndarray, masses: MassTriple) -> tuple[np.ndarray
 
     The map is linear, so it applies verbatim to velocities as well.
     """
-    return _jacobi_vectors(positions[..., 0] + 1j * positions[..., 1], masses)
+    xi1, xi2 = _jacobi_vectors(positions.T, masses)
+    return xi1[0] + 1j * xi1[1], xi2[0] + 1j * xi2[1]
 
 
 def _jacobi_vectors(q: np.ndarray, masses: MassTriple) -> tuple[np.ndarray, np.ndarray]:
     """Jacobi map over the body axis (axis 1) of a batch of samples.
 
-    Complex (n, 3) input gives the planar pair; the view q.T of real
-    (n, 3, 3) samples gives the mass-weighted Jacobi 3-vectors as C-ordered
-    (3, n) rows, since each pass that reads q writes in C order.
+    The view q.T of (n, 3, d) samples gives the mass-weighted Jacobi
+    d-vectors as C-ordered (d, n) rows, since each pass that reads q writes
+    in C order; (n, 3) samples on a line give (n,) coordinates.
     """
     Z1 = np.subtract(q[:, 2], q[:, 1], order="C")
     Z1 *= masses.mu1
@@ -513,10 +511,67 @@ def _jacobi_vectors(q: np.ndarray, masses: MassTriple) -> tuple[np.ndarray, np.n
 
 def shape_series(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     """Shape coordinates for batches of Jacobi pairs; rows (w1, w2, w3, w4)."""
-    a = np.abs(Z1) ** 2
-    b = np.abs(Z2) ** 2
-    c = np.conj(Z1) * Z2
-    return np.stack([0.5 * (a - b), c.real, c.imag, 0.5 * (a + b)], axis=-1)
+    inertia, _, w = _planar_invariants(_complex_rows(Z1), _complex_rows(Z2))
+    return np.stack([*w, 0.5 * inertia], axis=-1)
+
+
+def _complex_rows(z) -> np.ndarray:
+    """Component rows (2, ...) of complex numbers z."""
+    return np.stack([np.real(z), np.imag(z)])
+
+
+class _PlanarRows(NamedTuple):
+    """Jacobi rows (2, n) of planar samples, I, J (None without velocities)
+    and the shape rows (w1, w2, w3) as a (3, n) array."""
+
+    xi1: np.ndarray
+    xi2: np.ndarray
+    inertia: np.ndarray
+    momentum: Optional[np.ndarray]
+    w: np.ndarray
+
+
+def _planar_rows(q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple) -> _PlanarRows:
+    """Jacobi rows, I, J and shape rows of planar samples q with velocities
+    v, both (n, 3, 2); v may be None, which leaves J None.
+
+    Both map through _jacobi_vectors on their .T views, so every row is
+    C-ordered however q and v are laid out.
+    """
+    xi1, xi2 = _jacobi_vectors(q.T, masses)
+    eta = () if v is None else _jacobi_vectors(v.T, masses)
+    return _PlanarRows(xi1, xi2, *_planar_invariants(xi1, xi2, *eta))
+
+
+def _planar_invariants(xi1, xi2, eta1=None, eta2=None):
+    """I = |xi1|^2 + |xi2|^2, J = xi1 x eta1 + xi2 x eta2 (None without
+    velocity rows) and the (3, ...) shape rows w1 = (|xi1|^2 - |xi2|^2)/2,
+    w2 = xi1 . xi2, w3 = xi1 x xi2 of planar Jacobi component rows (2, ...).
+
+    With Z = x + i y these are w2 + i w3 = conj(Z1) Z2 and
+    J = Im(conj(Z1) dZ1 + conj(Z2) dZ2).
+    """
+    (x1, y1), (x2, y2) = xi1, xi2
+    a = x1 * x1
+    a += y1 * y1
+    b = x2 * x2
+    b += y2 * y2
+    w = np.empty((3,) + a.shape)
+    np.subtract(a, b, out=w[0])
+    w[0] *= 0.5
+    np.multiply(x1, x2, out=w[1])
+    w[1] += y1 * y2
+    np.multiply(x1, y2, out=w[2])
+    w[2] -= y1 * x2
+    inertia = np.add(a, b, out=a)
+    momentum = None
+    if eta1 is not None:
+        momentum = x1 * eta1[1]
+        momentum -= y1 * eta1[0]
+        np.multiply(x2, eta2[1], out=b)
+        b -= y2 * eta2[0]
+        momentum += b
+    return inertia, momentum, w
 
 
 def positions_from_jacobi_series(

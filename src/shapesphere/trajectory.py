@@ -135,13 +135,16 @@ def finite_difference_velocities(traj: Trajectory) -> Trajectory:
     and the matching one-sided stencils at the ends.  Centered positions
     carry no net momentum, so the roundoff left in the mass-weighted mean
     of the differences is removed, as from_samples does for supplied
-    velocities.
+    velocities.  The differences run along the contiguous sample axis of
+    a copy of q.T and are stored by sample: v is the (n, 3, d) view of the
+    C-ordered (d, 3, n) result, whose per-component rows the Jacobi map and
+    the recentering read as contiguous memory.
     """
     if traj.n_samples < 3:
         raise ValueError("need at least 3 samples to difference velocities")
     t = traj.times
     q = traj.positions
-    v = np.gradient(q, t, axis=0, edge_order=2)
+    v = np.gradient(np.ascontiguousarray(q.T), t, axis=-1, edge_order=2).T
     _recenter(v, traj.masses)
     return Trajectory(traj.masses, t, q, v, traj.normals, traj.max_center_shift)
 

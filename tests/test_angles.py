@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapesphere import derive_masses, equilateral_configuration, generate
 from shapesphere.angles import TWO_PI, unwrap_held, wrap_angle
@@ -68,3 +70,27 @@ class TestUnwrapHeld:
         raw = np.arctan2(curve.points[:, 2], curve.points[:, 1])
         assert curve.unwound_xi[-1] - curve.unwound_xi[0] == 0.0
         assert np.array_equal(curve.unwound_xi, raw)
+
+    def test_mask_must_match_the_series(self):
+        with pytest.raises(ValueError, match="shape"):
+            unwrap_held(np.zeros(5), np.ones(3, bool))
+        with pytest.raises(ValueError, match="shape"):
+            unwrap_held(np.zeros(5), np.ones((5, 1), bool))
+        with pytest.raises(ValueError, match="1-D"):
+            unwrap_held(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="1-D"):
+            unwrap_held(np.zeros((2, 3)), np.ones((2, 3), bool))
+
+    def test_empty_and_undefined_series(self):
+        assert unwrap_held(np.zeros(0)).shape == (0,)
+        assert unwrap_held(np.zeros(0), np.zeros(0, bool)).shape == (0,)
+        assert np.array_equal(unwrap_held(np.full(4, 2.0), np.zeros(4, bool)), np.zeros(4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=arrays(np.float64, st.integers(1, 60), elements=st.floats(-50.0, 50.0)))
+    def test_all_defined_equals_the_held_path(self, raw):
+        # one trailing undefined sample sends the series through the gather
+        # and the hold; the defined samples before it must read the same
+        held = unwrap_held(np.append(raw, 0.0), np.append(np.ones(raw.size, bool), False))
+        assert np.array_equal(unwrap_held(raw, np.ones(raw.size, bool)), held[:-1])
+        assert np.array_equal(unwrap_held(raw), held[:-1])

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from shapesphere import F_of_J, SpatialConfiguration, derive_masses, oriented_state
+from shapesphere import (
+    F_of_J,
+    PlanarConfiguration,
+    SpatialConfiguration,
+    derive_masses,
+    jacobi,
+    normalize_shape,
+    oriented_state,
+    shape_map,
+)
 from shapesphere.planar import _quadrature
-from shapesphere.shape_core import _collinear_imbalance, _collinear_ratio
+from shapesphere.shape_core import _collinear_imbalance, _collinear_ratio, _planar_rows, _recenter
 from shapesphere.spatial import _locked_inertia, _projected_rate
 from shapesphere.trajectory import _gravity_accel, _pair_weights, _spline_slopes
 
@@ -53,6 +62,60 @@ class TestSimpson:
         assert _quadrature(np.array([0.0, 2.0]), np.array([1.0, 3.0])) == 4.0
         t = np.array([0.0, 1.0, 3.0])
         assert _quadrature(t, t) == pytest.approx(4.5)
+
+
+class TestPlanarRows:
+    @staticmethod
+    def samples(masses, n=40):
+        """Random centered positions and velocities (n, 3, 2); sample 0 is
+        collinear and sample 1 is a homothety, whose J is zero."""
+        rng = np.random.default_rng(7)
+        q = rng.uniform(-1.5, 1.5, size=(n, 3, 2))
+        v = rng.standard_normal((n, 3, 2))
+        q[0] = rng.uniform(-1.0, 1.0, size=3)[:, None] * np.array([0.6, -0.8])
+        v[1] = -0.7 * q[1]
+        _recenter(q, masses)
+        _recenter(v, masses)
+        return q, v
+
+    @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 2, 3), (0.1, 5.0, 2.5)])
+    def test_matches_the_body_sums_and_the_scalar_maps(self, triple):
+        masses = derive_masses(*triple)
+        m = masses.as_array()[:, None]
+        q, v = self.samples(masses)
+        rows = _planar_rows(q, v, masses)
+        for k in range(q.shape[0]):
+            inertia = np.sum(m[:, 0] * np.sum(q[k] ** 2, axis=1))
+            momentum = np.sum(m[:, 0] * (q[k, :, 0] * v[k, :, 1] - q[k, :, 1] * v[k, :, 0]))
+            scale = np.sum(m[:, 0] * np.linalg.norm(q[k], axis=1) * np.linalg.norm(v[k], axis=1))
+            assert abs(rows.inertia[k] - inertia) <= 1e-12 * inertia
+            assert abs(rows.momentum[k] - momentum) <= 1e-12 * scale
+            pair = jacobi(PlanarConfiguration(*q[k]), masses)
+            assert complex(*rows.xi1[:, k]) == pytest.approx(pair.Z1, rel=1e-14, abs=1e-15)
+            assert complex(*rows.xi2[:, k]) == pytest.approx(pair.Z2, rel=1e-14, abs=1e-15)
+            point = normalize_shape(shape_map(pair)).vec()
+            assert np.max(np.abs(rows.w[:, k] / rows.inertia[k] - point)) <= 1e-12
+        # the collinear sample has no area, the homothety no angular momentum
+        assert abs(rows.w[2, 0]) <= 1e-15 * rows.inertia[0]
+        assert abs(rows.momentum[1]) <= 1e-15 * rows.inertia[1]
+
+    def test_rows_are_c_ordered_for_any_layout(self):
+        masses = derive_masses(1, 2, 3)
+        q, v = self.samples(masses)
+        rows = _planar_rows(q, np.asfortranarray(v), masses)
+        reference = _planar_rows(q, v, masses)
+        for name in ("xi1", "xi2", "inertia", "momentum", "w"):
+            value = getattr(rows, name)
+            assert value.flags.c_contiguous, name
+            assert np.array_equal(value, getattr(reference, name)), name
+        assert rows.w.shape == (3, q.shape[0]) and rows.xi1.shape == (2, q.shape[0])
+
+    def test_without_velocities_there_is_no_momentum(self):
+        masses = derive_masses(1, 2, 3)
+        q, _ = self.samples(masses)
+        rows = _planar_rows(q, None, masses)
+        assert rows.momentum is None
+        assert np.array_equal(rows.w, _planar_rows(q, q, masses).w)
 
 
 SPLINE_COUNTS = [2, 3, 4, 5, 50, 10_000]

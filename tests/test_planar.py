@@ -316,19 +316,21 @@ class TestReconstruct:
             assert recon(traj, include_oracle=True).pole_crossed
 
     def test_positions_and_velocities_mapped_once(self, monkeypatch):
-        import shapesphere.planar as planar
+        import shapesphere.shape_core as shape_core
 
         calls = []
+        jacobi_vectors = shape_core._jacobi_vectors
 
-        def counting(positions, masses):
-            calls.append(positions)
-            return jacobi_series(positions, masses)
+        def counting(rows, masses):
+            calls.append(rows)
+            return jacobi_vectors(rows, masses)
 
-        monkeypatch.setattr(planar, "jacobi_series", counting)
+        monkeypatch.setattr(shape_core, "_jacobi_vectors", counting)
         traj = generate("random_smooth", masses=M123, seed=3, duration=1.0, samples=201)
         reconstruct_q1(traj, include_oracle=True)
         assert len(calls) == 2
-        assert calls[0] is traj.positions and calls[1] is traj.velocities
+        assert np.shares_memory(calls[0], traj.positions)
+        assert np.shares_memory(calls[1], traj.velocities)
 
     def test_report_serialization_fields(self):
         traj = generate("random_smooth", masses=M111, seed=8, duration=1.0, samples=501)

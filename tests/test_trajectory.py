@@ -22,7 +22,7 @@ from shapesphere import (
     jacobi,
     PlanarConfiguration,
 )
-from shapesphere.shape_core import jacobi_series, shape_series
+from shapesphere.shape_core import _recenter, jacobi_series, shape_series
 from shapesphere.trajectory import (
     _CSV_BLOCK_ROWS,
     _csv_blocks,
@@ -112,6 +112,21 @@ class TestFiniteDifferences:
         v = finite_difference_velocities(stripped).velocities
         net = np.linalg.norm(np.einsum("i,nid->nd", M123.as_array(), v), axis=1)
         assert np.max(net) <= 1e-13 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_stored_by_sample_and_equal_to_the_gradient(self, dim, graded):
+        motion = generate("random_smooth", masses=M123, seed=11, duration=2.0, samples=10_000)
+        s = np.linspace(0.0, 1.0, motion.n_samples)
+        t = 2.0 * s + 3.0 * s**3 if graded else motion.times
+        q = motion.positions
+        if dim == 3:
+            q = np.concatenate([q, 0.1 * q[..., :1]], axis=-1)
+        v = finite_difference_velocities(Trajectory(M123, t, q)).velocities
+        expected = np.gradient(q, t, axis=0, edge_order=2)
+        _recenter(expected, M123)
+        assert np.array_equal(v, expected)
+        assert v.T.flags.c_contiguous
 
     def test_needs_three_samples(self):
         t = np.array([0.0, 1.0])
