@@ -40,6 +40,12 @@ def _parse_masses(text: str):
         raise ParseError(str(exc)) from exc
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return int(text)
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=("planar", "spatial", "all"), default="all")
-    p.add_argument("--n", type=int, default=10000, help="samples per motion")
+    p.add_argument("--n", type=_positive_int, default=10000, help="samples per motion")
     p.add_argument("--seed", type=int, default=None,
                    help="suite seed (falls back to SHAPESPHERE_SEED, then 0)")
     p.add_argument("--timing", action="store_true",

@@ -19,7 +19,7 @@ from .shape_core import (
     O1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
-    _planar_rows,
+    _jacobi_rows,
     chart_angles,
     jacobi,
     normalize_shape,
@@ -165,7 +165,7 @@ def planar_series(traj: Trajectory):
         raise ValueError("planar series require a planar trajectory")
     if traj.velocities is None:
         raise ValueError("velocities are required; call ensure_velocities first")
-    rows = _planar_rows(traj.positions, traj.velocities, traj.masses)
+    rows = _jacobi_rows(traj.positions, traj.velocities, traj.masses)
     Z1 = rows.xi1[0] + 1j * rows.xi1[1]
     Z2 = rows.xi2[0] + 1j * rows.xi2[1]
     return Z1, Z2, rows.inertia, rows.momentum
@@ -175,7 +175,7 @@ def shape_curve(traj: Trajectory) -> ShapeCurve:
     """Project a planar trajectory to its normalized shape curve."""
     if traj.dim != 2:
         raise ValueError("shape_curve expects a planar trajectory")
-    rows = _planar_rows(traj.positions, None, traj.masses)
+    rows = _jacobi_rows(traj.positions, None, traj.masses)
     return _curve_from_rows(traj.times, rows.inertia, rows.w)
 
 
@@ -248,7 +248,7 @@ def _momentum_rate(traj: Trajectory):
     if traj.dim != 2:
         raise ValueError("planar series require a planar trajectory")
     traj = traj.ensure_velocities()
-    rows = _planar_rows(traj.positions, traj.velocities, traj.masses)
+    rows = _jacobi_rows(traj.positions, traj.velocities, traj.masses)
     if np.any(rows.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
     return traj, rows.inertia, rows.w, rows.momentum / rows.inertia

@@ -2,7 +2,8 @@
 
 Three centered bodies map to normalized Jacobi coordinates (Z1, Z2): in
 the planar case one complex number each at the public entry points, and
-(2, n) component rows for batches.  They map on to shape coordinates
+(d, n) component rows for batches of planar (d = 2) or spatial (d = 3)
+samples.  They map on to shape coordinates
 (w1, w2, w3, w4) with w4 = I/2.  Fixing the moment of inertia I = 1 puts the
 shape on a sphere of radius 1/2; `atlas` lays out its marked points (binary
 collisions C_i, center markers O_i, Euler and Lagrange central
@@ -12,7 +13,7 @@ configurations, poles) for a given mass triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -214,9 +215,10 @@ def inertia_and_momentum(pair: JacobiPair, pair_rate: JacobiPair) -> tuple[float
     I = |Z1|^2 + |Z2|^2 and J = Im(conj(Z1) dZ1 + conj(Z2) dZ2), which
     agrees with sum_i m_i (x_i vy_i - y_i vx_i) over the bodies.
     """
-    rows = (_complex_rows([z]) for z in (pair.Z1, pair.Z2, pair_rate.Z1, pair_rate.Z2))
-    inertia, momentum, _ = _planar_invariants(*rows)
-    return float(inertia[0]), float(momentum[0])
+    pairs = (pair.Z1, pair.Z2, pair_rate.Z1, pair_rate.Z2)
+    xi1, xi2, eta1, eta2 = (_complex_rows([z]) for z in pairs)
+    rows = _rows_from_jacobi(xi1, xi2, _momentum(xi1, xi2, eta1, eta2))
+    return float(rows.inertia[0]), float(rows.momentum[0])
 
 
 @dataclass(frozen=True)
@@ -464,7 +466,7 @@ def atlas(masses: MassTriple) -> MarkedAtlas:
     }
 
     equilateral = np.array([[[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]]])
-    rows = _planar_rows(equilateral, None, masses)
+    rows = _jacobi_rows(equilateral, None, masses)
     w = rows.w[:, 0]
     points["L1"] = w * (1.0 / rows.inertia[0])
     points["L2"] = points["L1"] * np.array([1.0, 1.0, -1.0])
@@ -511,8 +513,8 @@ def _jacobi_vectors(q: np.ndarray, masses: MassTriple) -> tuple[np.ndarray, np.n
 
 def shape_series(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
     """Shape coordinates for batches of Jacobi pairs; rows (w1, w2, w3, w4)."""
-    inertia, _, w = _planar_invariants(_complex_rows(Z1), _complex_rows(Z2))
-    return np.stack([*w, 0.5 * inertia], axis=-1)
+    rows = _rows_from_jacobi(_complex_rows(Z1), _complex_rows(Z2))
+    return np.stack([*rows.w, 0.5 * rows.inertia], axis=-1)
 
 
 def _complex_rows(z) -> np.ndarray:
@@ -520,58 +522,77 @@ def _complex_rows(z) -> np.ndarray:
     return np.stack([np.real(z), np.imag(z)])
 
 
-class _PlanarRows(NamedTuple):
-    """Jacobi rows (2, n) of planar samples, I, J (None without velocities)
-    and the shape rows (w1, w2, w3) as a (3, n) array."""
+def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Per-sample dot products of (d, n) component rows; b may be one
+    d-vector.  Summed in the order 0, d - 1, ..., 1, np.einsum's order for a
+    contiguous length-3 axis, so bit-identical to einsum over (n, 3) samples."""
+    out = np.multiply(a[0], b[0], out=out)
+    for i in range(len(a) - 1, 0, -1):
+        out += a[i] * b[i]
+    return out
+
+
+def _cross(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Per-sample cross products a x b of (d, n) rows, a or b maybe one
+    d-vector: (3, n) rows in space, the (n,) third component in the plane."""
+    if len(a) == 2:
+        out = np.multiply(a[0], b[1], out=out)
+        out -= a[1] * b[0]
+        return out
+    if out is None:
+        out = np.empty((3,) + np.broadcast_shapes(np.shape(a[0]), np.shape(b[0])))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _JacobiRows:
+    """Jacobi rows xi1, xi2 (d, n) of planar (d = 2) or spatial (d = 3)
+    samples and their rotation invariants I = |xi1|^2 + |xi2|^2, shape rows
+    w1 = (|xi1|^2 - |xi2|^2)/2, w2 = xi1 . xi2, N = xi1 x xi2 and, from the
+    velocity rows eta, J = xi1 x eta1 + xi2 x eta2 (on centered samples,
+    sum_i m_i q_i x v_i, as the mass-weighted Jacobi map is orthogonal).
+    In the plane N is the (n,) row w3, stored as w[2]; in space N is (3, n)
+    rows and w holds (w1, w2), as w3 = +-|N| takes the viewing side's sign.
+    """
 
     xi1: np.ndarray
     xi2: np.ndarray
     inertia: np.ndarray
-    momentum: Optional[np.ndarray]
     w: np.ndarray
+    normal: np.ndarray
+    momentum: Optional[np.ndarray]
 
 
-def _planar_rows(q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple) -> _PlanarRows:
-    """Jacobi rows, I, J and shape rows of planar samples q with velocities
-    v, both (n, 3, 2); v may be None, which leaves J None.
-
-    Both map through _jacobi_vectors on their .T views, so every row is
-    C-ordered however q and v are laid out.
-    """
+def _jacobi_rows(q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple) -> _JacobiRows:
+    """The row kernel of samples q and velocities v (or None), both (n, 3, d),
+    mapped on their .T views, so every row is C-ordered whatever their
+    layout; the velocity rows are dropped once J is formed."""
     xi1, xi2 = _jacobi_vectors(q.T, masses)
-    eta = () if v is None else _jacobi_vectors(v.T, masses)
-    return _PlanarRows(xi1, xi2, *_planar_invariants(xi1, xi2, *eta))
+    momentum = None if v is None else _momentum(xi1, xi2, *_jacobi_vectors(v.T, masses))
+    return _rows_from_jacobi(xi1, xi2, momentum)
 
 
-def _planar_invariants(xi1, xi2, eta1=None, eta2=None):
-    """I = |xi1|^2 + |xi2|^2, J = xi1 x eta1 + xi2 x eta2 (None without
-    velocity rows) and the (3, ...) shape rows w1 = (|xi1|^2 - |xi2|^2)/2,
-    w2 = xi1 . xi2, w3 = xi1 x xi2 of planar Jacobi component rows (2, ...).
+def _momentum(xi1, xi2, eta1, eta2) -> np.ndarray:
+    """J = xi1 x eta1 + xi2 x eta2 of Jacobi rows xi and their rates eta."""
+    momentum = _cross(xi1, eta1)
+    momentum += _cross(xi2, eta2)
+    return momentum
 
-    With Z = x + i y these are w2 + i w3 = conj(Z1) Z2 and
-    J = Im(conj(Z1) dZ1 + conj(Z2) dZ2).
-    """
-    (x1, y1), (x2, y2) = xi1, xi2
-    a = x1 * x1
-    a += y1 * y1
-    b = x2 * x2
-    b += y2 * y2
-    w = np.empty((3,) + a.shape)
+
+def _rows_from_jacobi(xi1, xi2, momentum=None) -> _JacobiRows:
+    """The invariants of Jacobi rows (d, ...), in place; planar N fills w[2]."""
+    a = _dot(xi1, xi1)
+    b = _dot(xi2, xi2)
+    w = np.empty((3 if len(xi1) == 2 else 2,) + a.shape)
     np.subtract(a, b, out=w[0])
     w[0] *= 0.5
-    np.multiply(x1, x2, out=w[1])
-    w[1] += y1 * y2
-    np.multiply(x1, y2, out=w[2])
-    w[2] -= y1 * x2
+    _dot(xi1, xi2, out=w[1])
+    normal = _cross(xi1, xi2, out=w[2] if len(w) == 3 else None)
     inertia = np.add(a, b, out=a)
-    momentum = None
-    if eta1 is not None:
-        momentum = x1 * eta1[1]
-        momentum -= y1 * eta1[0]
-        np.multiply(x2, eta2[1], out=b)
-        b -= y2 * eta2[0]
-        momentum += b
-    return inertia, momentum, w
+    return _JacobiRows(xi1, xi2, inertia, w, normal, momentum)
 
 
 def positions_from_jacobi_series(

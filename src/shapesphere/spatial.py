@@ -12,7 +12,8 @@ the result uncertified.
 
 Per-sample 3-vectors (Jacobi vectors, normals, momenta, angular
 velocities) are C-contiguous (3, n) component rows, so each pass is one
-loop over the samples; reconstruct_spatial drops rows after their last use.
+loop over the samples.  The Jacobi rows, I, J, w1, w2 and N come from the
+row kernel shared with the planar path, and are dropped after last use.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ from .shape_core import (
     PlanarConfiguration,
     SpatialConfiguration,
     _centroid_residuals,
-    _jacobi_vectors,
+    _cross,
+    _dot,
+    _jacobi_rows,
+    _JacobiRows,
     _require_centered,
     _unit,
 )
@@ -97,42 +101,18 @@ class SigmaTensor:
         return bool(self._kernel.collinear[0])
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-sample dot products of (3, n) rows; b may be one 3-vector.  The
-    sum runs in np.einsum's order for a length-3 axis, (x0 + x2) + x1, so it
-    is bit-identical to einsum over (n, 3) samples."""
-    return a[0] * b[0] + a[2] * b[2] + a[1] * b[1]
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-sample cross products a x b as (3, n) rows; a or b may be a 3-vector."""
-    out = np.empty((3,) + np.broadcast_shapes(np.shape(a[0]), np.shape(b[0])))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class _LockedInertia:
+class _LockedInertia(_JacobiRows):
     """Closed form of the inertia map for a batch of spatial samples.
 
-    Three bodies always lie in one plane.  With the mass-weighted Jacobi
-    vectors xi1, xi2 of a sample, S = xi1 xi1^T + xi2 xi2^T and
-    N = xi1 x xi2, the map is sigma = I Id - S with I = |xi1|^2 + |xi2|^2.
-    Its eigenvalues are I/2 - rho, I/2 + rho and I (along N), where
-    rho = |(w1, w2)| comes from the shape coordinates w1 = (|xi1|^2 -
-    |xi2|^2)/2 and w2 = xi1.xi2, and their product is I D with D = |N|^2.
+    Three bodies always lie in one plane.  With the row kernel's Jacobi
+    vectors xi1, xi2 of a sample and S = xi1 xi1^T + xi2 xi2^T, the map is
+    sigma = I Id - S.  Its eigenvalues are I/2 - rho, I/2 + rho and I (along
+    N), where rho = |(w1, w2)|, and their product is I D with D = |N|^2.
     The smallest one is evaluated as D / (I/2 + rho), free of cancellation.
     """
 
-    xi1: np.ndarray
-    xi2: np.ndarray
-    normal: np.ndarray
     det: np.ndarray
-    inertia: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
     smallest: np.ndarray
     collinear: np.ndarray
 
@@ -157,7 +137,7 @@ class _LockedInertia:
         samples, S xi - lambda xi for the longer Jacobi vector xi: the
         kernel direction on collinear samples."""
         xi1, xi2 = self.xi1[:, index], self.xi2[:, index]
-        xi = np.where(self.w1[index] >= 0.0, xi1, xi2)
+        xi = np.where(self.w[0, index] >= 0.0, xi1, xi2)
         v = xi1 * _dot(xi1, xi) + xi2 * _dot(xi2, xi) - self.smallest[index] * xi
         return v / np.maximum(np.linalg.norm(v, axis=0), 1e-300)
 
@@ -166,23 +146,18 @@ class _LockedInertia:
         the normal rows; the points shape_curve gives for the samples
         transported to X."""
         w3 = np.sign(_dot(self.normal, normals)) * np.sqrt(self.det)
-        return np.stack([self.w1, self.w2, w3]) / self.inertia
+        return np.vstack([self.w, w3]) / self.inertia
 
 
-def _locked_inertia(q: np.ndarray, masses: MassTriple) -> _LockedInertia:
-    """Inertia maps of samples q (n, 3, 3) about their mass centroids."""
-    xi1, xi2 = _jacobi_vectors(q.T, masses)
-    a = _dot(xi1, xi1)
-    b = _dot(xi2, xi2)
-    w1 = 0.5 * (a - b)
-    w2 = _dot(xi1, xi2)
-    normal = _cross(xi1, xi2)
-    det = _dot(normal, normal)
-    inertia = a + b
-    half = 0.5 * inertia + np.hypot(w1, w2)
+def _locked_inertia(q: np.ndarray, masses: MassTriple, v=None) -> _LockedInertia:
+    """Inertia maps of samples q (n, 3, 3) about their mass centroids, with
+    the angular momenta of velocities v (n, 3, 3) when given."""
+    rows = _jacobi_rows(q, v, masses)
+    det = _dot(rows.normal, rows.normal)
+    half = 0.5 * rows.inertia + np.hypot(*rows.w)
     smallest = det / np.maximum(half, 1e-300)
-    collinear = smallest < COLLINEAR_EIG_TOL * 2.0 * inertia
-    return _LockedInertia(xi1, xi2, normal, det, inertia, w1, w2, smallest, collinear)
+    collinear = smallest < COLLINEAR_EIG_TOL * 2.0 * rows.inertia
+    return _LockedInertia(**vars(rows), det=det, smallest=smallest, collinear=collinear)
 
 
 def sigma_tensor(config: SpatialConfiguration, masses: MassTriple) -> SigmaTensor:
@@ -379,7 +354,7 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
     when the sine of the angle between xi1 and xi2 exceeds 1e-10, i.e. when
     |N|^2 > 1e-20 |xi1|^2 |xi2|^2.
     """
-    lengths_sq = (0.5 * kernel.inertia + kernel.w1) * (0.5 * kernel.inertia - kernel.w1)
+    lengths_sq = (0.5 * kernel.inertia + kernel.w[0]) * (0.5 * kernel.inertia - kernel.w[0])
     triangular = kernel.det > 1e-20 * lengths_sq
     if not np.any(triangular):
         raise ValueError("all samples are collinear: the orientation is undefined")
@@ -409,20 +384,14 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
     return out
 
 
-def _momentum_vectors(kernel: _LockedInertia, v: np.ndarray, masses: MassTriple) -> np.ndarray:
-    """Angular momenta (3, n) xi1 x eta1 + xi2 x eta2, eta the Jacobi rows of velocities v
-    (n, 3, 3); the Jacobi map is orthogonal, so on centered samples this is sum_i m_i q_i x v_i."""
-    return sum(map(_cross, (kernel.xi1, kernel.xi2), _jacobi_vectors(v.T, masses)))
-
-
-def _bad_set(kernel: _LockedInertia, momentum, times, e) -> tuple[float, list]:
-    """bad_set_measure over the samples of an inertia kernel.  The normal
-    N = xi1 x xi2 reverses across a collinear passage, so a step between two
-    triangular samples with N_k . N_{k+1} <= 0 passes one."""
+def _bad_set(kernel: _LockedInertia, times, e) -> tuple[float, list]:
+    """bad_set_measure over the samples of an inertia kernel with momenta.
+    The normal N = xi1 x xi2 reverses across a collinear passage, so a step
+    between two triangular samples with N_k . N_{k+1} <= 0 passes one."""
     duration = max(float(times[-1] - times[0]), 1e-300)
 
     def tilted_spin(index):
-        size = np.linalg.norm(momentum[:, index], axis=0)
+        size = np.linalg.norm(kernel.momentum[:, index], axis=0)
         spin = size > _BAD_SET_J_TOL * kernel.inertia[index] / duration
         return spin & (np.abs(e @ kernel.axis(index)) > _BAD_SET_AXIS_TOL)
 
@@ -448,12 +417,11 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
     an axis; returns the trapezoidal dwell time of flagged samples plus the
     lengths of flagged steps, and the flagged time intervals.
     """
-    e = _unit(e, "e")
-    traj = traj.ensure_velocities()
     if traj.dim != 3:
         raise ValueError("bad_set_measure expects a spatial trajectory")
-    kernel = _locked_inertia(traj.positions, traj.masses)
-    return _bad_set(kernel, _momentum_vectors(kernel, traj.velocities, traj.masses), traj.times, e)
+    e = _unit(e, "e")
+    traj = traj.ensure_velocities()
+    return _bad_set(_locked_inertia(traj.positions, traj.masses, traj.velocities), traj.times, e)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -510,19 +478,19 @@ def reconstruct_spatial(
     if antipodal_branch not in (1, -1):
         raise ValueError("antipodal_branch must be +1 or -1")
     traj = traj.ensure_velocities()
-    kernel = _locked_inertia(traj.positions, traj.masses)
-    momentum = _momentum_vectors(kernel, traj.velocities, traj.masses)
+    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities)
     if e is None:
-        e = momentum[:, 0] if np.linalg.norm(momentum[:, 0]) > 0.0 else np.array([0.0, 0.0, 1.0])
+        e = kernel.momentum[:, 0]
+        e = e if np.linalg.norm(e) > 0.0 else np.array([0.0, 0.0, 1.0])
     e = _unit(e, "e")
     normals = _track_normals(kernel, traj.times, e) if traj.normals is None else traj.normals.T
     if np.any(kernel.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-    rate = _projected_rate(kernel.inverse(momentum, kernel.inertia), normals, e)
-    measure, _ = _bad_set(kernel, momentum, traj.times, e)
+    rate = _projected_rate(kernel.inverse(kernel.momentum, kernel.inertia), normals, e)
+    measure, _ = _bad_set(kernel, traj.times, e)
     points = kernel.shape_points(normals)
     # last use of the inertia map's rows and of the momenta
-    del kernel, momentum
+    del kernel
 
     antipodal = np.linalg.norm(normals + e[:, None], axis=0) < ANTIPODAL_TOL
     runs = _runs(antipodal)
@@ -576,7 +544,7 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
         raise ValueError("velocity carries net linear momentum")
     _require_centered(config, masses)
     q = config.as_array()
-    kernel = _locked_inertia(q[None, :, :], masses)
+    kernel = _locked_inertia(q[None, :, :], masses, v[None])
     if kernel.collinear[0]:
         warnings.warn(
             "collinear configuration: using the J/I convention, the internal part "
@@ -584,6 +552,6 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
             RuntimeWarning,
             stacklevel=2,
         )
-    w = kernel.inverse(_momentum_vectors(kernel, v[None], masses), kernel.inertia)[:, 0]
+    w = kernel.inverse(kernel.momentum, kernel.inertia)[:, 0]
     v_rigid = _cross(w, q.T).T
     return v_rigid, v - v_rigid

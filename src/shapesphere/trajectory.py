@@ -653,6 +653,10 @@ def _random_smooth(
     """
     if not 0.0 < amplitude < 0.5:
         raise ValueError("amplitude must lie in (0, 0.5)")
+    if not duration > 0.0:
+        raise ValueError("random_smooth duration must be positive")
+    if not harmonics >= 1:
+        raise ValueError("random_smooth harmonics must be at least 1")
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, duration, samples)
     base_freq = TWO_PI / duration if periodic else (TWO_PI / duration) * rng.uniform(0.55, 0.85)

@@ -30,6 +30,7 @@ from .shape_core import (
     jacobi_series,
     shape_series,
     ShapePoint,
+    _cross,
     _recenter,
 )
 from .spatial import _locked_inertia, _projected_rate, reconstruct_spatial
@@ -59,10 +60,6 @@ __all__ = [
 ]
 
 _MASS_TRIPLES = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (2.0, 3.0, 6.0))
-
-
-def _cross2(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _case_row(
@@ -236,7 +233,7 @@ def shape_invariant_deviation(count: int = 1000, seed: int = 0) -> float:
         reflection = np.abs(w_ref - expected).max(axis=1) / np.maximum(w[:, 3], 1e-300)
         worst = max(worst, float(np.max(reflection)))
 
-        area = 0.5 * _cross2(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+        area = 0.5 * _cross((q[:, 1] - q[:, 0]).T, (q[:, 2] - q[:, 0]).T)
         area_dev = np.abs(w[:, 2] - 2.0 * masses.mu1 * masses.mu2 * area)
         worst = max(worst, float(np.max(area_dev / np.maximum(w[:, 3], 1e-300))))
     return worst

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -456,6 +457,27 @@ class TestGenerate:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 and lines[1].startswith("0.0,")
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"duration": 0}, "duration must be positive"),
+            ({"duration": -1.0}, "duration must be positive"),
+            ({"duration": 1.0, "harmonics": 0}, "harmonics must be at least 1"),
+            ({"duration": 1.0, "harmonics": -1}, "harmonics must be at least 1"),
+        ],
+        ids=["zero_duration", "negative_duration", "zero_harmonics", "negative_harmonics"],
+    )
+    def test_random_smooth_domain_exits_3(self, capsys, extra, message):
+        # a domain error naming the parameter, not a traceback or a silent
+        # unperturbed motion
+        params = json.dumps({"masses": [1, 2, 3], "seed": 1, "samples": 11, **extra})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generate", "--kind", "random_smooth", "--params", params]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: random_smooth {message}\n"
+
 
 class TestVerify:
     def test_small_planar_suite_runs(self, tmp_path, capsys):
@@ -482,6 +504,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["summary"]["failures"] == 2
         assert captured.err == "2 case(s) failed\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3", "x"])
+    def test_non_positive_sample_count_is_a_usage_error(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", f"--n={n}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --n: expects a positive integer, got '{n}'" in captured.err
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("SHAPESPHERE_SEED", "9")

@@ -8,13 +8,22 @@ from shapesphere import (
     PlanarConfiguration,
     SpatialConfiguration,
     derive_masses,
+    embed_planar,
+    generate,
     jacobi,
     normalize_shape,
     oriented_state,
     shape_map,
 )
 from shapesphere.planar import _quadrature
-from shapesphere.shape_core import _collinear_imbalance, _collinear_ratio, _planar_rows, _recenter
+from shapesphere.shape_core import (
+    _collinear_imbalance,
+    _collinear_ratio,
+    _cross,
+    _dot,
+    _jacobi_rows,
+    _recenter,
+)
 from shapesphere.spatial import _locked_inertia, _projected_rate
 from shapesphere.trajectory import _gravity_accel, _pair_weights, _spline_slopes
 
@@ -83,7 +92,7 @@ class TestPlanarRows:
         masses = derive_masses(*triple)
         m = masses.as_array()[:, None]
         q, v = self.samples(masses)
-        rows = _planar_rows(q, v, masses)
+        rows = _jacobi_rows(q, v, masses)
         for k in range(q.shape[0]):
             inertia = np.sum(m[:, 0] * np.sum(q[k] ** 2, axis=1))
             momentum = np.sum(m[:, 0] * (q[k, :, 0] * v[k, :, 1] - q[k, :, 1] * v[k, :, 0]))
@@ -102,8 +111,8 @@ class TestPlanarRows:
     def test_rows_are_c_ordered_for_any_layout(self):
         masses = derive_masses(1, 2, 3)
         q, v = self.samples(masses)
-        rows = _planar_rows(q, np.asfortranarray(v), masses)
-        reference = _planar_rows(q, v, masses)
+        rows = _jacobi_rows(q, np.asfortranarray(v), masses)
+        reference = _jacobi_rows(q, v, masses)
         for name in ("xi1", "xi2", "inertia", "momentum", "w"):
             value = getattr(rows, name)
             assert value.flags.c_contiguous, name
@@ -113,9 +122,49 @@ class TestPlanarRows:
     def test_without_velocities_there_is_no_momentum(self):
         masses = derive_masses(1, 2, 3)
         q, _ = self.samples(masses)
-        rows = _planar_rows(q, None, masses)
+        rows = _jacobi_rows(q, None, masses)
         assert rows.momentum is None
-        assert np.array_equal(rows.w, _planar_rows(q, q, masses).w)
+        assert np.array_equal(rows.w, _jacobi_rows(q, q, masses).w)
+
+    @pytest.mark.parametrize("triple", [(1, 1, 1), (1, 2, 3)])
+    def test_embedded_motion_gets_the_planar_invariants_bitwise(self, triple):
+        # one kernel for (2, n) and (3, n) rows: the third component of a
+        # spatial cross product is the planar one, and a zero third
+        # coordinate adds exact zeros to every dot product.  embed_planar
+        # recenters at roundoff, so the plane gets the embedded copy's bits.
+        masses = derive_masses(*triple)
+        base = generate("random_smooth", masses=masses, seed=5, duration=2.0, samples=501)
+        motion = embed_planar(base)
+        q, v = motion.positions, motion.velocities
+        planar = _jacobi_rows(q[..., :2], v[..., :2], masses)
+        spatial = _jacobi_rows(q, v, masses)
+        assert np.array_equal(spatial.inertia, planar.inertia)
+        assert np.array_equal(spatial.w, planar.w[:2])
+        assert planar.normal.shape == (501,) and np.shares_memory(planar.normal, planar.w)
+        zeros = np.zeros(501)
+        assert np.array_equal(spatial.normal, np.stack([zeros, zeros, planar.w[2]]))
+        assert np.array_equal(spatial.momentum, np.stack([zeros, zeros, planar.momentum]))
+
+
+class TestRowProducts:
+    def test_dot_matches_einsum_bitwise(self):
+        # einsum sums a contiguous length-3 axis as (x0 + x2) + x1, and _dot
+        # on (3, n) rows in the same order; einsum over the rows themselves
+        # would sum x0, x1, x2 in turn
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((2, 3, 1001)) * np.logspace(-8, 8, 1001)
+        samples_a, samples_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        assert np.array_equal(_dot(a, b), np.einsum("nd,nd->n", samples_a, samples_b))
+        # in the plane the order is x0 + x1
+        assert np.array_equal(_dot(a[:2], b[:2]), a[0] * b[0] + a[1] * b[1])
+
+    def test_cross_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 3, 50))
+        assert np.array_equal(_cross(a, b), np.cross(a.T, b.T).T)
+        assert np.array_equal(_cross(a[:, 3], b), np.cross(a[:, 3], b.T).T)
+        # the planar cross product is the third spatial row
+        assert np.array_equal(_cross(a[:2], b[:2]), _cross(a * [[1], [1], [0]], b)[2])
 
 
 SPLINE_COUNTS = [2, 3, 4, 5, 50, 10_000]

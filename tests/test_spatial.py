@@ -36,7 +36,6 @@ from shapesphere.shape_core import _jacobi_vectors
 from shapesphere.spatial import (
     COLLINEAR_EIG_TOL,
     _locked_inertia,
-    _momentum_vectors,
     _project_positions,
     _projected_rate,
     _steps_pass_antipode,
@@ -419,6 +418,14 @@ class TestBadSet:
         assert measure == pytest.approx(1.0, rel=1e-12)
         assert intervals == [(0.0, 1.0)]
 
+    def test_planar_input_rejected_before_differencing(self):
+        # the dimension is checked first, as reconstruct_spatial does, so two
+        # planar samples, which cannot be differenced, get the dimension error
+        base = generate("random_smooth", masses=M111, seed=3, duration=1.0, samples=2)
+        planar = Trajectory(base.masses, base.times, base.positions)
+        with pytest.raises(ValueError, match="expects a spatial trajectory"):
+            bad_set_measure(planar, np.array([0.0, 0.0, 1.0]))
+
 
 class TestVelocityDecompose:
     def test_rigid_rotation_has_no_internal_part(self):
@@ -590,7 +597,7 @@ class TestReconstructSpatial:
             assert abs(rep.total - rep.oracle) <= 1e-5, stop
 
     def test_positions_and_velocities_mapped_once(self, monkeypatch):
-        import shapesphere.spatial as spatial
+        import shapesphere.shape_core as shape_core
 
         calls = []
 
@@ -598,7 +605,7 @@ class TestReconstructSpatial:
             calls.append(rows)
             return _jacobi_vectors(rows, masses)
 
-        monkeypatch.setattr(spatial, "_jacobi_vectors", counting)
+        monkeypatch.setattr(shape_core, "_jacobi_vectors", counting)
         traj = spatial_motion_cases(2001, 1)[1][1]
         reconstruct_spatial(traj, include_oracle=True)
         assert len(calls) == 2
@@ -776,7 +783,7 @@ class TestComponentRowsAgainstBodies:
     @pytest.mark.parametrize("masses", [M111, M123])
     def test_momentum_vectors(self, masses):
         q, v = sample_batch(masses, np.random.default_rng(21))
-        rows = _momentum_vectors(_locked_inertia(q, masses), v, masses)
+        rows = _locked_inertia(q, masses, v).momentum
         assert rows.shape == (3, q.shape[0]) and rows.flags.c_contiguous
         m = masses.as_array()
         for k in range(q.shape[0]):
@@ -788,8 +795,8 @@ class TestComponentRowsAgainstBodies:
     def test_inverse_and_projected_rate(self, masses):
         rng = np.random.default_rng(22)
         q, v = sample_batch(masses, rng)
-        kernel = _locked_inertia(q, masses)
-        momenta = _momentum_vectors(kernel, v, masses)
+        kernel = _locked_inertia(q, masses, v)
+        momenta = kernel.momentum
         w = kernel.inverse(momenta, kernel.inertia)
         e = rng.standard_normal(3)
         e /= np.linalg.norm(e)
