@@ -243,20 +243,20 @@ def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
 
 
 def _momentum_rate(traj: Trajectory):
-    """The trajectory with velocities, I, the shape rows and J/I per sample;
-    the Jacobi rows are dropped here, before the curve and the oracle."""
+    """I, the shape rows and J/I per sample, J from the velocities or, if
+    there are none, from the differenced Jacobi rows; the Jacobi rows are
+    dropped here, before the curve and the oracle."""
     if traj.dim != 2:
         raise ValueError("planar series require a planar trajectory")
-    traj = traj.ensure_velocities()
-    rows = _jacobi_rows(traj.positions, traj.velocities, traj.masses)
+    rows = _jacobi_rows(traj.positions, traj.velocities, traj.masses, traj.times)
     if np.any(rows.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-    return traj, rows.inertia, rows.w, rows.momentum / rows.inertia
+    return rows.inertia, rows.w, rows.momentum / rows.inertia
 
 
 def dynamic_term(traj: Trajectory) -> float:
     """Time integral of J/I over the motion."""
-    traj, _, _, rate = _momentum_rate(traj)
+    _, _, rate = _momentum_rate(traj)
     return _quadrature(traj.times, rate)
 
 
@@ -299,7 +299,7 @@ def _unwound_turn(vec: np.ndarray, target: str) -> float:
 
 
 def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> ReconstructionReport:
-    traj, inertia, w, rate = _momentum_rate(traj)
+    inertia, w, rate = _momentum_rate(traj)
     end_vecs = _target_vectors(traj.positions[[0, -1]], target)
     scale = np.sqrt(inertia[[0, -1]])
     if np.any(np.linalg.norm(end_vecs, axis=1) <= ENDPOINT_TOL * scale):

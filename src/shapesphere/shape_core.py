@@ -566,12 +566,29 @@ class _JacobiRows:
     momentum: Optional[np.ndarray]
 
 
-def _jacobi_rows(q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple) -> _JacobiRows:
+def _jacobi_rows(
+    q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple, times=None
+) -> _JacobiRows:
     """The row kernel of samples q and velocities v (or None), both (n, 3, d),
     mapped on their .T views, so every row is C-ordered whatever their
-    layout; the velocity rows are dropped once J is formed."""
+    layout; the velocity rows are dropped once J is formed.
+
+    Without v, J comes from the Jacobi rows differenced over the sample
+    times by finite_difference_velocities' stencils: both maps are linear
+    and a translation has no Jacobi component, so these rates are the Jacobi
+    rows of the differenced, recentered body velocities.  Without either, J
+    is None.
+    """
     xi1, xi2 = _jacobi_vectors(q.T, masses)
-    momentum = None if v is None else _momentum(xi1, xi2, *_jacobi_vectors(v.T, masses))
+    if v is not None:
+        momentum = _momentum(xi1, xi2, *_jacobi_vectors(v.T, masses))
+    elif times is not None:
+        if len(times) < 3:
+            raise ValueError("need at least 3 samples to difference velocities")
+        rates = np.gradient(np.stack([xi1, xi2]), times, axis=-1, edge_order=2)
+        momentum = _momentum(xi1, xi2, *rates)
+    else:
+        momentum = None
     return _rows_from_jacobi(xi1, xi2, momentum)
 
 

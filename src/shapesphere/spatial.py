@@ -149,10 +149,11 @@ class _LockedInertia(_JacobiRows):
         return np.vstack([self.w, w3]) / self.inertia
 
 
-def _locked_inertia(q: np.ndarray, masses: MassTriple, v=None) -> _LockedInertia:
+def _locked_inertia(q: np.ndarray, masses: MassTriple, v=None, times=None) -> _LockedInertia:
     """Inertia maps of samples q (n, 3, 3) about their mass centroids, with
-    the angular momenta of velocities v (n, 3, 3) when given."""
-    rows = _jacobi_rows(q, v, masses)
+    the angular momenta of velocities v (n, 3, 3) when given, else of the
+    positions differenced over the sample times when given."""
+    rows = _jacobi_rows(q, v, masses, times)
     det = _dot(rows.normal, rows.normal)
     half = 0.5 * rows.inertia + np.hypot(*rows.w)
     smallest = det / np.maximum(half, 1e-300)
@@ -420,8 +421,8 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
     if traj.dim != 3:
         raise ValueError("bad_set_measure expects a spatial trajectory")
     e = _unit(e, "e")
-    traj = traj.ensure_velocities()
-    return _bad_set(_locked_inertia(traj.positions, traj.masses, traj.velocities), traj.times, e)
+    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities, traj.times)
+    return _bad_set(kernel, traj.times, e)
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -477,8 +478,7 @@ def reconstruct_spatial(
         raise ValueError("reconstruct_spatial expects a spatial trajectory")
     if antipodal_branch not in (1, -1):
         raise ValueError("antipodal_branch must be +1 or -1")
-    traj = traj.ensure_velocities()
-    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities)
+    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities, traj.times)
     if e is None:
         e = kernel.momentum[:, 0]
         e = e if np.linalg.norm(e) > 0.0 else np.array([0.0, 0.0, 1.0])

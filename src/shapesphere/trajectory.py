@@ -761,7 +761,8 @@ def embed_planar(traj: Trajectory, rotation=None) -> Trajectory:
         q = q @ R.T
         if v is not None:
             v = v @ R.T
-    return Trajectory.from_samples(traj.masses, traj.times, q, v)
+    # a linear map keeps centered samples centered: no recentering to re-round them
+    return Trajectory(traj.masses, traj.times, q, v, max_center_shift=traj.max_center_shift)
 
 
 def apply_rotation_profile(traj: Trajectory, axis, angle, rate) -> Trajectory:

@@ -7,14 +7,22 @@ from shapesphere import (
     F_of_J,
     PlanarConfiguration,
     SpatialConfiguration,
+    Trajectory,
+    bad_set_measure,
     derive_masses,
+    dynamic_term,
     embed_planar,
+    finite_difference_velocities,
     generate,
     jacobi,
     normalize_shape,
     oriented_state,
+    reconstruct_q1,
+    reconstruct_spatial,
+    reconstruct_Z1,
     shape_map,
 )
+from shapesphere import trajectory as trajectory_module
 from shapesphere.planar import _quadrature
 from shapesphere.shape_core import (
     _collinear_imbalance,
@@ -25,9 +33,15 @@ from shapesphere.shape_core import (
     _recenter,
 )
 from shapesphere.spatial import _locked_inertia, _projected_rate
-from shapesphere.trajectory import _gravity_accel, _pair_weights, _spline_slopes
+from shapesphere.trajectory import (
+    _gravity_accel,
+    _pair_weights,
+    _spline_slopes,
+    rotation_matrices,
+)
 
 COUNTS = list(range(3, 41)) + [10_000, 10_001]
+M123 = derive_masses(1, 2, 3)
 
 
 def scipy_rule(t, y):
@@ -130,13 +144,15 @@ class TestPlanarRows:
     def test_embedded_motion_gets_the_planar_invariants_bitwise(self, triple):
         # one kernel for (2, n) and (3, n) rows: the third component of a
         # spatial cross product is the planar one, and a zero third
-        # coordinate adds exact zeros to every dot product.  embed_planar
-        # recenters at roundoff, so the plane gets the embedded copy's bits.
+        # coordinate adds exact zeros to every dot product.
         masses = derive_masses(*triple)
         base = generate("random_smooth", masses=masses, seed=5, duration=2.0, samples=501)
         motion = embed_planar(base)
         q, v = motion.positions, motion.velocities
-        planar = _jacobi_rows(q[..., :2], v[..., :2], masses)
+        # a linear map keeps the centered samples as they are
+        assert np.array_equal(q[..., :2], base.positions)
+        assert np.array_equal(v[..., :2], base.velocities)
+        planar = _jacobi_rows(base.positions, base.velocities, masses)
         spatial = _jacobi_rows(q, v, masses)
         assert np.array_equal(spatial.inertia, planar.inertia)
         assert np.array_equal(spatial.w, planar.w[:2])
@@ -144,6 +160,109 @@ class TestPlanarRows:
         zeros = np.zeros(501)
         assert np.array_equal(spatial.normal, np.stack([zeros, zeros, planar.w[2]]))
         assert np.array_equal(spatial.momentum, np.stack([zeros, zeros, planar.momentum]))
+
+
+def stripped_motions():
+    """Velocity-free random_smooth motions (masses 1, 2, 3; 2001 samples) as
+    (kind, trajectory) parameters: planar and tilted embedded copies on the
+    uniform grid and on a randomly jittered one."""
+    base = generate("random_smooth", masses=M123, seed=17, duration=2.0, samples=2001)
+    tilt = rotation_matrices(np.array([0.3, -1.0, 0.4]), 0.9)[0]
+    h = base.times[1] - base.times[0]
+    jitter = np.random.default_rng(29).uniform(-0.3, 0.3, base.n_samples) * h
+    for kind, motion in (("planar", base), ("embedded", embed_planar(base, tilt))):
+        for grid, t in (("uniform", base.times), ("jittered", base.times + jitter)):
+            yield pytest.param(kind, Trajectory(M123, t, motion.positions), id=f"{kind}-{grid}")
+
+
+STRIPPED = list(stripped_motions())
+
+
+class TestDifferencedRows:
+    """Without velocities, J comes from the Jacobi rows differenced over the
+    sample times, in place of the Jacobi map of finite_difference_velocities."""
+
+    @staticmethod
+    def operations(kind):
+        if kind == "planar":
+            return {
+                "q1": lambda traj: reconstruct_q1(traj).total,
+                "Z1": lambda traj: reconstruct_Z1(traj).total,
+                "dynamic": dynamic_term,
+            }
+        return {
+            "spatial": lambda traj: reconstruct_spatial(traj).total,
+            "spatial_e": lambda traj: reconstruct_spatial(traj, e=[0.2, 0.1, 1.0]).total,
+            "bad_set": lambda traj: bad_set_measure(traj, [0.2, 0.1, 1.0])[0],
+        }
+
+    @pytest.mark.parametrize("kind, traj", STRIPPED)
+    def test_matches_the_differenced_velocities(self, kind, traj):
+        differenced = finite_difference_velocities(traj)
+        for name, op in self.operations(kind).items():
+            assert abs(op(traj) - op(differenced)) <= 1e-12, name
+
+    @pytest.mark.parametrize("kind, traj", STRIPPED[::3])
+    def test_builds_no_second_trajectory(self, kind, traj, monkeypatch):
+        calls = []
+        post_init = Trajectory.__post_init__
+        differences = trajectory_module.finite_difference_velocities
+
+        def counted_post_init(self):
+            calls.append("Trajectory")
+            post_init(self)
+
+        def counted_differences(traj):
+            calls.append("finite_difference_velocities")
+            return differences(traj)
+
+        monkeypatch.setattr(Trajectory, "__post_init__", counted_post_init)
+        monkeypatch.setattr(trajectory_module, "finite_difference_velocities", counted_differences)
+        for op in self.operations(kind).values():
+            op(traj)
+        assert calls == []
+        # the counters see the path that velocity-free calls no longer take
+        traj.ensure_velocities()
+        assert calls == ["finite_difference_velocities", "Trajectory"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exact_on_quadratic_motions(self, dim):
+        # second-order stencils at the ends as inside: J is exact on a motion
+        # quadratic in t, on a nonuniform grid
+        rng = np.random.default_rng(dim)
+        t = np.cumsum(rng.uniform(0.05, 0.3, 40))
+        a, b, c = rng.standard_normal((3, 3, dim))
+        q = a + b * t[:, None, None] + c * t[:, None, None] ** 2
+        v = b + 2.0 * c * t[:, None, None]
+        _recenter(q, M123)
+        _recenter(v, M123)
+        m = M123.as_array()[None, :, None]
+        rows = _jacobi_rows(q, None, M123, t)
+        if dim == 2:
+            exact = np.sum(m[..., 0] * (q[..., 0] * v[..., 1] - q[..., 1] * v[..., 0]), axis=1)
+            momentum = rows.momentum
+        else:
+            exact = np.sum(m * np.cross(q, v), axis=1)
+            momentum = rows.momentum.T
+        sizes = np.linalg.norm(q, axis=2) * np.linalg.norm(v, axis=2)
+        scale = np.max(np.sum(m[..., 0] * sizes, axis=1))
+        assert np.max(np.abs(momentum - exact)) <= 1e-13 * scale
+
+    def test_needs_three_samples(self):
+        t = np.array([0.0, 1.0])
+        q = np.array([[1.0, 0.2, 0.1], [-0.4, 0.9, -0.3], [0.3, -0.6, 0.2]])
+        planar = Trajectory.from_samples(M123, t, np.stack([q[:, :2], 1.1 * q[:, :2]]))
+        spatial = Trajectory.from_samples(M123, t, np.stack([q, 1.1 * q]))
+        message = "need at least 3 samples to difference velocities"
+        for call in (
+            lambda: reconstruct_q1(planar),
+            lambda: reconstruct_Z1(planar),
+            lambda: dynamic_term(planar),
+            lambda: reconstruct_spatial(spatial),
+            lambda: bad_set_measure(spatial, [0.0, 0.0, 1.0]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestRowProducts:
