@@ -19,11 +19,11 @@ from .shape_core import (
     O1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
+    _bodies_from_rows,
     _jacobi_rows,
     chart_angles,
     jacobi,
     normalize_shape,
-    positions_from_jacobi_series,
     shape_map,
 )
 from .trajectory import Trajectory, _checked_times, _spline_slopes
@@ -369,23 +369,18 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
     # triple collision, so at least one is
     angles0 = chart_angles(pair0)
     xi2 = (angles0.xi2 if angles0.defined2 else angles0.xi1 + xi[0]) + accumulated
-    xi1 = xi2 - xi
 
+    # Jacobi rows (r cos xi, r sin xi) of Z1 and Z2 and their rates, with
+    # radial rates from d(r^2)/dt = +-d(w1)/dt and angle rates from the lift law
     scale = np.sqrt(inertia0)
-    r1 = scale * np.sqrt(np.clip(r1sq, 0.0, None))
-    r2 = scale * np.sqrt(np.clip(r2sq, 0.0, None))
-    Z1 = r1 * np.exp(1j * xi1)
-    Z2 = r2 * np.exp(1j * xi2)
-    positions = positions_from_jacobi_series(Z1, Z2, masses)
-
-    # radial rates from d(r^2)/dt = +-d(w1)/dt; angle rates from the lift law
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dr1 = np.where(r1 > 0.0, scale * dr1sq / (2.0 * np.sqrt(np.clip(r1sq, 1e-300, None))), 0.0)
-        dr2 = np.where(r2 > 0.0, scale * -dr1sq / (2.0 * np.sqrt(np.clip(r2sq, 1e-300, None))), 0.0)
-    xi1_rate = -r2sq * dxi_dt
-    xi2_rate = r1sq * dxi_dt
-    dZ1 = (dr1 + 1j * r1 * xi1_rate) * np.exp(1j * xi1)
-    dZ2 = (dr2 + 1j * r2 * xi2_rate) * np.exp(1j * xi2)
-    velocities = positions_from_jacobi_series(dZ1, dZ2, masses)
-
+    rsq = np.stack([r1sq, r2sq])
+    r = scale * np.sqrt(np.clip(rsq, 0.0, None))
+    dr = scale * np.stack([dr1sq, -dr1sq]) / (2.0 * np.sqrt(np.clip(rsq, 1e-300, None)))
+    dr = np.where(r > 0.0, dr, 0.0)
+    turn = r * (np.stack([-r2sq, r1sq]) * dxi_dt)
+    angles = np.stack([xi2 - xi, xi2])
+    cos, sin = np.cos(angles), np.sin(angles)
+    rows = np.stack([r * cos, r * sin], axis=1).reshape(4, -1)
+    rates = np.stack([dr * cos - turn * sin, dr * sin + turn * cos], axis=1).reshape(4, -1)
+    positions, velocities = (_bodies_from_rows(x, masses, body_rows=True) for x in (rows, rates))
     return Trajectory(masses, t, positions, velocities)

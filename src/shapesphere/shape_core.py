@@ -13,6 +13,7 @@ configurations, poles) for a given mass triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -203,10 +204,7 @@ def jacobi_pivot3(config: PlanarConfiguration, masses: MassTriple) -> JacobiPair
 
 def configuration_from_jacobi(pair: JacobiPair, masses: MassTriple) -> PlanarConfiguration:
     """Invert the Jacobi map back to a centered planar configuration."""
-    q = positions_from_jacobi_series(
-        np.array([pair.Z1], dtype=complex), np.array([pair.Z2], dtype=complex), masses
-    )[0]
-    return PlanarConfiguration(q[0], q[1], q[2])
+    return PlanarConfiguration(*positions_from_jacobi_series([pair.Z1], [pair.Z2], masses)[0])
 
 
 def inertia_and_momentum(pair: JacobiPair, pair_rate: JacobiPair) -> tuple[float, float]:
@@ -392,11 +390,11 @@ def _euler_angle(masses: MassTriple, i: int) -> float:
         raise ValueError(f"central body index must be 1, 2 or 3, got {i!r}")
     j, k = (b for b in (1, 2, 3) if b != i)
     m = masses.as_array()
-    x = np.zeros((1, 3))
+    x = np.zeros((1, 3, 1))
     x[0, i - 1] = 1.0
     x[0, k - 1] = 1.0 + _collinear_ratio(m[j - 1], m[i - 1], m[k - 1])
-    Z1, Z2 = _jacobi_vectors(x, masses)
-    return float(2.0 * np.arctan2(Z2[0], Z1[0]) % TWO_PI)
+    Z1, Z2 = _jacobi_product(x, masses)[:, 0, 0]
+    return float(2.0 * np.arctan2(Z2, Z1) % TWO_PI)
 
 
 def euler_collinear_point(masses: MassTriple, i: int) -> ShapePoint:
@@ -490,25 +488,45 @@ def jacobi_series(positions: np.ndarray, masses: MassTriple) -> tuple[np.ndarray
 
     The map is linear, so it applies verbatim to velocities as well.
     """
-    xi1, xi2 = _jacobi_vectors(positions.T, masses)
+    if np.shape(positions)[1:] != (3, 2):
+        raise ValueError(f"planar samples must have shape (n, 3, 2), got {np.shape(positions)}")
+    xi1, xi2 = _jacobi_product(np.asarray(positions), masses)
     return xi1[0] + 1j * xi1[1], xi2[0] + 1j * xi2[1]
 
 
-def _jacobi_vectors(q: np.ndarray, masses: MassTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi map over the body axis (axis 1) of a batch of samples.
+@lru_cache(maxsize=64)
+def _jacobi_matrices(masses: MassTriple, d: int) -> tuple[np.ndarray, ...]:
+    """The Jacobi map A (2 x 3 over the bodies) and its inverse M^-1 A^T on
+    centered samples as kron(A, I_d) and kron(M^-1 A^T, I_d) over the
+    sample-major entries b d + i of (n, 3, d) samples, then both over the
+    body-row entries i 3 + b; shared between calls, so never written."""
+    mu1, mu2, m23 = masses.mu1, masses.mu2, masses.m2 + masses.m3
+    a = np.array([[0.0, -mu1, mu1], [mu2, -mu2 * masses.m2 / m23, -mu2 * masses.m3 / m23]])
+    forward, inverse = np.kron(a, np.eye(d)), np.kron((a / masses.as_array()).T, np.eye(d))
+    body = np.arange(3 * d).reshape(3, d).T.ravel()
+    return forward, forward[:, body], inverse, inverse[body]
 
-    The view q.T of (n, 3, d) samples gives the mass-weighted Jacobi
-    d-vectors as C-ordered (d, n) rows, since each pass that reads q writes
-    in C order; (n, 3) samples on a line give (n,) coordinates.
-    """
-    Z1 = np.subtract(q[:, 2], q[:, 1], order="C")
-    Z1 *= masses.mu1
-    Z2 = np.multiply(masses.m2, q[:, 1], order="C")
-    Z2 += np.multiply(masses.m3, q[:, 2], order="C")
-    Z2 /= masses.m2 + masses.m3
-    np.subtract(q[:, 0], Z2, out=Z2)
-    Z2 *= masses.mu2
-    return Z1, Z2
+
+def _jacobi_product(q: np.ndarray, masses: MassTriple) -> np.ndarray:
+    """C-ordered Jacobi rows (2, d, n) of samples q (n, 3, d), one product
+    over a (3d, n) view of q: sample-major for C-ordered q, body-row for the
+    (n, 3, d) view of a C-ordered (d, 3, n) array."""
+    n, _, d = q.shape
+    forward, forward_body, _, _ = _jacobi_matrices(masses, d)
+    if q.strides[1] == d * q.strides[2]:
+        return np.matmul(forward, q.reshape(n, 3 * d).T).reshape(2, d, n)
+    return np.matmul(forward_body, q.T.reshape(3 * d, n)).reshape(2, d, n)
+
+
+def _bodies_from_rows(rows: np.ndarray, masses: MassTriple, body_rows=False) -> np.ndarray:
+    """Centered samples (n, 3, d) of Jacobi rows (2d, n), one product with
+    M^-1 A^T: C-ordered, or with body_rows the (n, 3, d) view of a C-ordered
+    (d, 3, n) array."""
+    n, d = rows.shape[1], len(rows) // 2
+    _, _, inverse, inverse_body = _jacobi_matrices(masses, d)
+    if body_rows:
+        return np.matmul(inverse_body, rows).reshape(d, 3, n).T
+    return np.matmul(rows.T, inverse.T).reshape(n, 3, d)
 
 
 def shape_series(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -570,8 +588,8 @@ def _jacobi_rows(
     q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple, times=None
 ) -> _JacobiRows:
     """The row kernel of samples q and velocities v (or None), both (n, 3, d),
-    mapped on their .T views, so every row is C-ordered whatever their
-    layout; the velocity rows are dropped once J is formed.
+    each mapped by one _jacobi_product, so every row is C-ordered whatever
+    their layout; the velocity rows are dropped once J is formed.
 
     Without v, J comes from the Jacobi rows differenced over the sample
     times by finite_difference_velocities' stencils: both maps are linear
@@ -579,17 +597,16 @@ def _jacobi_rows(
     rows of the differenced, recentered body velocities.  Without either, J
     is None.
     """
-    xi1, xi2 = _jacobi_vectors(q.T, masses)
+    xi = _jacobi_product(q, masses)
     if v is not None:
-        momentum = _momentum(xi1, xi2, *_jacobi_vectors(v.T, masses))
+        momentum = _momentum(*xi, *_jacobi_product(v, masses))
     elif times is not None:
         if len(times) < 3:
             raise ValueError("need at least 3 samples to difference velocities")
-        rates = np.gradient(np.stack([xi1, xi2]), times, axis=-1, edge_order=2)
-        momentum = _momentum(xi1, xi2, *rates)
+        momentum = _momentum(*xi, *np.gradient(xi, times, axis=-1, edge_order=2))
     else:
         momentum = None
-    return _rows_from_jacobi(xi1, xi2, momentum)
+    return _rows_from_jacobi(*xi, momentum)
 
 
 def _momentum(xi1, xi2, eta1, eta2) -> np.ndarray:
@@ -616,10 +633,4 @@ def positions_from_jacobi_series(
     Z1: np.ndarray, Z2: np.ndarray, masses: MassTriple
 ) -> np.ndarray:
     """Invert the Jacobi map for batches; returns centered (n, 3, 2) samples."""
-    m23 = masses.m2 + masses.m3
-    q1 = Z2 * m23 / (masses.mu2 * masses.M)
-    c23 = -masses.m1 * q1 / m23
-    q2 = c23 - (masses.m3 / m23) * Z1 / masses.mu1
-    q3 = c23 + (masses.m2 / m23) * Z1 / masses.mu1
-    q = np.stack([q1, q2, q3], axis=1)
-    return np.stack([q.real, q.imag], axis=-1)
+    return _bodies_from_rows(np.stack([np.real(Z1), np.imag(Z1), np.real(Z2), np.imag(Z2)]), masses)

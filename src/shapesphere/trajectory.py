@@ -557,9 +557,7 @@ def pole_configuration(masses: MassTriple) -> np.ndarray:
     labels, orthocenter at the mass centroid); body 1 on the positive
     second axis."""
     r = np.sqrt(0.5)
-    Z1 = np.array([r + 0.0j])
-    Z2 = np.array([1j * r])
-    return positions_from_jacobi_series(Z1, Z2, masses)[0]
+    return positions_from_jacobi_series([r], [1j * r], masses)[0]
 
 
 def _figure1_pinch(masses, duration, samples, stop_fraction=1.0) -> Trajectory:
@@ -578,14 +576,10 @@ def _figure1_pinch(masses, duration, samples, stop_fraction=1.0) -> Trajectory:
     meet = (masses.m1 * q0[0] + masses.m2 * q0[1]) / (masses.m1 + masses.m2)
     t = np.linspace(0.0, stop_fraction * duration, samples)
     frac = (1.0 - t / duration)[:, None]
-    q = np.empty((samples, 3, 2))
-    q[:, 0] = meet + frac * (q0[0] - meet)
-    q[:, 1] = meet + frac * (q0[1] - meet)
-    q[:, 2] = q0[2]
-    v = np.empty_like(q)
-    v[:, 0] = (meet - q0[0]) / duration
-    v[:, 1] = (meet - q0[1]) / duration
-    v[:, 2] = 0.0
+    q = np.repeat(q0[None], samples, axis=0)
+    q[:, :2] = meet + frac[:, None] * (q0[:2] - meet)
+    v = np.zeros_like(q)
+    v[:, :2] = (meet - q0[:2]) / duration
     return Trajectory.from_samples(masses, t, q, v)
 
 

@@ -1,7 +1,10 @@
 """Numpy kernels against the library routines and formulas they replace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapesphere import (
     F_of_J,
@@ -25,10 +28,13 @@ from shapesphere import (
 from shapesphere import trajectory as trajectory_module
 from shapesphere.planar import _quadrature
 from shapesphere.shape_core import (
+    _bodies_from_rows,
     _collinear_imbalance,
     _collinear_ratio,
     _cross,
     _dot,
+    _jacobi_matrices,
+    _jacobi_product,
     _jacobi_rows,
     _recenter,
 )
@@ -160,6 +166,72 @@ class TestPlanarRows:
         zeros = np.zeros(501)
         assert np.array_equal(spatial.normal, np.stack([zeros, zeros, planar.w[2]]))
         assert np.array_equal(spatial.momentum, np.stack([zeros, zeros, planar.momentum]))
+
+
+def body_rows(q):
+    """The same samples stored by body row: the (n, 3, d) view of a C-ordered
+    (d, 3, n) array."""
+    return np.ascontiguousarray(q.T).T
+
+
+class TestJacobiMatrix:
+    """The Jacobi map as one matrix A over the bodies, applied with one
+    product in either sample layout, and its inverse M^-1 A^T."""
+
+    @staticmethod
+    def centered(masses, n, d, seed=3):
+        q = np.random.default_rng(seed).standard_normal((n, 3, d))
+        _recenter(q, masses)
+        return q
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.tuples(*[st.floats(1e-3, 1e3)] * 3))
+    def test_orthogonal_in_the_mass_metric(self, triple):
+        masses = derive_masses(*triple)
+        a, _, inverse, _ = _jacobi_matrices(masses, 1)
+        assert np.max(np.abs(a @ np.diag(1.0 / masses.as_array()) @ a.T - np.eye(2))) <= 1e-15
+        assert np.max(np.abs(a @ inverse - np.eye(2))) <= 1e-15
+        # translations have no Jacobi component
+        assert np.all(np.abs(a.sum(axis=1)) <= 4.0 * np.finfo(float).eps * np.abs(a).max(axis=1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 101])
+    def test_inverse_undoes_the_map(self, n, d):
+        for masses in (M123, derive_masses(0.1, 5.0, 2.5)):
+            q = self.centered(masses, n, d)
+            rows = _jacobi_product(q, masses).reshape(2 * d, n)
+            for layout in (False, True):
+                back = _bodies_from_rows(rows, masses, body_rows=layout)
+                # by sample, or the (n, 3, d) view of C-ordered (d, 3, n) body rows
+                assert back.shape == q.shape and (back.T if layout else back).flags.c_contiguous
+                assert np.max(np.abs(back - q)) <= 1e-15 * np.abs(q).max()
+                again = _jacobi_product(back, masses).reshape(2 * d, n)
+                assert np.max(np.abs(again - rows)) <= 1e-15 * np.abs(rows).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_every_layout_gives_the_same_rows(self, n, d):
+        every_third = self.centered(M123, 3 * n, d)[::3]
+        q = np.ascontiguousarray(every_third)
+        reference = _jacobi_product(q, M123)
+        assert reference.shape == (2, d, n) and reference.flags.c_contiguous
+        for samples in (body_rows(q), every_third):
+            rows = _jacobi_product(samples, M123)
+            assert rows.flags.c_contiguous
+            assert np.max(np.abs(rows - reference)) <= 2e-16 * np.abs(reference).max()
+        assert np.array_equal(_jacobi_product(every_third, M123), reference)
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, body_rows])
+    def test_samples_are_not_copied(self, layout):
+        q = layout(self.centered(M123, 100_000, 3))
+        _jacobi_product(q, M123)  # the matrices are cached after the first call
+        tracemalloc.start()
+        try:
+            rows = _jacobi_product(q, M123)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes <= peak < rows.nbytes + 0.1 * q.nbytes
 
 
 def stripped_motions():

@@ -319,18 +319,22 @@ class TestReconstruct:
         import shapesphere.shape_core as shape_core
 
         calls = []
-        jacobi_vectors = shape_core._jacobi_vectors
+        jacobi_product = shape_core._jacobi_product
 
-        def counting(rows, masses):
-            calls.append(rows)
-            return jacobi_vectors(rows, masses)
+        def counting(samples, masses):
+            calls.append(samples)
+            return jacobi_product(samples, masses)
 
-        monkeypatch.setattr(shape_core, "_jacobi_vectors", counting)
+        monkeypatch.setattr(shape_core, "_jacobi_product", counting)
         traj = generate("random_smooth", masses=M123, seed=3, duration=1.0, samples=201)
         reconstruct_q1(traj, include_oracle=True)
         assert len(calls) == 2
         assert np.shares_memory(calls[0], traj.positions)
         assert np.shares_memory(calls[1], traj.velocities)
+        # without velocities the differenced rates come from the same product
+        calls.clear()
+        reconstruct_q1(Trajectory(M123, traj.times, traj.positions), include_oracle=True)
+        assert len(calls) == 1 and np.shares_memory(calls[0], traj.positions)
 
     def test_report_serialization_fields(self):
         traj = generate("random_smooth", masses=M111, seed=8, duration=1.0, samples=501)
@@ -360,6 +364,8 @@ class TestZeroJLift:
         source = generate("random_smooth", masses=M123, seed=21, duration=2.0, samples=1500)
         curve = shape_curve(source)
         lifted = zero_J_lift(curve, PlanarConfiguration(*source.positions[0]), M123)
+        # stored by body row, so the Jacobi map reads it without a copy
+        assert lifted.positions.T.flags.c_contiguous and lifted.velocities.T.flags.c_contiguous
         _, _, inertia, momentum = planar_series(lifted)
         assert np.max(np.abs(momentum) / inertia) <= 1e-8
         again = shape_curve(lifted)

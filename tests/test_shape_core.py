@@ -106,6 +106,15 @@ class TestJacobi:
             np.angle(pair.Z2), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "shape", [(5, 3, 3), (5, 3), (5, 2, 2), (3, 2), (5, 3, 2, 1)], ids=str
+    )
+    def test_series_rejects_other_shapes(self, shape):
+        # spatial samples would lose z, (n, 3) samples give 0-d values and
+        # (n, 2, 2) samples have a body too few
+        with pytest.raises(ValueError, match=r"shape \(n, 3, 2\)"):
+            jacobi_series(np.ones(shape), derive_masses(1, 2, 3))
+
     @given(masses_strategy, st.lists(coord, min_size=6, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, triple, coords):

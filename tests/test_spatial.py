@@ -32,7 +32,7 @@ from shapesphere import (
 )
 from shapesphere.angles import wrap_angle
 from shapesphere.planar import shape_curve
-from shapesphere.shape_core import _jacobi_vectors
+from shapesphere.shape_core import _jacobi_product
 from shapesphere.spatial import (
     COLLINEAR_EIG_TOL,
     _locked_inertia,
@@ -601,16 +601,21 @@ class TestReconstructSpatial:
 
         calls = []
 
-        def counting(rows, masses):
-            calls.append(rows)
-            return _jacobi_vectors(rows, masses)
+        def counting(samples, masses):
+            calls.append(samples)
+            return _jacobi_product(samples, masses)
 
-        monkeypatch.setattr(shape_core, "_jacobi_vectors", counting)
+        monkeypatch.setattr(shape_core, "_jacobi_product", counting)
         traj = spatial_motion_cases(2001, 1)[1][1]
         reconstruct_spatial(traj, include_oracle=True)
         assert len(calls) == 2
         assert np.shares_memory(calls[0], traj.positions)
         assert np.shares_memory(calls[1], traj.velocities)
+        # without velocities the differenced rates come from the same product
+        calls.clear()
+        stripped = Trajectory(traj.masses, traj.times, traj.positions)
+        reconstruct_spatial(stripped, include_oracle=True)
+        assert len(calls) == 1 and np.shares_memory(calls[0], traj.positions)
 
     def test_momentum_matches_planar_formula_exactly(self):
         # both paths read J off the Jacobi pair, so an embedded planar motion
