@@ -382,5 +382,5 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
     cos, sin = np.cos(angles), np.sin(angles)
     rows = np.stack([r * cos, r * sin], axis=1).reshape(4, -1)
     rates = np.stack([dr * cos - turn * sin, dr * sin + turn * cos], axis=1).reshape(4, -1)
-    positions, velocities = (_bodies_from_rows(x, masses, body_rows=True) for x in (rows, rates))
+    positions, velocities = (_bodies_from_rows(x, masses) for x in (rows, rates))
     return Trajectory(masses, t, positions, velocities)

@@ -496,15 +496,14 @@ def jacobi_series(positions: np.ndarray, masses: MassTriple) -> tuple[np.ndarray
 
 @lru_cache(maxsize=64)
 def _jacobi_matrices(masses: MassTriple, d: int) -> tuple[np.ndarray, ...]:
-    """The Jacobi map A (2 x 3 over the bodies) and its inverse M^-1 A^T on
-    centered samples as kron(A, I_d) and kron(M^-1 A^T, I_d) over the
-    sample-major entries b d + i of (n, 3, d) samples, then both over the
-    body-row entries i 3 + b; shared between calls, so never written."""
+    """The Jacobi map A (2 x 3 over the bodies) as kron(A, I_d) over the
+    sample-major entries b d + i of (n, 3, d) samples, the same over the
+    body-row entries i 3 + b, and the inverse M^-1 A^T on centered samples
+    as kron(M^-1 A^T, I_d); shared between calls, so never written."""
     mu1, mu2, m23 = masses.mu1, masses.mu2, masses.m2 + masses.m3
     a = np.array([[0.0, -mu1, mu1], [mu2, -mu2 * masses.m2 / m23, -mu2 * masses.m3 / m23]])
     forward, inverse = np.kron(a, np.eye(d)), np.kron((a / masses.as_array()).T, np.eye(d))
-    body = np.arange(3 * d).reshape(3, d).T.ravel()
-    return forward, forward[:, body], inverse, inverse[body]
+    return forward, forward[:, np.arange(3 * d).reshape(3, d).T.ravel()], inverse
 
 
 def _jacobi_product(q: np.ndarray, masses: MassTriple) -> np.ndarray:
@@ -512,21 +511,17 @@ def _jacobi_product(q: np.ndarray, masses: MassTriple) -> np.ndarray:
     over a (3d, n) view of q: sample-major for C-ordered q, body-row for the
     (n, 3, d) view of a C-ordered (d, 3, n) array."""
     n, _, d = q.shape
-    forward, forward_body, _, _ = _jacobi_matrices(masses, d)
+    forward, forward_body, _ = _jacobi_matrices(masses, d)
     if q.strides[1] == d * q.strides[2]:
         return np.matmul(forward, q.reshape(n, 3 * d).T).reshape(2, d, n)
     return np.matmul(forward_body, q.T.reshape(3 * d, n)).reshape(2, d, n)
 
 
-def _bodies_from_rows(rows: np.ndarray, masses: MassTriple, body_rows=False) -> np.ndarray:
-    """Centered samples (n, 3, d) of Jacobi rows (2d, n), one product with
-    M^-1 A^T: C-ordered, or with body_rows the (n, 3, d) view of a C-ordered
-    (d, 3, n) array."""
+def _bodies_from_rows(rows: np.ndarray, masses: MassTriple) -> np.ndarray:
+    """C-ordered centered samples (n, 3, d) of Jacobi rows (2d, n), one
+    product with M^-1 A^T."""
     n, d = rows.shape[1], len(rows) // 2
-    _, _, inverse, inverse_body = _jacobi_matrices(masses, d)
-    if body_rows:
-        return np.matmul(inverse_body, rows).reshape(d, 3, n).T
-    return np.matmul(rows.T, inverse.T).reshape(n, 3, d)
+    return np.matmul(rows.T, _jacobi_matrices(masses, d)[2].T).reshape(n, 3, d)
 
 
 def shape_series(Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:

@@ -576,10 +576,14 @@ def _figure1_pinch(masses, duration, samples, stop_fraction=1.0) -> Trajectory:
     meet = (masses.m1 * q0[0] + masses.m2 * q0[1]) / (masses.m1 + masses.m2)
     t = np.linspace(0.0, stop_fraction * duration, samples)
     frac = (1.0 - t / duration)[:, None]
-    q = np.repeat(q0[None], samples, axis=0)
-    q[:, :2] = meet + frac[:, None] * (q0[:2] - meet)
-    v = np.zeros_like(q)
-    v[:, :2] = (meet - q0[:2]) / duration
+    q = np.empty((samples, 3, 2))
+    q[:, 0] = meet + frac * (q0[0] - meet)
+    q[:, 1] = meet + frac * (q0[1] - meet)
+    q[:, 2] = q0[2]
+    v = np.empty_like(q)
+    v[:, 0] = (meet - q0[0]) / duration
+    v[:, 1] = (meet - q0[1]) / duration
+    v[:, 2] = 0.0
     return Trajectory.from_samples(masses, t, q, v)
 
 

@@ -364,8 +364,6 @@ class TestZeroJLift:
         source = generate("random_smooth", masses=M123, seed=21, duration=2.0, samples=1500)
         curve = shape_curve(source)
         lifted = zero_J_lift(curve, PlanarConfiguration(*source.positions[0]), M123)
-        # stored by body row, so the Jacobi map reads it without a copy
-        assert lifted.positions.T.flags.c_contiguous and lifted.velocities.T.flags.c_contiguous
         _, _, inertia, momentum = planar_series(lifted)
         assert np.max(np.abs(momentum) / inertia) <= 1e-8
         again = shape_curve(lifted)
