@@ -46,11 +46,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expects a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _write(path: str, payload):
@@ -184,10 +193,10 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     seed = args.seed
     if seed is None:
-        try:
-            seed = int(os.environ.get("SHAPESPHERE_SEED", "0"))
-        except ValueError as exc:
-            raise ParseError(f"SHAPESPHERE_SEED must be an integer: {exc}") from exc
+        text = os.environ.get("SHAPESPHERE_SEED", "0")
+        if not text.isdecimal():
+            raise ParseError(f"SHAPESPHERE_SEED must be an integer >= 0, got {text!r}")
+        seed = int(text)
     report = run_suite(args.suite, n=args.n, seed=seed, timing=args.timing)
     _write(args.out, _report_json(report))
     failures = report["summary"]["failures"]
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=("planar", "spatial", "all"), default="all")
     p.add_argument("--n", type=_positive_int, default=10000, help="samples per motion")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_non_negative_int, default=None,
                    help="suite seed (falls back to SHAPESPHERE_SEED, then 0)")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock runtime_ms per case "
@@ -286,10 +295,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_axis_values(argv))
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ParseError, OSError) as exc:
+        # OSError: an input or --out path that is missing, a directory or
+        # otherwise cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, RuntimeError) as exc:

@@ -201,14 +201,18 @@ def decompose_e_n(w, e, n) -> tuple[float, float, float]:
 
     Only the e and n coefficients feed the rotation-rate formula; the wedge
     component drives the tilt and is never consumed downstream, which is why
-    normalizing e^n is unnecessary.
+    normalizing e^n is unnecessary.  In closed form, with g = e x n, the dual
+    basis is {g, n x g, g x e} / |g|^2, where n x g = |n|^2 e - (e.n) n,
+    g x e = |e|^2 n - (e.n) e and |g|^2 = |e|^2 |n|^2 - (e.n)^2; the cross
+    products keep the cancellation of nearly parallel e and n at roundoff.
     """
     w, e, n = (np.asarray(v, dtype=float) for v in (w, e, n))
     wedge = np.cross(e, n)
     if np.linalg.norm(wedge) < ALIGNMENT_TOL:
         raise ValueError("e and n are (anti)parallel: use the aligned branch instead")
-    coeff = np.linalg.solve(np.column_stack([wedge, e, n]), w)
-    return float(coeff[0]), float(coeff[1]), float(coeff[2])
+    dual = np.stack([wedge, np.cross(n, wedge), np.cross(wedge, e)]) / (wedge @ wedge)
+    a, b, c = dual @ w
+    return float(a), float(b), float(c)
 
 
 def plane_basis(e) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 """Command-line surface tests: payloads, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -373,6 +374,62 @@ class TestLiftInput:
         assert _parse_curve_csv(text).pole_crossings == curve.pole_crossings
 
 
+class TestUnreadableInput:
+    """Paths that cannot be opened and bytes that are not UTF-8 are usage
+    errors, exit 2, as a missing file is: never a traceback or exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "{dir}", "--masses", "1,1,1"],
+            ["reconstruct", "{dir}", "--masses", "1,1,1"],
+            ["project", "{csv}", "--masses", "1,1,1", "--out", "{dir}"],
+            ["atlas", "--masses", "1,2,3", "--out", "{dir}"],
+            ["generate", "--kind", "figure1_pinch", "--params", "{pinch}", "--out", "{dir}"],
+            ["lift", "{dir}", "--initial", "{dir}"],
+            ["project", "{missing}", "--masses", "1,1,1"],
+        ],
+        ids=["project", "reconstruct", "project_out", "atlas_out", "generate_out", "lift",
+             "missing"],
+    )
+    def test_path_that_cannot_be_opened_exits_2(self, tmp_path, capsys, argv):
+        csv = tmp_path / "rigid.csv"
+        write_rigid_csv(csv)
+        paths = {"dir": tmp_path, "csv": csv, "missing": tmp_path / "missing.csv",
+                 "pinch": json.dumps({"masses": [1, 1, 1], "duration": 1.0, "samples": 5})}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ")
+
+    def utf16_trajectory(self, tmp_path):
+        src = tmp_path / "utf16.csv"
+        write_rigid_csv(src)
+        src.write_bytes(src.read_text().encode("utf-16"))
+        assert src.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+        return src
+
+    @pytest.mark.parametrize("command", ["project", "reconstruct"])
+    def test_non_utf8_trajectory_exits_2(self, tmp_path, capsys, command):
+        src = self.utf16_trajectory(tmp_path)
+        assert main([command, str(src), "--masses", "1,1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {src} is not UTF-8 text: ")
+
+    def test_non_utf8_stdin_exits_2(self, tmp_path, capsys, monkeypatch):
+        src = self.utf16_trajectory(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(src.read_bytes()), "utf-8"))
+        assert main(["project", "-", "--masses", "1,1,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: - is not UTF-8 text: ")
+
+    def test_non_utf8_initial_exits_2(self, tmp_path, capsys):
+        curve_path, init_path = write_meridian_lift_inputs(tmp_path)
+        init_path.write_bytes(init_path.read_text().encode("utf-16"))
+        assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+
 class TestClosedPipe:
     """A reader that stops early (`shapesphere project ... | head`) is not a
     failure: the writer exits 0 and prints nothing on stderr."""
@@ -513,6 +570,23 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --n: expects a positive integer, got '{n}'" in captured.err
+
+    @pytest.mark.parametrize("suite", ["planar", "spatial", "all"])
+    def test_negative_seed_is_a_usage_error(self, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--n", "101", "--seed", "-2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: expects a non-negative integer, got '-2'" in captured.err
+
+    @pytest.mark.parametrize("suite", ["planar", "spatial"])
+    def test_negative_seed_env_exits_2(self, capsys, monkeypatch, suite):
+        monkeypatch.setenv("SHAPESPHERE_SEED", "-1")
+        assert main(["verify", "--suite", suite, "--n", "101"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SHAPESPHERE_SEED must be an integer >= 0, got '-1'\n"
 
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("SHAPESPHERE_SEED", "9")

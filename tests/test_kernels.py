@@ -176,7 +176,7 @@ def body_rows(q):
 
 class TestJacobiMatrix:
     """The Jacobi map as one matrix A over the bodies, applied with one
-    product in either sample layout, and its inverse M^-1 A^T."""
+    product to samples in any layout, and its inverse M^-1 A^T."""
 
     @staticmethod
     def centered(masses, n, d, seed=3):
@@ -188,7 +188,7 @@ class TestJacobiMatrix:
     @given(st.tuples(*[st.floats(1e-3, 1e3)] * 3))
     def test_orthogonal_in_the_mass_metric(self, triple):
         masses = derive_masses(*triple)
-        a, _, inverse = _jacobi_matrices(masses, 1)
+        a, inverse = _jacobi_matrices(masses, 1)
         assert np.max(np.abs(a @ np.diag(1.0 / masses.as_array()) @ a.T - np.eye(2))) <= 1e-15
         assert np.max(np.abs(a @ inverse - np.eye(2))) <= 1e-15
         # translations have no Jacobi component
@@ -216,12 +216,10 @@ class TestJacobiMatrix:
         for samples in (body_rows(q), every_third):
             rows = _jacobi_product(samples, M123)
             assert rows.flags.c_contiguous
-            assert np.max(np.abs(rows - reference)) <= 2e-16 * np.abs(reference).max()
-        assert np.array_equal(_jacobi_product(every_third, M123), reference)
+            assert np.array_equal(rows, reference)
 
-    @pytest.mark.parametrize("layout", [np.ascontiguousarray, body_rows])
-    def test_samples_are_not_copied(self, layout):
-        q = layout(self.centered(M123, 100_000, 3))
+    def test_samples_are_not_copied(self):
+        q = self.centered(M123, 100_000, 3)
         _jacobi_product(q, M123)  # the matrices are cached after the first call
         tracemalloc.start()
         try:

@@ -192,6 +192,27 @@ class TestDecompose:
         recomposed = a * np.cross(e, n) + b * e + c * n
         assert np.allclose(recomposed, w, atol=1e-10)
 
+    @given(unit3, unit3, st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_matches_numpy_solve(self, e, n, w):
+        wedge = np.cross(e, n)
+        if np.linalg.norm(wedge) < 1e-3:
+            return
+        solved = np.linalg.solve(np.column_stack([wedge, e, n]), np.array(w))
+        closed = np.array(decompose_e_n(w, e, n))
+        assert np.max(np.abs(closed - solved)) <= 1e-12 * np.max(np.abs(solved), initial=1e-300)
+
+    @pytest.mark.parametrize("t", [1e-3, 3e-3, 0.1])
+    def test_nearly_parallel_axes(self, t):
+        # |e x n| = t: the coefficients grow as 1/t and keep their precision
+        e = np.array([0.0, 0.0, 1.0])
+        n = np.array([t, 0.0, np.sqrt(1.0 - t * t)])
+        wedge = np.cross(e, n)
+        for w in np.random.default_rng(4).uniform(-2.0, 2.0, (50, 3)):
+            solved = np.linalg.solve(np.column_stack([wedge, e, n]), w)
+            closed = np.array(decompose_e_n(w, e, n))
+            assert np.max(np.abs(closed - solved)) <= 1e-12 * np.max(np.abs(solved))
+
     def test_rejects_parallel(self):
         e = np.array([0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="aligned"):

@@ -126,7 +126,7 @@ class TestFiniteDifferences:
         expected = np.gradient(q, t, axis=0, edge_order=2)
         _recenter(expected, M123)
         assert np.array_equal(v, expected)
-        assert v.T.flags.c_contiguous
+        assert v.flags.c_contiguous
 
     def test_needs_three_samples(self):
         t = np.array([0.0, 1.0])
@@ -192,6 +192,13 @@ class TestParseSerialize:
         text = "t,q1x,q1y,q2x,q2y,q3x,q3y\n0.0,nan,0,-1,0,0,0\n"
         with pytest.raises(ParseError, match="row 1"):
             parse(text, "csv", M111)
+
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_bytes_that_are_not_utf8(self, format):
+        text = "t,q1x,q1y,q2x,q2y,q3x,q3y\n0.0,1,0,-1,0,0,0\n"
+        assert parse(text.encode("utf-8"), "csv", M111).n_samples == 1
+        with pytest.raises(ParseError, match="^input is not UTF-8 text: "):
+            parse(b"\xff\xfe" + text.encode("utf-16-le"), format, M111)
 
     def test_csv_requires_masses(self):
         with pytest.raises(ParseError, match="masses"):
