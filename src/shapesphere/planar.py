@@ -3,7 +3,7 @@
 The rotation of body 1 (or of the separation vector of bodies 2 and 3) over
 a motion equals the time integral of J/I plus twice the signed spherical
 area swept by the projected shape curve about the chart pole C1 (or O1).
-The swept area is a line integral, so no disk ever has to be meshed.
+The swept area is a sum of per-step solid angles: no longitude is unwound.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .shape_core import (
     MassTriple,
     PlanarConfiguration,
     _bodies_from_rows,
+    _dot,
     _jacobi_rows,
     chart_angles,
     jacobi,
@@ -176,38 +177,49 @@ def shape_curve(traj: Trajectory) -> ShapeCurve:
     if traj.dim != 2:
         raise ValueError("shape_curve expects a planar trajectory")
     rows = _jacobi_rows(traj.positions, None, traj.masses)
-    return _curve_from_rows(traj.times, rows.inertia, rows.w)
-
-
-def _curve_from_rows(times: np.ndarray, inertia: np.ndarray, w: np.ndarray) -> ShapeCurve:
-    """The normalized shape curve w / I of shape rows w (3, n), which are
-    scaled in place."""
-    if np.any(inertia <= 0.0):
+    if np.any(rows.inertia <= 0.0):
         raise ValueError("trajectory passes through triple collision")
-    np.divide(w, inertia, out=w)
-    return ShapeCurve(times, w.T)
+    return ShapeCurve(traj.times, np.divide(rows.w, rows.inertia, out=rows.w).T)
 
 
 def swept_area(curve: ShapeCurve, pole) -> float:
     """Signed area swept about a chart pole along the curve.
 
-    Line integral of rho^2 (1 - cos phi) d psi with colatitude phi from the
-    pole and longitude psi taken left-handed about it, so that the area is
-    positive exactly when it adds to the tracked rotation angle: psi is the
-    curve's unwound_xi about C1 and -unwound_xi about O1.  pole is any
-    nonzero direction along the chart axis; other directions raise
-    ValueError.  Arcs of pole meridians sweep nothing, so closing the curve
-    onto the pole leaves the value unchanged; at axis crossings the
-    continuation keeps the last branch and the result is defined modulo the
-    half-sphere area.  For pole C1 this evaluates to the integral of
-    r1^2 dxi / 2 on unit-inertia data.
+    The sum of the areas of the spherical triangles (pole, point, next
+    point), positive exactly when it adds to the tracked rotation angle; for
+    pole C1 it is the integral of r1^2 dxi / 2 along the great-circle chords
+    on unit-inertia data.  pole is any nonzero direction along the chart
+    axis; other directions raise ValueError.  Arcs of pole meridians sweep
+    nothing.  Samples on the antipode of the pole are skipped, and a step
+    past it leaves the result defined modulo the half-sphere area.
     """
     p = np.asarray(pole, dtype=float)
     if p.shape != (3,) or not np.isfinite(p[0]) or p[0] == 0.0 or np.any(p[1:] != 0.0):
         raise ValueError("pole must be a nonzero direction along the chart axis (C1 or O1)")
-    # the longitude about C1 (p1 < 0) is +xi and about O1 is -xi
-    sign = 1.0 if p[0] < 0.0 else -1.0
-    return float(np.trapezoid(0.25 + sign * 0.5 * curve.points[:, 0], sign * curve.unwound_xi))
+    return _area_about(curve.points.T, np.sign(p[0]))[0]
+
+
+def _area_about(points: np.ndarray, pole: float) -> tuple[float, bool]:
+    """Area swept about the pole p = (pole, 0, 0), -1 for C1 and +1 for O1,
+    by points (3, n) of the radius-1/2 sphere, and whether the curve passes
+    the chart axis: a point within POLE_PROXIMITY_TOL of either pole, or a
+    step whose denominator is <= 0.  Each step adds, with u = 2 point,
+    -1/2 atan2(p.(u_k x u_{k+1}), 1 + p.u_k + p.u_{k+1} + u_k.u_{k+1}), a
+    quarter of the solid angle of the triangle (p, u_k, u_{k+1}) (Van
+    Oosterom and Strackee, IEEE Trans. Biomed. Eng. 30, 1983); the
+    denominator is taken as (p + u_k).(p + u_{k+1}), exact near -p.  Points
+    within POLE_PROXIMITY_TOL of -p are dropped, joining their neighbours.
+    """
+    on_axis = np.hypot(points[1], points[2]) <= POLE_PROXIMITY_TOL
+    antipode = on_axis & (pole * points[0] < 0.0)
+    s = 2.0 * (points[:, ~antipode] if np.any(antipode) else points)
+    s[0] += pole
+    # the steps run backwards about O1 in place of a sign flip of the
+    # numerator, so that a curve that sweeps nothing reads +0.0
+    a, b = (s[:, :-1], s[:, 1:]) if pole < 0.0 else (s[:, 1:], s[:, :-1])
+    denominator = _dot(a, b)
+    angles = np.arctan2(a[1] * b[2] - a[2] * b[1], denominator)
+    return 0.5 * float(np.sum(angles)), bool(np.any(on_axis) or np.any(denominator <= 0.0))
 
 
 def _simpson(t: np.ndarray, y: np.ndarray, step: int) -> float:
@@ -306,21 +318,20 @@ def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> R
         raise ValueError(
             f"{target} is at the origin at an endpoint; the rotation angle is undefined"
         )
-    curve = _curve_from_rows(traj.times, inertia, w)
     dyn = _quadrature(traj.times, rate)
-    area = swept_area(curve, pole)
+    area, crossed = _area_about(np.divide(w, inertia, out=w), pole)
     oracle = oracle_rotation(traj, target) if include_oracle else None
-    return _report(dyn, 2.0 * area, oracle, bool(curve.pole_crossings), traj.n_samples)
+    return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples)
 
 
 def reconstruct_q1(traj: Trajectory, include_oracle: bool = False) -> ReconstructionReport:
     """Rotation angle of body 1 over the motion.
 
     Momentum term plus twice the area swept about C1 by the shape curve.
-    Endpoints with body 1 at the origin are rejected; passages of the curve
-    through the chart axis flag the report as modulo-2pi only.
+    Endpoints with body 1 at the origin are rejected; a sample on the chart
+    axis or a step past O1 (body 1 at the origin) flags it modulo 2 pi.
     """
-    return _reconstruct(traj, C1_DIRECTION, "q1", include_oracle)
+    return _reconstruct(traj, C1_DIRECTION[0], "q1", include_oracle)
 
 
 def reconstruct_Z1(traj: Trajectory, include_oracle: bool = False) -> ReconstructionReport:
@@ -328,7 +339,7 @@ def reconstruct_Z1(traj: Trajectory, include_oracle: bool = False) -> Reconstruc
 
     Same as reconstruct_q1 with the swept area taken about O1.
     """
-    return _reconstruct(traj, O1_DIRECTION, "Z1", include_oracle)
+    return _reconstruct(traj, O1_DIRECTION[0], "Z1", include_oracle)
 
 
 def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTriple) -> Trajectory:

@@ -26,14 +26,12 @@ import numpy as np
 
 from .planar import (
     ReconstructionReport,
-    ShapeCurve,
+    _area_about,
     _quadrature,
     _report,
     _unwound_turn,
-    swept_area,
 )
 from .shape_core import (
-    C1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
     SpatialConfiguration,
@@ -121,12 +119,13 @@ class _LockedInertia(_JacobiRows):
         samples take J / inertia.
 
         By Cayley-Hamilton the inverse of sigma on the configuration plane
-        is S / D, and along N it is 1 / I.
+        is S / D, and along the unit normal it is 1 / I (exactly J_z / I on e_z).
         """
         det = np.where(self.collinear, 1.0, self.det)
         w = self.xi1 * (_dot(self.xi1, momentum) / det)
         w += self.xi2 * (_dot(self.xi2, momentum) / det)
-        w += self.normal * (_dot(self.normal, momentum) / (det * np.maximum(self.inertia, 1e-300)))
+        unit = self.normal / np.sqrt(det)
+        w += unit * (_dot(unit, momentum) / np.maximum(self.inertia, 1e-300))
         if np.any(self.collinear):
             inertia = np.broadcast_to(np.asarray(inertia, dtype=float), self.det.shape)
             w[:, self.collinear] = momentum[:, self.collinear] / inertia[self.collinear]
@@ -517,18 +516,15 @@ def reconstruct_spatial(
 
     dyn = _quadrature(traj.times, rate) + 2.0 * np.pi * antipodal_branch * crossings
 
-    times, body1 = traj.times, traj.positions[:, 0].T
+    body1 = traj.positions[:, 0].T
     if runs:
         keep = ~antipodal
-        times, body1 = times[keep], body1[:, keep]
-        points, normals = points[:, keep], normals[:, keep]
-    curve = ShapeCurve(times, points.T)
-    area = swept_area(curve, C1_DIRECTION)
+        points, normals, body1 = points[:, keep], normals[:, keep], body1[:, keep]
+    area, on_axis = _area_about(points, -1.0)  # about C1
     oracle = None
     if include_oracle:
         oracle = _unwound_turn(_project_positions(body1, normals, e).T, "q1")
-
-    crossed = bool(curve.pole_crossings) or crossings > 0
+    crossed = on_axis or crossings > 0
     return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples, measure == 0.0, measure)
 
 

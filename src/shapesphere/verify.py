@@ -151,6 +151,12 @@ def planar_motion_cases(n: int, seed: int) -> list:
     m123 = derive_masses(*_MASS_TRIPLES[1])
     equilateral = equilateral_configuration(m111).as_array()
     scalene = np.array([[0.9, 0.1], [-0.4, 0.6], [-0.2, -0.5]])
+    smooth_a = generate(
+        "random_smooth", masses=m123, seed=1000 * (seed + 1) + 11, duration=3.0, samples=n
+    )
+    smooth_b = generate(
+        "random_smooth", masses=m111, seed=1000 * (seed + 1) + 23, duration=3.0, samples=n
+    )
     return [
         (
             "rigid_rotation",
@@ -177,26 +183,8 @@ def planar_motion_cases(n: int, seed: int) -> list:
         ("figure1_pinch_m111", generate("figure1_pinch", masses=m111, duration=1.0, samples=n)),
         ("figure1_pinch_m123", generate("figure1_pinch", masses=m123, duration=1.0, samples=n)),
         ("newtonian_triple", _hierarchical_newtonian(n)),
-        (
-            "random_smooth_a",
-            generate(
-                "random_smooth",
-                masses=m123,
-                seed=1000 * (seed + 1) + 11,
-                duration=3.0,
-                samples=n,
-            ),
-        ),
-        (
-            "random_smooth_b",
-            generate(
-                "random_smooth",
-                masses=m111,
-                seed=1000 * (seed + 1) + 23,
-                duration=3.0,
-                samples=n,
-            ),
-        ),
+        ("random_smooth_a", smooth_a),
+        ("random_smooth_b", smooth_b),
     ]
 
 
@@ -721,6 +709,8 @@ def run_spatial_suite(n: int = 10000, seed: int = 0, timing: bool = False) -> di
 
 def run_suite(suite: str, n: int = 10000, seed: int = 0, timing: bool = False) -> dict:
     """Run the named verification suite and assemble its report."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if suite == "planar":
         return run_planar_suite(n, seed, timing)
     if suite == "spatial":

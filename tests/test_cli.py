@@ -580,6 +580,17 @@ class TestVerify:
         assert captured.out == ""
         assert "argument --seed: expects a non-negative integer, got '-2'" in captured.err
 
+    @pytest.mark.parametrize("suite", ["planar", "spatial", "all"])
+    def test_run_suite_rejects_negative_seed(self, monkeypatch, suite):
+        import shapesphere.verify as verify
+
+        def no_motion(*args, **kwargs):
+            raise AssertionError("a motion was built before the seed was checked")
+
+        monkeypatch.setattr(verify, "generate", no_motion)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            verify.run_suite(suite, n=101, seed=-1)
+
     @pytest.mark.parametrize("suite", ["planar", "spatial"])
     def test_negative_seed_env_exits_2(self, capsys, monkeypatch, suite):
         monkeypatch.setenv("SHAPESPHERE_SEED", "-1")

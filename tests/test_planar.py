@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapesphere import (
     PlanarConfiguration,
@@ -15,6 +16,7 @@ from shapesphere import (
     normal_track,
     oracle_rotation,
     reconstruct_q1,
+    reconstruct_spatial,
     reconstruct_Z1,
     shape_curve,
     swept_area,
@@ -24,6 +26,7 @@ from shapesphere import (
     Trajectory,
     embed_planar,
 )
+from shapesphere.angles import wrap_angle
 from shapesphere.planar import planar_series
 from shapesphere.shape_core import jacobi_series
 from shapesphere.trajectory import rotation_matrices
@@ -98,6 +101,21 @@ class TestSweptArea:
     def test_meridian_sweeps_nothing(self):
         curve = meridian_curve(1.1, n=301)
         assert swept_area(curve, C1_DIRECTION) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("pole", [-1.0, 1.0], ids=["C1", "O1"])
+    def test_accurate_next_to_the_antipode(self, pole):
+        # a great-circle arc that passes 1e-6 from -p sweeps the triangle of
+        # its end points, as its steps' triangles tile that one; the steps
+        # are shorter than the miss, so no step is flagged
+        from shapesphere.planar import _area_about
+
+        closest = np.array([-pole * np.cos(1e-6), 0.0, np.sin(1e-6)])
+        s = np.linspace(-1e-5, 1e-5, 401)
+        arc = np.cos(s) * closest[:, None] + np.sin(s) * np.array([0.0, 1.0, 0.0])[:, None]
+        fine, crossed = _area_about(0.5 * arc, pole)
+        whole, _ = _area_about(0.5 * arc[:, [0, -1]], pole)
+        assert not crossed
+        assert abs(fine - whole) <= 1e-12
 
     def test_pole_must_lie_on_the_chart_axis(self):
         traj = generate("random_smooth", masses=M123, seed=2, duration=1.0, samples=501)
@@ -350,6 +368,109 @@ class TestReconstruct:
             "samples",
         }
         assert -np.pi < doc["total_mod_2pi"] <= np.pi
+
+
+def passage_motion(t):
+    """Bodies 2 and 3 pass through each other at t = 0.5 while body 1 stays
+    at (0, 1): the shape curve goes through C1 and q1 does not turn."""
+    s = 1.0 - 2.0 * t
+    q = np.zeros((t.size, 3, 2))
+    q[:, 0, 1] = 1.0
+    q[:, 1] = np.stack([s, np.full_like(s, -0.5)], axis=1)
+    q[:, 2] = np.stack([-s, np.full_like(s, -0.5)], axis=1)
+    v = np.zeros_like(q)
+    v[:, 1, 0] = -2.0
+    v[:, 2, 0] = 2.0
+    return Trajectory.from_samples(M111, t, q, v)
+
+
+def figure_eight(samples):
+    """One period of the equal-mass figure-eight (Chenciner and Montgomery,
+    Ann. Math. 152, 2000); body 1 crosses the centroid twice."""
+    x = np.array([0.97000436, -0.24308753])
+    v3 = np.array([-0.93240737, -0.86473146])
+    return generate(
+        "newtonian",
+        masses=M111,
+        config=np.array([x, -x, [0.0, 0.0]]),
+        velocities=np.array([-v3 / 2, -v3 / 2, v3]),
+        G=1.0,
+        duration=6.32591398,
+        samples=samples,
+    )
+
+
+class TestChartAxisPassages:
+    @pytest.mark.parametrize("samples", [100, 1000, 10_000])
+    def test_q1_through_its_own_pole_between_samples(self, samples):
+        rep = reconstruct_q1(passage_motion(np.linspace(0.0, 1.0, samples)), include_oracle=True)
+        assert abs(rep.total - rep.oracle) <= 1e-12
+        assert not rep.pole_crossed
+
+    @pytest.mark.parametrize("samples", [101, 1001])
+    def test_Z1_with_a_sample_on_the_antipode(self, samples):
+        # Z1 goes through the origin at a sample: the sample is dropped and
+        # the step across it sweeps the half-sphere
+        rep = reconstruct_Z1(passage_motion(np.linspace(0.0, 1.0, samples)), include_oracle=True)
+        assert rep.pole_crossed
+        assert abs(wrap_angle(rep.total - rep.oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [100, 1000])
+    def test_Z1_through_the_antipode_between_samples_is_flagged(self, samples):
+        rep = reconstruct_Z1(passage_motion(np.linspace(0.0, 1.0, samples)))
+        assert rep.pole_crossed
+        assert abs(wrap_angle(rep.total - np.pi)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [100, 1000])
+    def test_tilted_spatial_copy(self, samples):
+        tilt = rotation_matrices(np.array([0.3, -0.5, 0.8]), 0.7)[0]
+        motion = embed_planar(passage_motion(np.linspace(0.0, 1.0, samples)), tilt)
+        rep = reconstruct_spatial(motion, e=tilt[:, 2], include_oracle=True)
+        assert abs(rep.total) <= 1e-12 and rep.oracle == 0.0
+        assert not rep.pole_crossed
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(100, 3000), st.floats(0.0, 1.0, exclude_max=True))
+    def test_q1_on_shifted_grids(self, samples, shift):
+        t = (np.arange(samples) + shift) / (samples - 1)
+        assert abs(reconstruct_q1(passage_motion(t)).total) <= 1e-12
+
+    def test_figure_eight(self):
+        motion = figure_eight(6000)
+        rep = reconstruct_Z1(motion, include_oracle=True)
+        assert abs(rep.total - rep.oracle) <= 1e-10
+        assert not rep.pole_crossed
+        # q1 goes through the origin between samples, so no oracle exists
+        assert reconstruct_q1(motion).pole_crossed
+
+    @pytest.mark.parametrize("target", ["q1", "Z1", "spatial"])
+    def test_reconstructions_unwind_no_longitude(self, monkeypatch, target):
+        import shapesphere.angles as angles
+        import shapesphere.planar as planar
+
+        calls = []
+        post_init, unwrap = ShapeCurve.__post_init__, angles.unwrap_held
+
+        def counting_post_init(curve):
+            calls.append("ShapeCurve")
+            post_init(curve)
+
+        def counting_unwrap(*args):
+            calls.append("unwrap_held")
+            return unwrap(*args)
+
+        monkeypatch.setattr(ShapeCurve, "__post_init__", counting_post_init)
+        for module in (angles, planar):
+            monkeypatch.setattr(module, "unwrap_held", counting_unwrap)
+        motion = generate("random_smooth", masses=M123, seed=5, duration=1.0, samples=301)
+        if target == "spatial":
+            motion = embed_planar(motion)
+        recon = {"q1": reconstruct_q1, "Z1": reconstruct_Z1, "spatial": reconstruct_spatial}
+        recon[target](motion)
+        assert calls == []
+        # the oracle still unwinds its own angle, once
+        recon[target](motion, include_oracle=True)
+        assert calls == ["unwrap_held"]
 
 
 class TestZeroJLift:

@@ -31,7 +31,7 @@ from shapesphere import (
     velocity_decompose,
 )
 from shapesphere.angles import wrap_angle
-from shapesphere.planar import shape_curve
+from shapesphere.planar import planar_series, shape_curve
 from shapesphere.shape_core import _jacobi_product
 from shapesphere.spatial import (
     COLLINEAR_EIG_TOL,
@@ -644,6 +644,21 @@ class TestReconstructSpatial:
         base = generate("random_smooth", masses=M123, seed=31, duration=2.0, samples=2001)
         e = np.array([0.0, 0.0, 1.0])
         assert reconstruct_spatial(embed_planar(base), e=e).total == reconstruct_q1(base).total
+
+    @pytest.mark.parametrize("seed", range(1031, 1036))
+    def test_embedded_rates_and_totals_are_planar_bitwise(self, seed):
+        # the normal term of sigma^-1 J goes through the unit normal, so a
+        # normal along e_z gives J_z / I on every sample, not by cancellation
+        base = generate("random_smooth", masses=M123, seed=seed, duration=3.0, samples=10_000)
+        spatial = embed_planar(base)
+        e = np.array([0.0, 0.0, 1.0])
+        kernel = _locked_inertia(spatial.positions, M123, spatial.velocities)
+        rate = _projected_rate(
+            kernel.inverse(kernel.momentum, kernel.inertia), normal_track(spatial, e).T, e
+        )
+        _, _, inertia, momentum = planar_series(base)
+        assert np.array_equal(rate, momentum / inertia)
+        assert reconstruct_spatial(spatial, e=e).total == reconstruct_q1(base).total
 
     def test_velocity_free_input_uses_differences(self):
         base = generate("random_smooth", masses=M111, seed=41, duration=2.0, samples=3001)
