@@ -321,27 +321,16 @@ def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> fl
     return float(_projected_rate(w[:, None], state.n[:, None], state.e)[0])
 
 
-def _slerp(a: np.ndarray, b: np.ndarray, fractions: np.ndarray) -> np.ndarray:
-    angle = np.arccos(np.clip(a @ b, -1.0, 1.0))
-    if angle > np.pi - 1e-6:
-        raise ValueError("collinear gap too wide to bridge: flanking normals are antipodal")
-    if angle < 1e-9:
-        out = a[:, None] + fractions * (b - a)[:, None]
-    else:
-        out = (
-            np.sin((1.0 - fractions) * angle) * a[:, None] + np.sin(fractions * angle) * b[:, None]
-        ) / np.sin(angle)
-    return out / np.linalg.norm(out, axis=0)
-
-
 def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -> np.ndarray:
     """Smooth unit normals (n, 3) along a spatial trajectory.
 
     Triangle normals with the sign continued sample to sample (the branch
-    maximizing the dot product with the previous normal); collinear
-    stretches are bridged by spherical interpolation between the flanking
-    triangular samples.  The first normal is flipped so n(0) . e >= 0 unless
-    initial_sign, +1 or -1, overrides.
+    maximizing the dot product with the previous normal).  Collinear
+    samples, where the normal is undefined, take the normalized linear
+    interpolation over time of the triangular normals: a stretch between
+    two triangular samples follows the great-circle arc joining them, and a
+    stretch at either end copies its flank.  The first normal is flipped so
+    n(0) . e >= 0 unless initial_sign, +1 or -1, overrides.
     """
     if traj.dim != 3:
         raise ValueError("normal_track expects a spatial trajectory")
@@ -356,15 +345,19 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
 
     The normal is sigma's eigenvector N = xi1 x xi2; a sample is triangular
     when the sine of the angle between xi1 and xi2 exceeds 1e-10, i.e. when
-    |N|^2 > 1e-20 |xi1|^2 |xi2|^2.
+    |N|^2 > 1e-20 |xi1|^2 |xi2|^2.  The other samples are dropped and filled
+    in by np.interp of the triangular normals over their times, then
+    normalized; the sign continuation keeps consecutive triangular normals
+    within pi/2 of each other, so the interpolant has length at least
+    1/sqrt(2).
     """
     lengths_sq = (0.5 * kernel.inertia + kernel.w[0]) * (0.5 * kernel.inertia - kernel.w[0])
     triangular = kernel.det > 1e-20 * lengths_sq
     if not np.any(triangular):
         raise ValueError("all samples are collinear: the orientation is undefined")
-    gaps = _runs(~triangular)
-    idx = np.flatnonzero(triangular) if gaps else slice(None)
-    units = kernel.normal[:, idx] / np.sqrt(kernel.det[idx])
+    collinear = ~triangular
+    kept = np.flatnonzero(triangular) if np.any(collinear) else slice(None)
+    units = kernel.normal[:, kept] / np.sqrt(kernel.det[kept])
     if units.shape[1] > 1:
         dots = _dot(units[:, 1:], units[:, :-1])
         units[:, 1:] *= np.cumprod(np.where(dots >= 0.0, 1.0, -1.0))
@@ -373,18 +366,10 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
         units *= initial_sign
     elif reference @ units[:, 0] < 0.0:
         units *= -1.0
-    if not gaps:
+    if isinstance(kept, slice):
         return units
-
-    out = np.empty((3, t.size))
-    out[:, idx] = units
-    for run in gaps:
-        # a gap is a maximal run, so its flanks are triangular samples
-        a, b = run[0] - 1, run[-1] + 1
-        if a < 0 or b == t.size:
-            out[:, run] = out[:, b if a < 0 else a, None]
-        else:
-            out[:, run] = _slerp(out[:, a], out[:, b], (t[run] - t[a]) / (t[b] - t[a]))
+    out = np.stack([np.interp(t, t[kept], row) for row in units])
+    out[:, collinear] /= np.linalg.norm(out[:, collinear], axis=0)
     return out
 
 
@@ -470,59 +455,58 @@ def reconstruct_spatial(
     initial angular momentum (or the third axis if that vanishes).  Supplied
     per-sample normals are used as-is; otherwise they are tracked from the
     triangle orientation.  Where the normal crosses -e the projected angle
-    jumps by 2 pi.  Each crossing event, a run of samples within
-    ANTIPODAL_TOL of -e or a step between two samples that passes that
-    close, adds antipodal_branch * 2 pi to the dynamic term once; the
-    samples of a run are excised from the projection, and the report is
-    marked modulo-2pi.  A positive bad-set dwell time leaves the result
-    uncertified.
+    jumps by 2 pi.  F is undefined within ANTIPODAL_TOL of -e: those samples
+    are dropped, F is evaluated on the rest and filled in over the dropped
+    ones by linear interpolation in time.  Each crossing event, the step
+    that joins the flanks of a dropped run or a step between two samples
+    that passes within ANTIPODAL_TOL of -e, adds antipodal_branch * 2 pi to
+    the dynamic term once, and the report is marked modulo-2pi.  A normal
+    that passes -e farther than ANTIPODAL_TOL but within a few steps is
+    neither flagged nor resolved, and the total can then be wrong.  A
+    positive bad-set dwell time leaves the result uncertified.
     """
     if traj.dim != 3:
         raise ValueError("reconstruct_spatial expects a spatial trajectory")
     if antipodal_branch not in (1, -1):
         raise ValueError("antipodal_branch must be +1 or -1")
-    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities, traj.times)
+    t = traj.times
+    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities, t)
     if e is None:
         e = kernel.momentum[:, 0]
         e = e if np.linalg.norm(e) > 0.0 else np.array([0.0, 0.0, 1.0])
     e = _unit(e, "e")
-    normals = _track_normals(kernel, traj.times, e) if traj.normals is None else traj.normals.T
+    normals = _track_normals(kernel, t, e) if traj.normals is None else traj.normals.T
     if np.any(kernel.inertia <= 0.0):
         raise ValueError("triple collision: the moment of inertia vanishes")
-    rate = _projected_rate(kernel.inverse(kernel.momentum, kernel.inertia), normals, e)
-    measure, _ = _bad_set(kernel, traj.times, e)
+    antipodal = np.linalg.norm(normals + e[:, None], axis=0) < ANTIPODAL_TOL
+    if antipodal[0] or antipodal[-1]:
+        raise ValueError("normal is antipodal to e at an endpoint: the projection is undefined")
+    kept = np.flatnonzero(~antipodal) if np.any(antipodal) else slice(None)
+    rate = _projected_rate(
+        kernel.inverse(kernel.momentum, kernel.inertia)[:, kept], normals[:, kept], e
+    )
+    measure, _ = _bad_set(kernel, t, e)
+    # the shape points do not depend on e: no sample is dropped from them
     points = kernel.shape_points(normals)
     # last use of the inertia map's rows and of the momenta
     del kernel
+    normals = normals[:, kept]
 
-    antipodal = np.linalg.norm(normals + e[:, None], axis=0) < ANTIPODAL_TOL
-    runs = _runs(antipodal)
-    if runs and (antipodal[0] or antipodal[-1]):
-        raise ValueError("normal is antipodal to e at an endpoint: the projection is undefined")
-    for run in runs:
-        before, after = run[0] - 1, run[-1] + 1
-        if np.linalg.norm(normals[:, after] - normals[:, before]) < 1e-10:
-            raise ValueError(
-                "normal stalls at -e instead of crossing it: the projected motion "
-                "cannot be continued"
-            )
-        # the rate carries an unresolved jump here; bridge it linearly and
-        # account for the crossing through the branch convention below
-        frac = (traj.times[run] - traj.times[before]) / (traj.times[after] - traj.times[before])
-        rate[run] = rate[before] + frac * (rate[after] - rate[before])
-    # a step into, out of or within a run belongs to that run's crossing
-    steps = _steps_pass_antipode(normals, e)
-    crossings = len(runs) + int(np.count_nonzero(~(antipodal[steps] | antipodal[steps + 1])))
+    # the step that joins the flanks of a dropped run is that run's crossing
+    joins = np.flatnonzero(np.diff(kept) > 1) if np.any(antipodal) else np.zeros(0, dtype=int)
+    if np.any(np.linalg.norm(normals[:, joins + 1] - normals[:, joins], axis=0) < 1e-10):
+        raise ValueError(
+            "normal stalls at -e instead of crossing it: the projected motion cannot be continued"
+        )
+    crossings = np.union1d(joins, _steps_pass_antipode(normals, e)).size
+    if joins.size:
+        rate = np.interp(t, t[kept], rate)
+    dyn = _quadrature(t, rate) + 2.0 * np.pi * antipodal_branch * crossings
 
-    dyn = _quadrature(traj.times, rate) + 2.0 * np.pi * antipodal_branch * crossings
-
-    body1 = traj.positions[:, 0].T
-    if runs:
-        keep = ~antipodal
-        points, normals, body1 = points[:, keep], normals[:, keep], body1[:, keep]
     area, on_axis = _area_about(points, -1.0)  # about C1
     oracle = None
     if include_oracle:
+        body1 = traj.positions[:, 0].T[:, kept]
         oracle = _unwound_turn(_project_positions(body1, normals, e).T, "q1")
     crossed = on_axis or crossings > 0
     return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples, measure == 0.0, measure)

@@ -101,16 +101,9 @@ def _timed(timing: bool, fn, *args, **kwargs):
 
 
 def pinch_expected_angle(masses: MassTriple) -> float:
-    """Closed-form rotation of body 1 under the pinch motion."""
-    return float(
-        np.arccos(
-            np.sqrt(
-                masses.m1
-                * masses.m3
-                / ((masses.m1 + masses.m2) * (masses.m3 + masses.m2))
-            )
-        )
-    )
+    """Closed-form rotation of body 1 under the pinch motion: the atlas
+    angle alpha2, with cos(alpha2) = sqrt(m1 m3 / ((m1+m2)(m3+m2)))."""
+    return float(atlas(masses).alpha[1])
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +262,16 @@ def atlas_checks(count: int = 100, seed: int = 0) -> tuple[float, bool]:
         alphas_sorted = marked.alpha[order]
         ok = ok and bool(np.all(np.diff(alphas_sorted) >= -1e-12))
 
+        # on the equator order above, O_i lies on the arc from C_k to C_j
         for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
             oi, ei = th[f"O{i}"], th[f"E{i}"]
-            cj, ck = th[f"C{j}"], th[f"C{k}"]
-            if _between_ccw(cj, ck, oi):
-                start, end, j_at_start = cj, ck, True
-            else:
-                start, end, j_at_start = ck, cj, False
+            start, end = th[f"C{k}"], th[f"C{j}"]
             ok = ok and _between_ccw(start, end, ei)
             mj, mk = (m1, m2, m3)[j - 1], (m1, m2, m3)[k - 1]
             rel_e = (ei - start) % (2.0 * np.pi)
             rel_o = (oi - start) % (2.0 * np.pi)
             if abs(mj - mk) > 1e-9 * (mj + mk):
-                towards_j = rel_e < rel_o if j_at_start else rel_e > rel_o
-                ok = ok and (towards_j == (mj > mk))
+                ok = ok and ((rel_e > rel_o) == (mj > mk))
     return worst, ok
 
 

@@ -174,6 +174,15 @@ class TestShapeCurve:
         with pytest.raises(ValueError, match="pole_crossings"):
             ShapeCurve(t, pts, xi, wrong)
 
+    def test_rejects_longitude_off_at_a_defined_sample(self):
+        t = np.linspace(0.0, 1.0, 5)
+        xi = np.linspace(0.0, 1.0, 5)
+        pts = 0.5 * np.column_stack([np.zeros(5), np.cos(xi), np.sin(xi)])
+        assert np.array_equal(ShapeCurve(t, pts, xi).unwound_xi, xi)
+        xi[2] += 1e-6
+        with pytest.raises(ValueError, match="disagrees"):
+            ShapeCurve(t, pts, xi)
+
     def test_rejects_spatial_trajectory(self):
         base = generate("random_smooth", masses=M123, seed=4, duration=1.0, samples=51)
         with pytest.raises(ValueError, match="planar"):

@@ -34,6 +34,7 @@ from shapesphere.angles import wrap_angle
 from shapesphere.planar import planar_series, shape_curve
 from shapesphere.shape_core import _jacobi_product
 from shapesphere.spatial import (
+    ANTIPODAL_TOL,
     COLLINEAR_EIG_TOL,
     _locked_inertia,
     _project_positions,
@@ -356,6 +357,54 @@ class TestNormalTrack:
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
         steps = np.linalg.norm(np.diff(normals, axis=0), axis=1)
         assert np.max(steps) < 1e-10  # plane never changes, so neither does n
+
+    @staticmethod
+    def turning_pinch(height, samples=1001):
+        """Bodies at (1, 0, 0), (-0.4, 0, 0) and (0.2, 0.8 h(t), 0), masses
+        1, 2, 3, turned by the angle 2t about (1, 0.3, 0): collinear where
+        h(t) = 0, with a plane that keeps turning."""
+        t = np.linspace(0.0, 1.0, samples)
+        q = np.zeros((samples, 3, 3))
+        q[:, 0, 0], q[:, 1, 0], q[:, 2, 0] = 1.0, -0.4, 0.2
+        q[:, 2, 1] = 0.8 * height(t)
+        turned = np.einsum("nab,nib->nia", rotation_matrices([1.0, 0.3, 0.0], 2.0 * t), q)
+        return Trajectory.from_samples(M123, t, turned)
+
+    def test_collinear_dwell_is_normalized_linear_interpolation(self):
+        # the plane turns by 0.4 rad over the dwell: the bridged normals run
+        # along the great circle of the flanks at the pace of np.interp
+        def height(t):
+            return np.sign(t - 0.5) * np.maximum(0.0, np.abs(t - 0.5) - 0.1)
+
+        traj = self.turning_pinch(height)
+        normals = normal_track(traj)
+        dwell = np.flatnonzero(height(traj.times) == 0.0)
+        a, b = dwell[0] - 1, dwell[-1] + 1
+        assert dwell.size > 100 and np.all(np.diff(dwell) == 1)
+        frac = ((traj.times[dwell] - traj.times[a]) / (traj.times[b] - traj.times[a]))[:, None]
+        chord = (1.0 - frac) * normals[a] + frac * normals[b]
+        expected = chord / np.linalg.norm(chord, axis=1, keepdims=True)
+        assert np.max(np.abs(np.linalg.norm(normals[dwell], axis=1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(normals[dwell] - expected)) <= 1e-15
+        assert np.linalg.norm(normals[b] - normals[a]) > 0.1
+
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_collinear_stretch_at_either_end_copies_its_flank(self, end):
+        def height(t):
+            return np.maximum(0.0, t - 0.3) if end == "start" else np.maximum(0.0, 0.7 - t)
+
+        traj = self.turning_pinch(height, samples=501)
+        normals = normal_track(traj)
+        stretch = np.flatnonzero(height(traj.times) == 0.0)
+        assert stretch.size > 100
+        if end == "start":
+            assert stretch[0] == 0
+            flank = stretch[-1] + 1
+        else:
+            assert stretch[-1] == traj.n_samples - 1
+            flank = stretch[0] - 1
+        assert np.max(np.abs(normals[stretch] - normals[flank])) <= 1e-15
+        assert np.linalg.norm(normals[0] - normals[-1]) > 0.1
 
     def test_all_collinear_rejected(self):
         t = np.linspace(0, 1, 8)
@@ -959,3 +1008,49 @@ class TestAntipodalBetweenSamples:
         normals = normal_track(traj, np.array([0.0, 0.0, 1.0]))
         steps = _steps_pass_antipode(normals.T, np.array([0.0, 0.0, 1.0]))
         assert steps.tolist() == [samples // 2 - 1]
+
+    def test_pass_closer_than_roundoff_of_the_rate_is_silent(self):
+        # the normal passes 5e-9 from -e: the rate's denominator 1 + e.n
+        # rounds to zero there, so the samples near -e must be dropped
+        # before the rate is evaluated, not overwritten after
+        tilt = 2.5e-9
+        traj = generate(
+            "rigid_rotation",
+            masses=M111,
+            config=equilateral_3d(),
+            rate=np.pi,
+            duration=2.0,
+            samples=10_001,
+            axis=np.array([np.cos(tilt), 0.0, np.sin(tilt)]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = reconstruct_spatial(traj, e=np.array([0.0, 0.0, 1.0]))
+        assert rep.pole_crossed
+        assert rep.total == pytest.approx(6.283257004032966, abs=1e-12)
+
+    @staticmethod
+    def turned_about_x(angle, rate):
+        base = generate("random_smooth", masses=M123, seed=5, duration=2.0, samples=20_001)
+        return apply_rotation_profile(embed_planar(base), [1.0, 0.0, 0.0], angle, rate)
+
+    def test_normal_touching_antipode_and_turning_back_rejected(self):
+        traj = self.turned_about_x(
+            lambda t: np.pi * np.sin(0.5 * np.pi * t),
+            lambda t: 0.5 * np.pi**2 * np.cos(0.5 * np.pi * t),
+        )
+        with pytest.raises(ValueError, match="stalls"):
+            reconstruct_spatial(traj, e=np.array([0.0, 0.0, 1.0]))
+
+    def test_run_of_antipodal_samples_is_one_crossing(self):
+        # the turn dwells near pi, so dozens of samples lie within
+        # ANTIPODAL_TOL of -e; their step is bridged and counted once
+        e = np.array([0.0, 0.0, 1.0])
+        traj = self.turned_about_x(
+            lambda t: np.pi + 204.0 * (t - 1.0) ** 3, lambda t: 612.0 * (t - 1.0) ** 2
+        )
+        near = np.linalg.norm(normal_track(traj, e) + e, axis=1) < ANTIPODAL_TOL
+        assert np.count_nonzero(near) > 10
+        rep = reconstruct_spatial(traj, e=e, include_oracle=True)
+        assert rep.pole_crossed
+        assert abs(wrap_angle(rep.total - rep.oracle)) <= 1e-6

@@ -25,6 +25,7 @@ from shapesphere import (
 from shapesphere.shape_core import _recenter, jacobi_series, shape_series
 from shapesphere.trajectory import (
     _CSV_BLOCK_ROWS,
+    rotation_matrices,
     _csv_blocks,
     _header_layout,
     _read_csv_table,
@@ -164,6 +165,27 @@ class TestParseSerialize:
         back = parse(text, "json")
         assert serialize(back, "json") == text
         assert np.allclose(back.normals, normals)
+
+    def test_csv_round_trip_spatial_with_normals(self):
+        traj = generate(
+            "rigid_rotation",
+            masses=M123,
+            config=[[1.0, 0.0, 0.2], [0.0, 1.0, -0.3], [-0.6, -0.4, 0.1]],
+            rate=0.7,
+            duration=1.0,
+            samples=9,
+            axis=[0.3, -0.2, 1.0],
+        )
+        q = traj.positions
+        normals = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        traj = Trajectory(M123, traj.times, traj.positions, traj.velocities, normals)
+        text = serialize(traj, "csv")
+        back = parse(text, "csv", M123)
+        # parsing recenters the bodies, which may move them at roundoff
+        assert np.array_equal(back.normals, normals)
+        assert np.allclose(back.positions, traj.positions, rtol=0.0, atol=1e-15)
+        assert text.splitlines()[0].endswith(",nx,ny,nz")
 
     def test_csv_without_velocity_columns(self):
         text = "t,q1x,q1y,q2x,q2y,q3x,q3y\n0.0,1,0,-0.5,0.2,-0.5,-0.2\n1.0,1,0,-0.5,0.2,-0.5,-0.2\n"
@@ -575,6 +597,27 @@ class TestResample:
         assert np.max(np.abs(out.velocities - rates)) <= 1e-14 * np.max(np.abs(rates))
         ends = out.positions[[0, -1]] - traj.positions[[0, -1]]
         assert np.max(np.abs(ends)) <= 1e-15 * scale
+
+    def test_normals_are_renormalized_interpolants(self):
+        axis = np.array([0.3, -0.2, 1.0])
+        traj = generate(
+            "rigid_rotation",
+            masses=M123,
+            config=[[1.0, 0.0, 0.2], [0.0, 1.0, -0.3], [-0.6, -0.4, 0.1]],
+            rate=0.7,
+            duration=2.0,
+            samples=21,
+            axis=axis,
+        )
+        normals = np.einsum("nab,b->na", rotation_matrices(axis, 0.7 * traj.times), [1.0, 0.0, 0.0])
+        traj = Trajectory(M123, traj.times, traj.positions, traj.velocities, normals)
+        out = resample(traj, 41)
+        assert np.max(np.abs(np.linalg.norm(out.normals, axis=1) - 1.0)) <= 1e-15
+        # every other new sample is an old one, and the rest are midpoints
+        assert np.max(np.abs(out.normals[::2] - normals)) <= 1e-15
+        chords = normals[:-1] + normals[1:]
+        chords /= np.linalg.norm(chords, axis=1, keepdims=True)
+        assert np.max(np.abs(out.normals[1::2] - chords)) <= 1e-12
 
     def test_rejects_tiny_counts(self):
         with pytest.raises(ValueError):
