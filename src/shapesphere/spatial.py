@@ -65,10 +65,10 @@ __all__ = [
 # configuration collinear (sigma has a kernel there).
 COLLINEAR_EIG_TOL = 1e-8
 
-# |e x n| below this uses the aligned branch of the decomposition.
+# |e x n| below this marks n and e (anti)parallel.
 ALIGNMENT_TOL = 1e-10
 
-# |n + e| below this marks an antipodal crossing of the normal.
+# |n + e| below this drops a sample from the rate F, undefined at n = -e.
 ANTIPODAL_TOL = 1e-6
 
 _BAD_SET_J_TOL = 1e-12
@@ -303,22 +303,22 @@ def _projected_rate(w: np.ndarray, normals: np.ndarray, e: np.ndarray) -> np.nda
     """sigma_e + sigma_n of the {e^n, e, n} decomposition of each w.
 
     Evaluated through the exact identity (e.w + n.w) / (1 + e.n), which
-    stays conditioned near n = e; at n = +-e only the rate about n counts.
-    w and normals are (3, n) rows; e is one axis (3,) or one per sample
-    (3, n).
+    stays conditioned near n = e and reads n.w at n = e; it is undefined at
+    n = -e, so callers keep such normals out.  w and normals are (3, n)
+    rows; e is one axis (3,) or one per sample (3, n).
     """
-    aligned = np.linalg.norm(_cross(normals, e), axis=0) < ALIGNMENT_TOL
-    nw = _dot(normals, w)
-    denom = np.where(aligned, 1.0, 1.0 + _dot(normals, e))
-    return np.where(aligned, nw, (_dot(w, e) + nw) / denom)
+    return (_dot(w, e) + _dot(normals, w)) / (1.0 + _dot(normals, e))
 
 
 def F_of_J(state: OrientedState, Jvec, inertia: float, masses: MassTriple) -> float:
     """Rotation rate of the projected first body due to the rigid part:
     the projected rate (e.w + n.w) / (1 + e.n) of w = sigma^{-1}(J), or n.w
-    at n = +-e."""
-    w = sigma_inverse(sigma_tensor(state.config, masses), Jvec, inertia)
-    return float(_projected_rate(w[:, None], state.n[:, None], state.e)[0])
+    where |e x n| < ALIGNMENT_TOL, the only choice at n = -e."""
+    w = sigma_inverse(sigma_tensor(state.config, masses), Jvec, inertia)[:, None]
+    n = state.n[:, None]
+    if np.linalg.norm(np.cross(state.n, state.e)) < ALIGNMENT_TOL:
+        return float(_dot(n, w)[0])
+    return float(_projected_rate(w, n, state.e)[0])
 
 
 def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -> np.ndarray:
@@ -420,31 +420,6 @@ def _runs(mask: np.ndarray) -> list:
     return np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
 
 
-def _steps_pass_antipode(normals: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Indices k of the great-circle steps from normals[:, k] to
-    normals[:, k + 1] (rows (3, n)) that pass within ANTIPODAL_TOL of -e.
-
-    A step from a to b can only do so if |a + e| <= |b - a| + ANTIPODAL_TOL;
-    this also keeps steps shorter than roundoff, whose great circle is
-    undefined, out of the test.  With g = a x b, the point of the circle
-    closest to -e lies on the step exactly when (a x e).g <= 0 and
-    (e x b).g <= 0, i.e. e.b <= (a.b)(e.a) and e.a <= (a.b)(e.b) for unit
-    a, b; its chordal distance from -e is 2 sin(asin(s) / 2) with
-    s = |e.g| / |g|.  Closest points at the ends of a step are samples,
-    which are tested apart.
-    """
-    a, b = normals[:, :-1], normals[:, 1:]
-    reach = np.linalg.norm(b - a, axis=0) + ANTIPODAL_TOL
-    near = np.flatnonzero(np.linalg.norm(a + e[:, None], axis=0) <= reach)
-    a, b = a[:, near], b[:, near]
-    g, ea, eb, ab = _cross(a, b), e @ a, e @ b, _dot(a, b)
-    g_norm = np.linalg.norm(g, axis=0)
-    on_step = np.flatnonzero((eb <= ab * ea) & (ea <= ab * eb) & (g_norm > 0.0))
-    s = np.abs(e @ g[:, on_step]) / g_norm[on_step]
-    passes = 2.0 * np.sin(0.5 * np.arcsin(np.minimum(s, 1.0))) < ANTIPODAL_TOL
-    return near[on_step[passes]]
-
-
 def reconstruct_spatial(
     traj: Trajectory, e=None, antipodal_branch: int = 1, include_oracle: bool = False
 ) -> ReconstructionReport:
@@ -457,13 +432,14 @@ def reconstruct_spatial(
     triangle orientation.  Where the normal crosses -e the projected angle
     jumps by 2 pi.  F is undefined within ANTIPODAL_TOL of -e: those samples
     are dropped, F is evaluated on the rest and filled in over the dropped
-    ones by linear interpolation in time.  Each crossing event, the step
-    that joins the flanks of a dropped run or a step between two samples
-    that passes within ANTIPODAL_TOL of -e, adds antipodal_branch * 2 pi to
-    the dynamic term once, and the report is marked modulo-2pi.  A normal
-    that passes -e farther than ANTIPODAL_TOL but within a few steps is
-    neither flagged nor resolved, and the total can then be wrong.  A
-    positive bad-set dwell time leaves the result uncertified.
+    ones by linear interpolation in time.  A step between two kept samples
+    crosses -e when (e + n_k).(e + n_{k+1}) <= 0, i.e. when -e lies in the
+    ball whose diameter is the step's chord; each such step adds
+    antipodal_branch * 2 pi to the dynamic term, and the report is marked
+    modulo-2pi.  A normal that passes -e outside that ball but within a few
+    steps is neither flagged nor resolved, and the total can then be wrong;
+    a flagged pass that misses -e by more than roundoff is off modulo
+    2 pi.  A positive bad-set dwell time leaves the result uncertified.
     """
     if traj.dim != 3:
         raise ValueError("reconstruct_spatial expects a spatial trajectory")
@@ -492,13 +468,16 @@ def reconstruct_spatial(
     del kernel
     normals = normals[:, kept]
 
-    # the step that joins the flanks of a dropped run is that run's crossing
+    # the step that joins the flanks of a dropped run bridges it
     joins = np.flatnonzero(np.diff(kept) > 1) if np.any(antipodal) else np.zeros(0, dtype=int)
     if np.any(np.linalg.norm(normals[:, joins + 1] - normals[:, joins], axis=0) < 1e-10):
         raise ValueError(
             "normal stalls at -e instead of crossing it: the projected motion cannot be continued"
         )
-    crossings = np.union1d(joins, _steps_pass_antipode(normals, e)).size
+    # the passage test of _area_about and _bad_set on the rows n + e; a
+    # dropped run that the normal crosses meets it on its bridging step
+    shifted = normals + e[:, None]
+    crossings = np.count_nonzero(_dot(shifted[:, :-1], shifted[:, 1:]) <= 0.0)
     if joins.size:
         rate = np.interp(t, t[kept], rate)
     dyn = _quadrature(t, rate) + 2.0 * np.pi * antipodal_branch * crossings
