@@ -433,13 +433,16 @@ def reconstruct_spatial(
     jumps by 2 pi.  F is undefined within ANTIPODAL_TOL of -e: those samples
     are dropped, F is evaluated on the rest and filled in over the dropped
     ones by linear interpolation in time.  A step between two kept samples
-    crosses -e when (e + n_k).(e + n_{k+1}) <= 0, i.e. when -e lies in the
-    ball whose diameter is the step's chord; each such step adds
-    antipodal_branch * 2 pi to the dynamic term, and the report is marked
-    modulo-2pi.  A normal that passes -e outside that ball but within a few
-    steps is neither flagged nor resolved, and the total can then be wrong;
-    a flagged pass that misses -e by more than roundoff is off modulo
-    2 pi.  A positive bad-set dwell time leaves the result uncertified.
+    crosses -e when (e + n_k).(e + n_{k+1}) <= ANTIPODAL_TOL**2, i.e. when
+    -e lies in the ball about the step's chord midpoint of radius
+    hypot(chord / 2, ANTIPODAL_TOL), which holds every chord that passes -e
+    closer than ANTIPODAL_TOL; so does a step that bridges a dropped run.
+    Each such step adds antipodal_branch * 2 pi to the dynamic term, and the
+    report is marked modulo-2pi.  A normal that passes -e outside that ball
+    but within a few steps is neither flagged nor resolved, and the total
+    can then be wrong; a flagged pass that misses -e by more than roundoff
+    is off modulo 2 pi.  A positive bad-set dwell time leaves the result
+    uncertified.
     """
     if traj.dim != 3:
         raise ValueError("reconstruct_spatial expects a spatial trajectory")
@@ -474,10 +477,14 @@ def reconstruct_spatial(
         raise ValueError(
             "normal stalls at -e instead of crossing it: the projected motion cannot be continued"
         )
-    # the passage test of _area_about and _bad_set on the rows n + e; a
-    # dropped run that the normal crosses meets it on its bridging step
+    # the passage test of _area_about and _bad_set on the rows n + e, with
+    # ANTIPODAL_TOL**2 of slack so that a kept step whose chord passes -e
+    # closer than ANTIPODAL_TOL counts as well; the step that bridges a
+    # dropped run counts whether or not the normal turns back in it
     shifted = normals + e[:, None]
-    crossings = np.count_nonzero(_dot(shifted[:, :-1], shifted[:, 1:]) <= 0.0)
+    passes = _dot(shifted[:, :-1], shifted[:, 1:]) <= ANTIPODAL_TOL**2
+    passes[joins] = True
+    crossings = np.count_nonzero(passes)
     if joins.size:
         rate = np.interp(t, t[kept], rate)
     dyn = _quadrature(t, rate) + 2.0 * np.pi * antipodal_branch * crossings

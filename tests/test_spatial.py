@@ -1046,9 +1046,11 @@ class TestAntipodalBetweenSamples:
         assert rep.total == pytest.approx(6.283257004032966, abs=1e-12)
 
     @staticmethod
-    def turned_about_x(angle, rate):
+    def turned_about_x(angle, rate, tilt=0.0):
+        # about the x axis tilted by `tilt` toward z
         base = generate("random_smooth", masses=M123, seed=5, duration=2.0, samples=20_001)
-        return apply_rotation_profile(embed_planar(base), [1.0, 0.0, 0.0], angle, rate)
+        axis = [np.cos(tilt), 0.0, np.sin(tilt)]
+        return apply_rotation_profile(embed_planar(base), axis, angle, rate)
 
     def test_normal_touching_antipode_and_turning_back_rejected(self):
         traj = self.turned_about_x(
@@ -1070,3 +1072,43 @@ class TestAntipodalBetweenSamples:
         rep = reconstruct_spatial(traj, e=e, include_oracle=True)
         assert rep.pole_crossed
         assert abs(wrap_angle(rep.total - rep.oracle)) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "tilt, angle, rate",
+        [
+            # a dwell at pi whose normal misses -e by 8e-7: samples are
+            # dropped, and -e lies outside the ball on the flanks' chord
+            (
+                4e-7,
+                lambda t: np.pi + 0.5 * np.pi * (t - 1.0) ** 3,
+                lambda t: 1.5 * np.pi * (t - 1.0) ** 2,
+            ),
+            # a pass 9e-7 from -e at 1.2e-6 per step, midway between two
+            # samples: no sample is dropped and no chord ball holds -e
+            (
+                4.5e-7,
+                lambda t: np.pi + 0.012 * (t - 0.99995) + (np.pi - 0.012) * (t - 0.99995) ** 3,
+                lambda t: 0.012 + 3.0 * (np.pi - 0.012) * (t - 0.99995) ** 2,
+            ),
+            # the normal touches -e and turns back off the grid, so the
+            # flanks of the dropped run differ and it does not stall
+            (
+                0.0,
+                lambda t: np.pi * np.sin(0.5 * np.pi * (t + 3e-5)),
+                lambda t: 0.5 * np.pi**2 * np.cos(0.5 * np.pi * (t + 3e-5)),
+            ),
+        ],
+        ids=["dropped-run-grazes", "kept-step-grazes", "turn-back-off-grid"],
+    )
+    def test_pass_within_tolerance_is_one_crossing(self, tilt, angle, rate):
+        # none of these passes puts -e in a kept step's chord ball, yet each
+        # comes within ANTIPODAL_TOL of it and counts once
+        e = np.array([0.0, 0.0, 1.0])
+        traj = self.turned_about_x(angle, rate, tilt)
+        shifted = normal_track(traj, e) + e
+        kept = shifted[np.linalg.norm(shifted, axis=1) >= ANTIPODAL_TOL]
+        assert not np.any(np.einsum("nd,nd->n", kept[:-1], kept[1:]) <= 0.0)
+        plus = reconstruct_spatial(traj, e=e, antipodal_branch=1)
+        minus = reconstruct_spatial(traj, e=e, antipodal_branch=-1)
+        assert plus.pole_crossed and minus.pole_crossed
+        assert plus.total - minus.total == pytest.approx(4.0 * np.pi, abs=1e-9)
