@@ -4,6 +4,9 @@ The rotation of body 1 (or of the separation vector of bodies 2 and 3) over
 a motion equals the time integral of J/I plus twice the signed spherical
 area swept by the projected shape curve about the chart pole C1 (or O1).
 The swept area is a sum of per-step solid angles: no longitude is unwound.
+The reconstructions take J/I, the shape points and the oracle's target
+vectors block by block from shape_core._row_blocks, and sum, integrate and
+unwind once over all samples.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .shape_core import (
     _bodies_from_rows,
     _dot,
     _jacobi_rows,
+    _row_blocks,
     chart_angles,
     jacobi,
     normalize_shape,
@@ -210,16 +214,47 @@ def _area_about(points: np.ndarray, pole: float) -> tuple[float, bool]:
     denominator is taken as (p + u_k).(p + u_{k+1}), exact near -p.  Points
     within POLE_PROXIMITY_TOL of -p are dropped, joining their neighbours.
     """
-    on_axis = np.hypot(points[1], points[2]) <= POLE_PROXIMITY_TOL
-    antipode = on_axis & (pole * points[0] < 0.0)
-    s = 2.0 * (points[:, ~antipode] if np.any(antipode) else points)
-    s[0] += pole
-    # the steps run backwards about O1 in place of a sign flip of the
-    # numerator, so that a curve that sweeps nothing reads +0.0
-    a, b = (s[:, :-1], s[:, 1:]) if pole < 0.0 else (s[:, 1:], s[:, :-1])
-    denominator = _dot(a, b)
-    angles = np.arctan2(a[1] * b[2] - a[2] * b[1], denominator)
-    return 0.5 * float(np.sum(angles)), bool(np.any(on_axis) or np.any(denominator <= 0.0))
+    area = _SweptArea(pole, points.shape[1])
+    area.add(points)
+    return area.result()
+
+
+class _SweptArea:
+    """_area_about over consecutive blocks of points: the step angles go to
+    one row, summed once at the end; the last kept point of a block starts
+    the next block's first step."""
+
+    def __init__(self, pole: float, n: int):
+        self.pole = pole
+        self.angles = np.empty(max(n - 1, 0))
+        self.count = 0
+        self.last = None
+        self.crossed = False
+
+    def add(self, points: np.ndarray):
+        on_axis = np.hypot(points[1], points[2]) <= POLE_PROXIMITY_TOL
+        antipode = on_axis & (self.pole * points[0] < 0.0)
+        kept = points[:, ~antipode] if np.any(antipode) else points
+        s = np.empty((3, kept.shape[1] + 1))
+        np.multiply(2.0, kept, out=s[:, 1:])
+        s[0, 1:] += self.pole
+        if self.last is None:
+            s = s[:, 1:]
+        else:
+            s[:, 0] = self.last
+        if s.shape[1]:
+            self.last = s[:, -1].copy()
+        # the steps run backwards about O1 in place of a sign flip of the
+        # numerator, so that a curve that sweeps nothing reads +0.0
+        a, b = (s[:, :-1], s[:, 1:]) if self.pole < 0.0 else (s[:, 1:], s[:, :-1])
+        denominator = _dot(a, b)
+        angles = self.angles[self.count : self.count + denominator.size]
+        np.arctan2(a[1] * b[2] - a[2] * b[1], denominator, out=angles)
+        self.count += angles.size
+        self.crossed = self.crossed or bool(np.any(on_axis) or np.any(denominator <= 0.0))
+
+    def result(self) -> tuple[float, bool]:
+        return 0.5 * float(np.sum(self.angles[: self.count])), self.crossed
 
 
 def _simpson(t: np.ndarray, y: np.ndarray, step: int) -> float:
@@ -254,21 +289,25 @@ def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
     return float(np.trapezoid(y, t))
 
 
-def _momentum_rate(traj: Trajectory):
-    """I, the shape rows and J/I per sample, J from the velocities or, if
-    there are none, from the differenced Jacobi rows; the Jacobi rows are
-    dropped here, before the curve and the oracle."""
+def _planar_blocks(traj: Trajectory):
+    """_row_blocks of a planar trajectory, J from the velocities or, if
+    there are none, from the differenced Jacobi rows; a block with a
+    vanishing moment of inertia raises before it is yielded."""
     if traj.dim != 2:
         raise ValueError("planar series require a planar trajectory")
-    rows = _jacobi_rows(traj.positions, traj.velocities, traj.masses, traj.times)
-    if np.any(rows.inertia <= 0.0):
-        raise ValueError("triple collision: the moment of inertia vanishes")
-    return rows.inertia, rows.w, rows.momentum / rows.inertia
+    for start, stop, rows in _row_blocks(traj.positions, traj.velocities, traj.masses, traj.times):
+        if np.any(rows.inertia <= 0.0):
+            raise ValueError("triple collision: the moment of inertia vanishes")
+        yield start, stop, rows
+        del rows  # not held while the next block is built
 
 
 def dynamic_term(traj: Trajectory) -> float:
     """Time integral of J/I over the motion."""
-    _, _, rate = _momentum_rate(traj)
+    rate = np.empty(traj.n_samples)
+    for start, stop, rows in _planar_blocks(traj):
+        np.divide(rows.momentum, rows.inertia, out=rate[start:stop])
+        del rows
     return _quadrature(traj.times, rate)
 
 
@@ -303,25 +342,62 @@ def _require_dense(angles: np.ndarray, defined: np.ndarray, what: str):
 
 def _unwound_turn(vec: np.ndarray, target: str) -> float:
     """Unwound polar-angle change of a sampled planar vector series (n, 2)."""
-    norms = np.hypot(vec[:, 0], vec[:, 1])
-    defined = norms > 1e-12 * max(float(np.max(norms)), 1e-300)
-    angles = unwrap_held(np.arctan2(vec[:, 1], vec[:, 0]), defined)
-    _require_dense(angles, defined, target)
-    return float(angles[-1] - angles[0])
+    turn = _Turn(len(vec))
+    turn.add(vec)
+    return turn.result(target)
+
+
+class _Turn:
+    """_unwound_turn over consecutive blocks of vectors: the lengths and
+    polar angles go to rows, unwound once at the end against the longest
+    vector."""
+
+    def __init__(self, n: int):
+        self.norms = np.empty(n)
+        self.raw = np.empty(n)
+        self.count = 0
+
+    def add(self, vec: np.ndarray):
+        rows = slice(self.count, self.count + len(vec))
+        np.hypot(vec[:, 0], vec[:, 1], out=self.norms[rows])
+        np.arctan2(vec[:, 1], vec[:, 0], out=self.raw[rows])
+        self.count += len(vec)
+
+    def result(self, target: str) -> float:
+        norms = self.norms[: self.count]
+        defined = norms > 1e-12 * max(float(np.max(norms)), 1e-300)
+        angles = unwrap_held(self.raw[: self.count], defined)
+        _require_dense(angles, defined, target)
+        return float(angles[-1] - angles[0])
 
 
 def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> ReconstructionReport:
-    inertia, w, rate = _momentum_rate(traj)
+    """One pass over the row blocks: J/I to one row, the shape points to
+    the swept area and, with the oracle, the target vectors to their turn;
+    the quadrature, the sum of step angles and the unwinding run after."""
+    t = traj.times
+    rate = np.empty(t.size)
+    area = _SweptArea(pole, t.size)
+    turn = _Turn(t.size) if include_oracle else None
+    for start, stop, rows in _planar_blocks(traj):
+        if start == 0:
+            first = rows.inertia[0]
+        np.divide(rows.momentum, rows.inertia, out=rate[start:stop])
+        area.add(np.divide(rows.w, rows.inertia, out=rows.w))
+        if turn is not None:
+            turn.add(_target_vectors(traj.positions[start:stop], target))
+        last = rows.inertia[-1]
+        del rows  # not held while the next block is built
     end_vecs = _target_vectors(traj.positions[[0, -1]], target)
-    scale = np.sqrt(inertia[[0, -1]])
+    scale = np.sqrt([first, last])
     if np.any(np.linalg.norm(end_vecs, axis=1) <= ENDPOINT_TOL * scale):
         raise ValueError(
             f"{target} is at the origin at an endpoint; the rotation angle is undefined"
         )
-    dyn = _quadrature(traj.times, rate)
-    area, crossed = _area_about(np.divide(w, inertia, out=w), pole)
-    oracle = oracle_rotation(traj, target) if include_oracle else None
-    return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples)
+    dyn = _quadrature(t, rate)
+    swept, crossed = area.result()
+    oracle = None if turn is None else turn.result(target)
+    return _report(dyn, 2.0 * swept, oracle, crossed, traj.n_samples)
 
 
 def reconstruct_q1(traj: Trajectory, include_oracle: bool = False) -> ReconstructionReport:

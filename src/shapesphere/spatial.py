@@ -11,9 +11,19 @@ e; its dwell time is measured and reported, and any positive value leaves
 the result uncertified.
 
 Per-sample 3-vectors (Jacobi vectors, normals, momenta, angular
-velocities) are C-contiguous (3, n) component rows, so each pass is one
-loop over the samples.  The Jacobi rows, I, J, w1, w2 and N come from the
-row kernel shared with the planar path, and are dropped after last use.
+velocities) are C-contiguous (3, k) component rows over a block of k
+samples.  reconstruct_spatial, normal_track and bad_set_measure run the row
+kernel shared with the planar path over blocks of _BLOCK_SAMPLES samples
+(shape_core._row_blocks), so the temporaries of each pass fit in cache:
+sigma^-1 J, the rate F, the shape points, the per-step solid angles, the
+passage tests, the bad-set flags and the oracle's projection and
+arctangents are all per block.  What joins samples carries one sample over
+a block edge: the normals' sign continuation (products of +-1, so exact),
+the step tests and the step angles.  The quadrature, the sums of step
+angles, np.trapezoid, the np.interp fill of dropped samples and the
+unwinding run after the blocks on one-row arrays over all samples, with the
+operands and order of a single pass, so no report depends on the block
+size.
 """
 
 from __future__ import annotations
@@ -26,10 +36,10 @@ import numpy as np
 
 from .planar import (
     ReconstructionReport,
-    _area_about,
     _quadrature,
     _report,
-    _unwound_turn,
+    _SweptArea,
+    _Turn,
 )
 from .shape_core import (
     MassTriple,
@@ -40,6 +50,7 @@ from .shape_core import (
     _dot,
     _jacobi_rows,
     _JacobiRows,
+    _row_blocks,
     _require_centered,
     _unit,
 )
@@ -148,16 +159,30 @@ class _LockedInertia(_JacobiRows):
         return np.vstack([self.w, w3]) / self.inertia
 
 
-def _locked_inertia(q: np.ndarray, masses: MassTriple, v=None, times=None) -> _LockedInertia:
+def _locked_inertia(q: np.ndarray, masses: MassTriple, v=None) -> _LockedInertia:
     """Inertia maps of samples q (n, 3, 3) about their mass centroids, with
-    the angular momenta of velocities v (n, 3, 3) when given, else of the
-    positions differenced over the sample times when given."""
-    rows = _jacobi_rows(q, v, masses, times)
+    the angular momenta of velocities v (n, 3, 3) when given."""
+    return _locked(_jacobi_rows(q, v, masses))
+
+
+def _locked(rows: _JacobiRows) -> _LockedInertia:
+    """The inertia maps of the row kernel's rows."""
     det = _dot(rows.normal, rows.normal)
     half = 0.5 * rows.inertia + np.hypot(*rows.w)
     smallest = det / np.maximum(half, 1e-300)
     collinear = smallest < COLLINEAR_EIG_TOL * 2.0 * rows.inertia
     return _LockedInertia(**vars(rows), det=det, smallest=smallest, collinear=collinear)
+
+
+def _locked_blocks(traj: Trajectory, with_momentum: bool = True):
+    """(start, stop, inertia maps) over the row blocks of a spatial
+    trajectory; the momenta come from its velocities or its differenced
+    positions, and are left out without with_momentum."""
+    times = traj.times if with_momentum else None
+    v = traj.velocities if with_momentum else None
+    for start, stop, rows in _row_blocks(traj.positions, v, traj.masses, times):
+        yield start, stop, _locked(rows)
+        del rows  # not held while the next block is built
 
 
 def sigma_tensor(config: SpatialConfiguration, masses: MassTriple) -> SigmaTensor:
@@ -336,12 +361,17 @@ def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -
         raise ValueError("normal_track expects a spatial trajectory")
     if initial_sign not in (None, 1, -1):
         raise ValueError("initial_sign must be None, +1 or -1")
-    kernel = _locked_inertia(traj.positions, traj.masses)
-    return _track_normals(kernel, traj.times, e, initial_sign).T
+    out = np.empty((traj.n_samples, 3))
+    blocks = _locked_blocks(traj, with_momentum=False)
+    for start, stop, kernel, normals in _tracked(blocks, traj.times, e, initial_sign):
+        out[start:stop] = normals.T
+        del kernel, normals
+    return out
 
 
-def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) -> np.ndarray:
-    """normal_track over the samples of an inertia kernel, as (3, n) rows.
+def _tracked(blocks, t: np.ndarray, e, initial_sign=None):
+    """normal_track over blocks (start, stop, kernel) of inertia maps:
+    yields each with its normal rows (3, stop - start), in order.
 
     The normal is sigma's eigenvector N = xi1 x xi2; a sample is triangular
     when the sine of the angle between xi1 and xi2 exceeds 1e-10, i.e. when
@@ -349,51 +379,122 @@ def _track_normals(kernel: _LockedInertia, t: np.ndarray, e, initial_sign=None) 
     in by np.interp of the triangular normals over their times, then
     normalized; the sign continuation keeps consecutive triangular normals
     within pi/2 of each other, so the interpolant has length at least
-    1/sqrt(2).
+    1/sqrt(2).  The signs are products of +-1, carried over block edges
+    exactly, and np.interp reads only the triangular samples on either side
+    of a collinear one, so the normals do not depend on the blocks.  A
+    block that ends collinear waits for the next triangular sample.
     """
-    lengths_sq = (0.5 * kernel.inertia + kernel.w[0]) * (0.5 * kernel.inertia - kernel.w[0])
-    triangular = kernel.det > 1e-20 * lengths_sq
-    if not np.any(triangular):
+    pending = []
+    flank = None  # time and normal of the last triangular sample yielded
+    raw = None  # that sample's unit normal before the sign continuation
+    sign = None
+    for start, stop, kernel in blocks:
+        lengths_sq = (0.5 * kernel.inertia + kernel.w[0]) * (0.5 * kernel.inertia - kernel.w[0])
+        triangular = kernel.det > 1e-20 * lengths_sq
+        kept = np.flatnonzero(triangular) if not np.all(triangular) else slice(None)
+        units = kernel.normal[:, kept] / np.sqrt(kernel.det[kept])
+        if units.shape[1]:
+            signs = _continued(units, raw)
+            raw = units[:, -1:].copy()
+            if sign is None:
+                reference = np.array([0.0, 0.0, 1.0]) if e is None else _unit(e, "e")
+                if initial_sign is not None:
+                    sign = float(initial_sign)
+                else:
+                    sign = -1.0 if reference @ units[:, 0] < 0.0 else 1.0
+                units[:, 0] *= sign
+                units[:, 1:] *= signs * sign
+            else:
+                units *= signs * sign
+            sign *= signs[-1] if signs.size else 1.0
+            del signs
+        pending.append((start, stop, kernel, triangular, kept, units))
+        if triangular[-1]:
+            yield from _filled(pending, t, flank)
+            flank = (t[stop - 1], units[:, -1:].copy())
+            pending = []
+        # hold no block of our own while the next one is built
+        del kernel, lengths_sq, triangular, kept, units
+    if sign is None:
         raise ValueError("all samples are collinear: the orientation is undefined")
-    collinear = ~triangular
-    kept = np.flatnonzero(triangular) if np.any(collinear) else slice(None)
-    units = kernel.normal[:, kept] / np.sqrt(kernel.det[kept])
-    if units.shape[1] > 1:
-        dots = _dot(units[:, 1:], units[:, :-1])
-        units[:, 1:] *= np.cumprod(np.where(dots >= 0.0, 1.0, -1.0))
-    reference = np.array([0.0, 0.0, 1.0]) if e is None else _unit(e, "e")
-    if initial_sign is not None:
-        units *= initial_sign
-    elif reference @ units[:, 0] < 0.0:
-        units *= -1.0
-    if isinstance(kept, slice):
-        return units
-    out = np.stack([np.interp(t, t[kept], row) for row in units])
-    out[:, collinear] /= np.linalg.norm(out[:, collinear], axis=0)
-    return out
+    yield from _filled(pending, t, flank)
 
 
-def _bad_set(kernel: _LockedInertia, times, e) -> tuple[float, list]:
-    """bad_set_measure over the samples of an inertia kernel with momenta.
+def _continued(units: np.ndarray, raw) -> np.ndarray:
+    """Running products of +-1 that keep each unit normal within pi/2 of
+    the one before it, the first against raw unless raw is None."""
+    chain = units if raw is None else np.hstack([raw, units])
+    return np.cumprod(np.where(_dot(chain[:, 1:], chain[:, :-1]) >= 0.0, 1.0, -1.0))
+
+
+def _filled(pending: list, t: np.ndarray, flank):
+    """The pending blocks of _tracked with their collinear normals filled in
+    from the triangular ones and the flank before them."""
+    if all(isinstance(kept, slice) for _, _, _, _, kept, _ in pending):
+        for start, stop, kernel, _, _, units in pending:
+            yield start, stop, kernel, units
+        return
+    times = [t[start:stop][kept] for start, stop, _, _, kept, _ in pending]
+    units = [block[-1] for block in pending]
+    if flank is not None:
+        times.insert(0, [flank[0]])
+        units.insert(0, flank[1])
+    times, units = np.concatenate(times), np.hstack(units)
+    for start, stop, kernel, triangular, kept, block in pending:
+        collinear = ~triangular
+        out = np.empty((3, stop - start))
+        out[:, kept] = block
+        fill = np.stack([np.interp(t[start:stop][collinear], times, row) for row in units])
+        out[:, collinear] = fill / np.linalg.norm(fill, axis=0)
+        yield start, stop, kernel, out
+
+
+class _BadSet:
+    """bad_set_measure over consecutive blocks of inertia maps with momenta.
     The normal N = xi1 x xi2 reverses across a collinear passage, so a step
-    between two triangular samples with N_k . N_{k+1} <= 0 passes one."""
-    duration = max(float(times[-1] - times[0]), 1e-300)
+    between two triangular samples with N_k . N_{k+1} <= 0 passes one; the
+    step across a block edge is tested against the last sample of the block
+    before, kept as a one-sample map."""
 
-    def tilted_spin(index):
+    def __init__(self, times: np.ndarray, e: np.ndarray):
+        self.times, self.e = times, e
+        self.duration = max(float(times[-1] - times[0]), 1e-300)
+        self.hits = []
+        self.steps = []
+        self.last = None
+
+    def _tilted_spin(self, kernel: _LockedInertia, index) -> np.ndarray:
         size = np.linalg.norm(kernel.momentum[:, index], axis=0)
-        spin = size > _BAD_SET_J_TOL * kernel.inertia[index] / duration
-        return spin & (np.abs(e @ kernel.axis(index)) > _BAD_SET_AXIS_TOL)
+        spin = size > _BAD_SET_J_TOL * kernel.inertia[index] / self.duration
+        return spin & (np.abs(self.e @ kernel.axis(index)) > _BAD_SET_AXIS_TOL)
 
-    hits = np.flatnonzero(kernel.collinear)
-    flagged = np.zeros(times.size)
-    flagged[hits[tilted_spin(hits)]] = 1.0
-    ends = ~kernel.collinear[:-1] & ~kernel.collinear[1:]
-    steps = np.flatnonzero((_dot(kernel.normal[:, :-1], kernel.normal[:, 1:]) <= 0.0) & ends)
-    steps = steps[tilted_spin(steps) & tilted_spin(steps + 1)]
-    measure = float(np.trapezoid(flagged, times) + np.sum(times[steps + 1] - times[steps]))
-    intervals = [(float(times[run[0]]), float(times[run[-1]])) for run in _runs(flagged)]
-    intervals += [(float(times[k]), float(times[k + 1])) for k in steps]
-    return measure, sorted(intervals)
+    def add(self, start: int, kernel: _LockedInertia):
+        hits = np.flatnonzero(kernel.collinear)
+        self.hits.append(start + hits[self._tilted_spin(kernel, hits)])
+        if self.last is not None:
+            before, edge = self.last, kernel.columns(slice(0, 1))
+            if (
+                not (before.collinear[0] or edge.collinear[0])
+                and _dot(before.normal, edge.normal)[0] <= 0.0
+                and self._tilted_spin(before, [0])[0]
+                and self._tilted_spin(edge, [0])[0]
+            ):
+                self.steps.append(np.array([start - 1]))
+        ends = ~kernel.collinear[:-1] & ~kernel.collinear[1:]
+        steps = np.flatnonzero((_dot(kernel.normal[:, :-1], kernel.normal[:, 1:]) <= 0.0) & ends)
+        steps = steps[self._tilted_spin(kernel, steps) & self._tilted_spin(kernel, steps + 1)]
+        self.steps.append(start + steps)
+        self.last = kernel.columns(slice(-1, None))
+
+    def result(self) -> tuple[float, list]:
+        times = self.times
+        flagged = np.zeros(times.size)
+        flagged[np.concatenate(self.hits)] = 1.0
+        steps = np.concatenate(self.steps)
+        measure = float(np.trapezoid(flagged, times) + np.sum(times[steps + 1] - times[steps]))
+        intervals = [(float(times[run[0]]), float(times[run[-1]])) for run in _runs(flagged)]
+        intervals += [(float(times[k]), float(times[k + 1])) for k in steps]
+        return measure, sorted(intervals)
 
 
 def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
@@ -408,9 +509,11 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
     """
     if traj.dim != 3:
         raise ValueError("bad_set_measure expects a spatial trajectory")
-    e = _unit(e, "e")
-    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities, traj.times)
-    return _bad_set(kernel, traj.times, e)
+    bad = _BadSet(traj.times, _unit(e, "e"))
+    for start, _, kernel in _locked_blocks(traj):
+        bad.add(start, kernel)
+        del kernel
+    return bad.result()
 
 
 def _runs(mask: np.ndarray) -> list:
@@ -449,53 +552,99 @@ def reconstruct_spatial(
     if antipodal_branch not in (1, -1):
         raise ValueError("antipodal_branch must be +1 or -1")
     t = traj.times
-    kernel = _locked_inertia(traj.positions, traj.masses, traj.velocities, t)
+    blocks = _locked_blocks(traj)
+    head = [next(blocks)]
     if e is None:
-        e = kernel.momentum[:, 0]
+        e = head[0][2].momentum[:, 0]
         e = e if np.linalg.norm(e) > 0.0 else np.array([0.0, 0.0, 1.0])
     e = _unit(e, "e")
-    normals = _track_normals(kernel, t, e) if traj.normals is None else traj.normals.T
-    if np.any(kernel.inertia <= 0.0):
-        raise ValueError("triple collision: the moment of inertia vanishes")
-    antipodal = np.linalg.norm(normals + e[:, None], axis=0) < ANTIPODAL_TOL
+    blocks = _joined(head, blocks)
+    if traj.normals is None:
+        blocks = _tracked(blocks, t, e)
+    else:
+        blocks = ((start, stop, kernel, traj.normals[start:stop].T) for start, stop, kernel in blocks)
+
+    rate = np.empty(t.size)
+    antipodal = np.empty(t.size, dtype=bool)
+    bad = _BadSet(t, e)
+    area = _SweptArea(-1.0, t.size)  # about C1
+    turn = _Turn(t.size) if include_oracle else None
+    passages = _Passages(e)
+    for start, stop, kernel, normals in blocks:
+        if np.any(kernel.inertia <= 0.0):
+            raise ValueError("triple collision: the moment of inertia vanishes")
+        dropped = np.linalg.norm(normals + e[:, None], axis=0) < ANTIPODAL_TOL
+        antipodal[start:stop] = dropped
+        kept = np.flatnonzero(~dropped) if np.any(dropped) else slice(None)
+        rate[start:stop][kept] = _projected_rate(
+            kernel.inverse(kernel.momentum, kernel.inertia)[:, kept], normals[:, kept], e
+        )
+        bad.add(start, kernel)
+        # the shape points do not depend on e: no sample is dropped from them
+        area.add(kernel.shape_points(normals))
+        if turn is not None:
+            body1 = traj.positions[start:stop, 0].T
+            turn.add(_project_positions(body1, normals, e)[:, kept].T)
+        passages.add(np.arange(start, stop)[kept], normals[:, kept])
+        # hold no block while the next one is built
+        del kernel, normals
+
     if antipodal[0] or antipodal[-1]:
         raise ValueError("normal is antipodal to e at an endpoint: the projection is undefined")
-    kept = np.flatnonzero(~antipodal) if np.any(antipodal) else slice(None)
-    rate = _projected_rate(
-        kernel.inverse(kernel.momentum, kernel.inertia)[:, kept], normals[:, kept], e
-    )
-    measure, _ = _bad_set(kernel, t, e)
-    # the shape points do not depend on e: no sample is dropped from them
-    points = kernel.shape_points(normals)
-    # last use of the inertia map's rows and of the momenta
-    del kernel
-    normals = normals[:, kept]
-
-    # the step that joins the flanks of a dropped run bridges it
-    joins = np.flatnonzero(np.diff(kept) > 1) if np.any(antipodal) else np.zeros(0, dtype=int)
-    if np.any(np.linalg.norm(normals[:, joins + 1] - normals[:, joins], axis=0) < 1e-10):
+    if passages.stalled:
         raise ValueError(
             "normal stalls at -e instead of crossing it: the projected motion cannot be continued"
         )
-    # the passage test of _area_about and _bad_set on the rows n + e, with
-    # ANTIPODAL_TOL**2 of slack so that a kept step whose chord passes -e
-    # closer than ANTIPODAL_TOL counts as well; the step that bridges a
-    # dropped run counts whether or not the normal turns back in it
-    shifted = normals + e[:, None]
-    passes = _dot(shifted[:, :-1], shifted[:, 1:]) <= ANTIPODAL_TOL**2
-    passes[joins] = True
-    crossings = np.count_nonzero(passes)
-    if joins.size:
-        rate = np.interp(t, t[kept], rate)
-    dyn = _quadrature(t, rate) + 2.0 * np.pi * antipodal_branch * crossings
+    if np.any(antipodal):
+        kept = np.flatnonzero(~antipodal)
+        rate = np.interp(t, t[kept], rate[kept])
+    dyn = _quadrature(t, rate) + 2.0 * np.pi * antipodal_branch * passages.count
+    swept, on_axis = area.result()
+    measure, _ = bad.result()
+    oracle = None if turn is None else turn.result("q1")
+    crossed = on_axis or passages.count > 0
+    return _report(dyn, 2.0 * swept, oracle, crossed, traj.n_samples, measure == 0.0, measure)
 
-    area, on_axis = _area_about(points, -1.0)  # about C1
-    oracle = None
-    if include_oracle:
-        body1 = traj.positions[:, 0].T[:, kept]
-        oracle = _unwound_turn(_project_positions(body1, normals, e).T, "q1")
-    crossed = on_axis or crossings > 0
-    return _report(dyn, 2.0 * area, oracle, crossed, traj.n_samples, measure == 0.0, measure)
+
+class _Passages:
+    """The crossings of -e by the kept normals, over consecutive blocks.
+
+    The passage test of _area_about and _bad_set on the rows n + e, with
+    ANTIPODAL_TOL**2 of slack so that a kept step whose chord passes -e
+    closer than ANTIPODAL_TOL counts as well; the step that joins the flanks
+    of a dropped run bridges it, and counts whether or not the normal turns
+    back in it.  The latest kept normal starts the next block's first step.
+    """
+
+    def __init__(self, e: np.ndarray):
+        self.e = e[:, None]
+        self.last = None
+        self.count = 0
+        self.stalled = False
+
+    def add(self, index: np.ndarray, normals: np.ndarray):
+        """Count the steps up to the kept normals (3, k) of samples index."""
+        if not index.size:
+            return
+        if self.last is not None:
+            index = np.concatenate([[self.last[0]], index])
+            normals = np.hstack([self.last[1], normals])
+        self.last = (index[-1], normals[:, -1:].copy())
+        joins = np.flatnonzero(np.diff(index) > 1)
+        if joins.size:
+            gaps = np.linalg.norm(normals[:, joins + 1] - normals[:, joins], axis=0)
+            self.stalled = self.stalled or bool(np.any(gaps < 1e-10))
+        shifted = normals + self.e
+        passes = _dot(shifted[:, :-1], shifted[:, 1:]) <= ANTIPODAL_TOL**2
+        passes[joins] = True
+        self.count += int(np.count_nonzero(passes))
+
+
+def _joined(head: list, rest):
+    """The one item of head, popped so that nothing holds it after its use,
+    then the items of rest."""
+    yield head.pop()
+    yield from rest
 
 
 def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTriple):

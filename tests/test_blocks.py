@@ -1,0 +1,344 @@
+"""The reconstructions stream the row kernel over blocks of samples.
+
+Every report, normal track and bad set must match the one-block result bit
+for bit whatever the block size, with samples on the chart axis, collinear
+stretches and dropped antipodal runs on or across block edges; an input
+that raises must raise the same message first.  A memory guard pins the
+peak of a long run below the bytes of its samples.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from shapesphere import (
+    Trajectory,
+    derive_masses,
+    equilateral_configuration,
+    generate,
+    reconstruct_q1,
+    reconstruct_spatial,
+    reconstruct_Z1,
+)
+from shapesphere import shape_core
+from shapesphere.shape_core import (
+    _differenced,
+    _grid_step,
+    _row_blocks,
+    positions_from_jacobi_series,
+)
+from shapesphere.spatial import bad_set_measure, normal_track
+from shapesphere.trajectory import embed_planar, rotation_matrices
+from shapesphere.verify import (
+    antipodal_crossing_reports,
+    negative_control_reports,
+    spatial_motion_cases,
+)
+
+M111 = derive_masses(1, 1, 1)
+M123 = derive_masses(1, 2, 3)
+E3 = np.array([0.0, 0.0, 1.0])
+
+# block sizes that put edges next to, inside and across the special samples
+SIZES = [3, 64, 1000]
+
+
+def outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def same(a, b) -> bool:
+    """Bitwise equality of reports, arrays, tuples of them, or raised errors."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if hasattr(a, "to_dict"):
+        return a.to_dict() == b.to_dict()
+    return a == b
+
+
+@pytest.fixture(params=SIZES)
+def blocked(request, monkeypatch):
+    """Check fn() in blocks of the parametrized size against one block."""
+
+    def check(fn, n):
+        assert n <= shape_core._BLOCK_SAMPLES  # the reference is one block
+        reference = outcome(fn)
+        with monkeypatch.context() as patch:
+            patch.setattr(shape_core, "_BLOCK_SAMPLES", request.param)
+            result = outcome(fn)
+        assert same(result, reference), (result, reference)
+        return reference
+
+    return check
+
+
+def strip_velocities(traj: Trajectory) -> Trajectory:
+    return Trajectory(traj.masses, traj.times, traj.positions, None, traj.normals)
+
+
+def jacobi_motion(n: int, times=None) -> Trajectory:
+    """Planar motion with Z2 = 0 (body 1 at the center, the O1 pole) on the
+    samples 192 and 999 and Z1 = 0 (the C1 pole) on 576 and 1000."""
+    t = np.linspace(0.0, 1.0, n) if times is None else times
+    at = {k: t[k] for k in (192, 576, 999, 1000)}
+    s2 = np.pi / (at[999] - at[192])
+    s1 = np.pi / (at[1000] - at[576])
+    r2, dr2 = 0.8 * np.sin(s2 * (t - at[192])), 0.8 * s2 * np.cos(s2 * (t - at[192]))
+    r1, dr1 = 0.9 * np.sin(s1 * (t - at[576])), 0.9 * s1 * np.cos(s1 * (t - at[576]))
+    r2[999], r1[1000] = 0.0, 0.0
+    a1, a2 = 0.7 * t, 1.3 * t + 0.4 * np.sin(3.0 * t)
+    da1, da2 = 0.7 + 0.0 * t, 1.3 + 1.2 * np.cos(3.0 * t)
+    Z1, Z2 = r1 * np.exp(1j * a1), r2 * np.exp(1j * a2)
+    dZ1 = (dr1 + 1j * r1 * da1) * np.exp(1j * a1)
+    dZ2 = (dr2 + 1j * r2 * da2) * np.exp(1j * a2)
+    q = positions_from_jacobi_series(Z1, Z2, M123)
+    v = positions_from_jacobi_series(dZ1, dZ2, M123)
+    return Trajectory(M123, t, q, v)
+
+
+def nonuniform_times(n: int) -> np.ndarray:
+    """A grid of exact steps 2^-11 with one longer step: nonuniform as a
+    whole, uniform on every block that misses that step."""
+    t = np.arange(n) / 2048.0
+    t[n // 3 :] += 2.0**-12
+    return t
+
+
+class TestPlanar:
+    @pytest.mark.parametrize("n", [2000, 2001])
+    @pytest.mark.parametrize("velocities", [True, False])
+    @pytest.mark.parametrize("target", ["q1", "Z1"])
+    def test_random_smooth(self, blocked, n, velocities, target):
+        motion = generate("random_smooth", masses=M123, seed=5, duration=3.0, samples=n)
+        motion = motion if velocities else strip_velocities(motion)
+        fn = reconstruct_q1 if target == "q1" else reconstruct_Z1
+        blocked(lambda: fn(motion, include_oracle=True), n)
+
+    @pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
+    @pytest.mark.parametrize("velocities", [True, False])
+    @pytest.mark.parametrize("target", ["q1", "Z1"])
+    def test_chart_axis_samples_on_edges(self, blocked, grid, velocities, target):
+        # poles on the samples 192, 576, 999 and 1000, where blocks of 3,
+        # 64 and 1000 start or end
+        n = 2001
+        times = None if grid == "uniform" else nonuniform_times(n)
+        motion = jacobi_motion(n, times)
+        motion = motion if velocities else strip_velocities(motion)
+        fn = reconstruct_q1 if target == "q1" else reconstruct_Z1
+        blocked(lambda: fn(motion, include_oracle=True), n)
+        assert blocked(lambda: fn(motion), n).pole_crossed
+
+    def test_nonuniform_grid_with_uniform_blocks(self, blocked):
+        n = 2001
+        base = generate("random_smooth", masses=M123, seed=9, duration=3.0, samples=n)
+        motion = Trajectory(M123, nonuniform_times(n), base.positions)
+        blocked(lambda: reconstruct_q1(motion, include_oracle=True), n)
+
+    def test_triple_collision_raises_first(self, blocked):
+        motion = jacobi_motion(2001)
+        q = motion.positions.copy()
+        q[1500] = 0.0
+        q[-1] = [[0.0, 0.0], [1.5, 0.0], [-1.0, 0.0]]  # q1 at the origin: raises after
+        motion = Trajectory(M123, motion.times, q)
+        reference = blocked(lambda: reconstruct_q1(motion), 2001)
+        assert reference == (ValueError, "triple collision: the moment of inertia vanishes")
+
+
+def turning_pinch(n: int, dwell) -> Trajectory:
+    """Bodies at (1, 0, 0), (-0.4, 0, 0) and (0.2, 0.8 h, 0), masses 1, 2,
+    3, turned by the angle 2t about (1, 0.3, 0): collinear on the samples
+    in dwell, with a plane that keeps turning."""
+    t = np.linspace(0.0, 1.0, n)
+    height = np.sign(t - 0.5) * (0.1 + np.abs(t - 0.5))
+    height[dwell] = 0.0
+    q = np.zeros((n, 3, 3))
+    q[:, 0, 0], q[:, 1, 0], q[:, 2, 0] = 1.0, -0.4, 0.2
+    q[:, 2, 1] = 0.8 * height
+    turned = np.einsum("nab,nib->nia", rotation_matrices([1.0, 0.3, 0.0], 2.0 * t), q)
+    return Trajectory.from_samples(M123, t, turned)
+
+
+def turn_about_x(n: int, angle, rate) -> Trajectory:
+    """The equal-mass triangle in the xy-plane turned about x by angle(t):
+    its normal meets -z wherever the angle is pi."""
+    t = np.linspace(0.0, 2.0, n)
+    config = np.concatenate([equilateral_configuration(M111).as_array(), np.zeros((3, 1))], axis=1)
+    turns = rotation_matrices([1.0, 0.0, 0.0], angle(t))
+    q = np.einsum("nab,ib->nia", turns, config)
+    v = np.cross(np.array([1.0, 0.0, 0.0]), q) * rate(t)[:, None, None]
+    return Trajectory(M111, t, q, v)
+
+
+class TestSpatial:
+    @pytest.mark.parametrize("n", [2000, 2001])
+    @pytest.mark.parametrize("velocities", [True, False])
+    def test_motion_cases(self, blocked, n, velocities):
+        # tracked normals, with e given and (tilted_rigid_a) e = None
+        for _, motion, e, _ in spatial_motion_cases(n, 0):
+            motion = motion if velocities else strip_velocities(motion)
+            blocked(lambda: reconstruct_spatial(motion, e=e, include_oracle=True), n)
+            blocked(lambda: normal_track(motion, e), n)
+
+    def test_supplied_normals(self, blocked):
+        _, motion, e, _ = spatial_motion_cases(2001, 3)[3]
+        normals = normal_track(motion, e)
+        supplied = Trajectory(motion.masses, motion.times, motion.positions, None, normals)
+        blocked(lambda: reconstruct_spatial(supplied, e=e, include_oracle=True), 2001)
+
+    def test_collinear_control_with_a_positive_bad_set(self, blocked):
+        reports = blocked(negative_control_reports, 2001)
+        assert all(r.bad_set_measure > 0.0 and r.certified is False for r in reports)
+
+    @pytest.mark.parametrize("velocities", [True, False])
+    def test_collinear_stretch_across_edges(self, blocked, velocities):
+        # collinear on the samples 900-1100, across edges of every size
+        motion = turning_pinch(2001, slice(900, 1101))
+        if velocities:
+            v = np.gradient(motion.positions, motion.times, axis=0)
+            motion = Trajectory(M123, motion.times, motion.positions, v)
+        blocked(lambda: normal_track(motion, E3), 2001)
+        blocked(lambda: reconstruct_spatial(motion, e=E3, include_oracle=True), 2001)
+        measure, intervals = blocked(lambda: bad_set_measure(motion, [0.3, 0.2, 1.0]), 2001)
+        assert measure > 0.0 and intervals
+
+    @pytest.mark.parametrize("dwell", [slice(0, 500), slice(1500, None), slice(998, 1001)])
+    def test_collinear_stretch_at_the_ends_and_on_an_edge(self, blocked, dwell):
+        motion = turning_pinch(2001, dwell)
+        blocked(lambda: normal_track(motion, None, -1), 2001)
+        blocked(lambda: reconstruct_spatial(motion, include_oracle=True), 2001)
+
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_antipodal_turn(self, blocked, n):
+        # the dropped sample at odd counts is 1000, a block start for size 1000
+        plus, minus = blocked(lambda: antipodal_crossing_reports(n), n)
+        assert plus.pole_crossed and minus.pole_crossed
+
+    def test_antipodal_run_across_edges(self, blocked):
+        # the angle dwells within 1e-6 of pi for about 14 samples around 1000
+        run = turn_about_x(
+            2001, lambda t: np.pi + np.pi * (t - 1.0) ** 3, lambda t: 3.0 * np.pi * (t - 1.0) ** 2
+        )
+        for branch in (1, -1):
+            blocked(lambda: reconstruct_spatial(run, e=E3, antipodal_branch=branch), 2001)
+        report = reconstruct_spatial(run, e=E3)
+        assert report.pole_crossed
+
+
+class TestSameErrorFirst:
+    def test_all_collinear_before_triple_collision(self, blocked):
+        t = np.linspace(0.0, 1.0, 200)
+        q = np.zeros((200, 3, 3))
+        q[:, 0, 2], q[:, 1, 2], q[:, 2, 2] = 1.0, -0.6, -0.4
+        q[150] = 0.0
+        traj = Trajectory.from_samples(M111, t, q)
+        message = "all samples are collinear: the orientation is undefined"
+        assert blocked(lambda: normal_track(traj), 200) == (ValueError, message)
+        assert blocked(lambda: reconstruct_spatial(traj, e=E3), 200) == (ValueError, message)
+
+    def test_triple_collision_before_antipodal_end(self, blocked):
+        run = turn_about_x(2001, lambda t: 0.5 * np.pi * t, lambda t: 0.5 * np.pi + 0.0 * t)
+        q = run.positions.copy()
+        q[1700] = 0.0
+        run = Trajectory(M111, run.times, q, run.velocities)
+        reference = blocked(lambda: reconstruct_spatial(run, e=E3), 2001)
+        assert reference == (ValueError, "triple collision: the moment of inertia vanishes")
+
+    def test_antipodal_end_before_stall(self, blocked):
+        # the normal touches -z at t = 1 and turns back, then ends at -z
+        def angle(t):
+            rise = 0.75 * np.pi + 0.5 * np.pi * (t - 1.5)
+            return np.where(t < 1.5, np.pi - np.pi * (t - 1.0) ** 2, rise)
+
+        def rate(t):
+            return np.where(t < 1.5, -2.0 * np.pi * (t - 1.0), 0.5 * np.pi)
+
+        run = turn_about_x(2001, angle, rate)
+        reference = blocked(lambda: reconstruct_spatial(run, e=E3), 2001)
+        assert reference == (
+            ValueError,
+            "normal is antipodal to e at an endpoint: the projection is undefined",
+        )
+
+    def test_stall(self, blocked):
+        run = turn_about_x(
+            2001, lambda t: np.pi - np.pi * (t - 1.0) ** 2, lambda t: -2.0 * np.pi * (t - 1.0)
+        )
+        reference = blocked(lambda: reconstruct_spatial(run, e=E3), 2001)
+        assert reference[0] is ValueError and reference[1].startswith("normal stalls at -e")
+
+    def test_too_few_samples_to_difference(self, blocked):
+        motion = generate("random_smooth", masses=M123, seed=2, duration=1.0, samples=2)
+        motion = strip_velocities(motion)
+        reference = blocked(lambda: reconstruct_Z1(motion), 2)
+        assert reference == (ValueError, "need at least 3 samples to difference velocities")
+
+
+def _peak_ratio(fn, traj) -> float:
+    """Traced peak of fn(traj) over the bytes of its positions and velocities."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(traj)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (traj.positions.nbytes + traj.velocities.nbytes)
+
+
+class TestMemory:
+    """A run of 8 blocks holds one-row arrays over the samples and
+    block-sized temporaries, not whole-series rows of every quantity."""
+
+    n = 8 * shape_core._BLOCK_SAMPLES
+
+    def test_spatial_peak(self):
+        tilt = rotation_matrices([0.4, -0.7, 0.2], [0.9])[0]
+        base = generate("random_smooth", masses=M123, seed=11, duration=3.0, samples=self.n)
+        motion = embed_planar(base, tilt)
+        ratio = _peak_ratio(lambda m: reconstruct_spatial(m, e=tilt[:, 2], include_oracle=True), motion)
+        assert ratio <= 0.75, ratio
+
+    def test_planar_peak(self):
+        motion = generate("random_smooth", masses=M123, seed=12, duration=3.0, samples=self.n)
+
+        def both(m):
+            reconstruct_q1(m, include_oracle=True)
+            reconstruct_Z1(m, include_oracle=True)
+
+        ratio = _peak_ratio(both, motion)
+        assert ratio <= 0.85, ratio
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("grid", ["uniform", "linspace", "random"])
+    def test_differenced_is_np_gradient(self, grid):
+        rng = np.random.default_rng(4)
+        t = {
+            "uniform": np.arange(50) / 8.0,
+            "linspace": np.linspace(0.0, 3.0, 50),
+            "random": np.cumsum(rng.uniform(0.1, 1.0, 50)),
+        }[grid]
+        f = rng.standard_normal((2, 3, 50))
+        step = _grid_step(t)
+        assert (step is not None) == (grid == "uniform")
+        expected = np.gradient(f, t, axis=-1, edge_order=2)
+        assert _differenced(f, t, step).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 9, 10])
+    def test_blocks_cover_the_samples_in_order(self, monkeypatch, n):
+        # a one-column matrix product takes another BLAS routine, so no block
+        # is a single sample unless the series is
+        monkeypatch.setattr(shape_core, "_BLOCK_SAMPLES", 3)
+        q = np.random.default_rng(n).standard_normal((n, 3, 2))
+        bounds = [(start, stop) for start, stop, _ in _row_blocks(q, None, M123)]
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == n
+        assert n == 1 or all(stop - start >= 2 for start, stop in bounds)
