@@ -208,6 +208,15 @@ class TestSpatial:
         measure, intervals = blocked(lambda: bad_set_measure(motion, [0.3, 0.2, 1.0]), 2001)
         assert measure > 0.0 and intervals
 
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_collinear_passage_between_samples_on_an_edge(self, blocked, n):
+        # the plane flips between the samples 999 and 1000 (n = 2000), where
+        # blocks of 1000 meet, or on the collinear sample 1000 (n = 2001)
+        motion = turning_pinch(n, slice(0, 0))
+        measure, intervals = blocked(lambda: bad_set_measure(motion, [0.3, 0.2, 1.0]), n)
+        assert measure > 0.0 and intervals
+        blocked(lambda: reconstruct_spatial(motion, e=E3, include_oracle=True), n)
+
     @pytest.mark.parametrize("dwell", [slice(0, 500), slice(1500, None), slice(998, 1001)])
     def test_collinear_stretch_at_the_ends_and_on_an_edge(self, blocked, dwell):
         motion = turning_pinch(2001, dwell)
