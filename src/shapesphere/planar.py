@@ -318,7 +318,9 @@ def oracle_rotation(traj: Trajectory, target: str) -> float:
     continuity, nothing else.  Per-step turns must stay below pi/2,
     otherwise the sampling cannot be unwound unambiguously.
     """
-    return _unwound_turn(_target_vectors(traj.positions, target), target)
+    turn = _Turn(traj.n_samples)
+    turn.add(_target_vectors(traj.positions, target))
+    return turn.result(target)
 
 
 def _target_vectors(q: np.ndarray, target: str) -> np.ndarray:
@@ -340,17 +342,10 @@ def _require_dense(angles: np.ndarray, defined: np.ndarray, what: str):
         )
 
 
-def _unwound_turn(vec: np.ndarray, target: str) -> float:
-    """Unwound polar-angle change of a sampled planar vector series (n, 2)."""
-    turn = _Turn(len(vec))
-    turn.add(vec)
-    return turn.result(target)
-
-
 class _Turn:
-    """_unwound_turn over consecutive blocks of vectors: the lengths and
-    polar angles go to rows, unwound once at the end against the longest
-    vector."""
+    """Unwound polar-angle change of planar vectors (k, 2) given in
+    consecutive blocks: the lengths and polar angles go to rows, unwound
+    once at the end against the longest vector."""
 
     def __init__(self, n: int):
         self.norms = np.empty(n)

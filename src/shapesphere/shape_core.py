@@ -574,11 +574,6 @@ class _JacobiRows:
     normal: np.ndarray
     momentum: Optional[np.ndarray]
 
-    def columns(self, index: slice):
-        """Copies of the rows of the samples in index."""
-        rows = {k: None if v is None else v[..., index].copy() for k, v in vars(self).items()}
-        return type(self)(**rows)
-
 
 def _jacobi_rows(
     q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple, times=None
@@ -588,24 +583,24 @@ def _jacobi_rows(
     their layout; the velocity rows are dropped once J is formed.
 
     Without v, J comes from the Jacobi rows differenced over the sample
-    times by finite_difference_velocities' stencils: both maps are linear
-    and a translation has no Jacobi component, so these rates are the Jacobi
-    rows of the differenced, recentered body velocities.  Without either, J
-    is None.
+    times by np.gradient's second-order stencil for arbitrary grids (see
+    _differenced): both maps are linear and a translation has no Jacobi
+    component, so these rates are the Jacobi rows of the differenced,
+    recentered body velocities.  Without either, J is None.
 
     The reconstructions run this kernel through _row_blocks, on blocks of
     _BLOCK_SAMPLES consecutive samples.  Every row is per sample, and a
-    differenced J reads one neighbour on each side, so a block's rows are
-    the rows of the whole series at those samples, bit for bit, whatever
-    the block size; a differenced block's rows are views that skip its
-    one-sample halo.  That rests on the BLAS computing each column of a
-    product of two or more columns the same way for any column count, which
+    differenced J reads one neighbour on each side with a stencil built
+    from the steps at that sample only, so a block's rows are the rows of
+    the whole series at those samples, bit for bit, whatever the block
+    size; a differenced block's rows are views that skip its one-sample
+    halo.  That rests on the BLAS computing each column of a product of two
+    or more columns the same way for any column count, which
     tests/test_blocks.py checks for the BLAS in use; a one-column product
     takes another routine, so no block is a single sample unless the
     series is.
     """
-    step = _grid_step(times) if v is None and times is not None else None
-    return _rows_from_jacobi(*_block_rows(q, v, masses, times, step, 0, len(q)))
+    return _rows_from_jacobi(*_block_rows(q, v, masses, times, 0, len(q)))
 
 
 # Samples per block of _row_blocks, so that the rows of a block stay in
@@ -618,27 +613,16 @@ _BLOCK_SAMPLES = 1 << 15
 def _row_blocks(q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple, times=None):
     """Yield (start, stop, rows): _jacobi_rows of the samples start:stop,
     for consecutive blocks of _BLOCK_SAMPLES samples that cover all n.  A
-    one-sample remainder joins the block before it.  The grid test of the
-    differencing is taken once, over the whole grid."""
+    one-sample remainder joins the block before it."""
     n = len(q)
-    step = _grid_step(times) if v is None and times is not None else None
     bounds = list(range(0, n, _BLOCK_SAMPLES))
     if len(bounds) > 1 and n - bounds[-1] == 1:
         bounds.pop()
     for start, stop in zip(bounds, bounds[1:] + [n]):
-        yield start, stop, _rows_from_jacobi(*_block_rows(q, v, masses, times, step, start, stop))
+        yield start, stop, _rows_from_jacobi(*_block_rows(q, v, masses, times, start, stop))
 
 
-def _grid_step(times: np.ndarray):
-    """The step of a grid whose steps all equal the first, else None: the
-    test np.gradient makes to pick its stencil."""
-    if len(times) < 3:
-        raise ValueError("need at least 3 samples to difference velocities")
-    steps = np.diff(times)
-    return steps[0] if np.all(steps == steps[0]) else None
-
-
-def _block_rows(q, v, masses: MassTriple, times, step, start: int, stop: int):
+def _block_rows(q, v, masses: MassTriple, times, start: int, stop: int):
     """Jacobi rows xi1, xi2 and J (or None) of the samples start:stop.  A
     differenced J maps one more sample on each side (three at least), so
     that every sample of the block gets its interior or end stencil."""
@@ -648,46 +632,39 @@ def _block_rows(q, v, masses: MassTriple, times, step, start: int, stop: int):
     if times is None:
         return *_jacobi_product(q[start:stop], masses), None
     n = len(q)
+    if n < 3:
+        raise ValueError("need at least 3 samples to difference velocities")
     lo, hi = max(min(start - 1, n - 3), 0), min(max(stop + 1, 3), n)
     xi = _jacobi_product(q[lo:hi], masses)
-    eta = _differenced(xi, times[lo:hi], step)
+    eta = _differenced(xi, times[lo:hi])
     inner = slice(start - lo, stop - lo)
     xi, eta = xi[..., inner], eta[..., inner]
     return *xi, _momentum(*xi, *eta)
 
 
-def _differenced(f: np.ndarray, t: np.ndarray, step) -> np.ndarray:
+def _differenced(f: np.ndarray, t: np.ndarray) -> np.ndarray:
     """np.gradient(f, t, axis=-1, edge_order=2), operation for operation,
-    with the uniform stencil taken where step (see _grid_step) is not None.
-    np.gradient makes that test on the grid it is given, and a block of a
-    nonuniform grid can be uniform."""
+    on every grid whose steps np.gradient does not find all equal: its
+    second-order stencil for arbitrary grids inside and the matching
+    one-sided stencils at the ends.  np.gradient takes a uniform stencil on
+    an exactly uniform grid, with the same bits where the step is a power of
+    two; np.linspace grids are not uniform in floating point."""
     out = np.empty_like(f)
-    if step is not None:
-        out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * step)
-        first = (-1.5 / step, 2.0 / step, -0.5 / step)
-        last = (0.5 / step, -2.0 / step, 1.5 / step)
-    else:
-        dx = np.diff(t)
-        dx1, dx2 = dx[:-1], dx[1:]
-        a = -dx2 / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
-        out[..., 1:-1] = a * f[..., :-2] + b * f[..., 1:-1] + c * f[..., 2:]
-        dx1, dx2 = dx[0], dx[1]
-        first = (
-            -(2.0 * dx1 + dx2) / (dx1 * (dx1 + dx2)),
-            (dx1 + dx2) / (dx1 * dx2),
-            -dx1 / (dx2 * (dx1 + dx2)),
-        )
-        dx1, dx2 = dx[-2], dx[-1]
-        last = (
-            dx2 / (dx1 * (dx1 + dx2)),
-            -(dx2 + dx1) / (dx1 * dx2),
-            (2.0 * dx2 + dx1) / (dx2 * (dx1 + dx2)),
-        )
-    a, b, c = first
+    dx = np.diff(t)
+    dx1, dx2 = dx[:-1], dx[1:]
+    a = -dx2 / (dx1 * (dx1 + dx2))
+    b = (dx2 - dx1) / (dx1 * dx2)
+    c = dx1 / (dx2 * (dx1 + dx2))
+    out[..., 1:-1] = a * f[..., :-2] + b * f[..., 1:-1] + c * f[..., 2:]
+    dx1, dx2 = dx[0], dx[1]
+    a = -(2.0 * dx1 + dx2) / (dx1 * (dx1 + dx2))
+    b = (dx1 + dx2) / (dx1 * dx2)
+    c = -dx1 / (dx2 * (dx1 + dx2))
     out[..., 0] = a * f[..., 0] + b * f[..., 1] + c * f[..., 2]
-    a, b, c = last
+    dx1, dx2 = dx[-2], dx[-1]
+    a = dx2 / (dx1 * (dx1 + dx2))
+    b = -(dx2 + dx1) / (dx1 * dx2)
+    c = (2.0 * dx2 + dx1) / (dx2 * (dx1 + dx2))
     out[..., -1] = a * f[..., -3] + b * f[..., -2] + c * f[..., -1]
     return out
 

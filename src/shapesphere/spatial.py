@@ -12,22 +12,22 @@ the result uncertified.
 
 Per-sample 3-vectors (Jacobi vectors, normals, momenta, angular
 velocities) are C-contiguous (3, k) component rows over a block of k
-samples.  reconstruct_spatial, normal_track and bad_set_measure run the row
-kernel shared with the planar path over blocks of _BLOCK_SAMPLES samples
-(shape_core._row_blocks), so the temporaries of each pass fit in cache:
-sigma^-1 J, the rate F, the shape points, the per-step solid angles, the
-passage tests, the bad-set flags and the oracle's projection and
-arctangents are all per block.  What joins samples carries one sample over
-a block edge: the normals' sign continuation (products of +-1, so exact),
-the step tests and the step angles.  The quadrature, the sums of step
-angles, np.trapezoid, the np.interp fill of dropped samples and the
-unwinding run after the blocks on one-row arrays over all samples, with the
-operands and order of a single pass, so no report depends on the block
-size.
+samples.  reconstruct_spatial, normal_track and bad_set_measure lock the
+blocks of the row kernel (shape_core._row_blocks) as they arrive, so the
+temporaries of each pass fit in cache: sigma^-1 J, the rate F, the shape
+points, the per-step solid angles, the passage tests, the bad-set flags and
+the oracle's projection and arctangents are all per block.  What joins
+samples carries one sample over a block edge: the last normal with its
+running sign (+-1, so exact) or its bad-set flag, and the step angles.  The
+quadrature, the sums of step angles, np.trapezoid, the np.interp fill of
+dropped samples and the unwinding run after the blocks on one-row arrays
+over all samples, with the operands and order of a single pass, so no
+report depends on the block size.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -172,17 +172,6 @@ def _locked(rows: _JacobiRows) -> _LockedInertia:
     smallest = det / np.maximum(half, 1e-300)
     collinear = smallest < COLLINEAR_EIG_TOL * 2.0 * rows.inertia
     return _LockedInertia(**vars(rows), det=det, smallest=smallest, collinear=collinear)
-
-
-def _locked_blocks(traj: Trajectory, with_momentum: bool = True):
-    """(start, stop, inertia maps) over the row blocks of a spatial
-    trajectory; the momenta come from its velocities or its differenced
-    positions, and are left out without with_momentum."""
-    times = traj.times if with_momentum else None
-    v = traj.velocities if with_momentum else None
-    for start, stop, rows in _row_blocks(traj.positions, v, traj.masses, times):
-        yield start, stop, _locked(rows)
-        del rows  # not held while the next block is built
 
 
 def sigma_tensor(config: SpatialConfiguration, masses: MassTriple) -> SigmaTensor:
@@ -361,17 +350,19 @@ def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -
         raise ValueError("normal_track expects a spatial trajectory")
     if initial_sign not in (None, 1, -1):
         raise ValueError("initial_sign must be None, +1 or -1")
+    reference = np.array([0.0, 0.0, 1.0]) if e is None else _unit(e, "e")
     out = np.empty((traj.n_samples, 3))
-    blocks = _locked_blocks(traj, with_momentum=False)
-    for start, stop, kernel, normals in _tracked(blocks, traj.times, e, initial_sign):
+    blocks = _row_blocks(traj.positions, None, traj.masses)
+    for start, stop, kernel, normals in _tracked(blocks, traj.times, reference, initial_sign):
         out[start:stop] = normals.T
         del kernel, normals
     return out
 
 
-def _tracked(blocks, t: np.ndarray, e, initial_sign=None):
-    """normal_track over blocks (start, stop, kernel) of inertia maps:
-    yields each with its normal rows (3, stop - start), in order.
+def _tracked(blocks, t: np.ndarray, reference: np.ndarray, initial_sign=None):
+    """normal_track over blocks (start, stop, rows) of the row kernel:
+    yields each block's inertia maps with its normal rows (3, stop - start),
+    in order.
 
     The normal is sigma's eigenvector N = xi1 x xi2; a sample is triangular
     when the sine of the angle between xi1 and xi2 exceeds 1e-10, i.e. when
@@ -379,52 +370,43 @@ def _tracked(blocks, t: np.ndarray, e, initial_sign=None):
     in by np.interp of the triangular normals over their times, then
     normalized; the sign continuation keeps consecutive triangular normals
     within pi/2 of each other, so the interpolant has length at least
-    1/sqrt(2).  The signs are products of +-1, carried over block edges
-    exactly, and np.interp reads only the triangular samples on either side
-    of a collinear one, so the normals do not depend on the blocks.  A
-    block that ends collinear waits for the next triangular sample.
+    1/sqrt(2).  The signs are one running product of +-1 over the
+    triangular normals, whose first link flips the first normal to the side
+    of the reference axis (or by initial_sign); it is carried over block
+    edges exactly, and np.interp reads only the triangular samples on
+    either side of a collinear one, so the normals do not depend on the
+    blocks.  A block that ends collinear waits for the next triangular
+    sample.
     """
     pending = []
     flank = None  # time and normal of the last triangular sample yielded
     raw = None  # that sample's unit normal before the sign continuation
-    sign = None
-    for start, stop, kernel in blocks:
+    sign = 1.0  # and its sign
+    for start, stop, rows in blocks:
+        kernel = _locked(rows)
         lengths_sq = (0.5 * kernel.inertia + kernel.w[0]) * (0.5 * kernel.inertia - kernel.w[0])
         triangular = kernel.det > 1e-20 * lengths_sq
         kept = np.flatnonzero(triangular) if not np.all(triangular) else slice(None)
         units = kernel.normal[:, kept] / np.sqrt(kernel.det[kept])
         if units.shape[1]:
-            signs = _continued(units, raw)
-            raw = units[:, -1:].copy()
-            if sign is None:
-                reference = np.array([0.0, 0.0, 1.0]) if e is None else _unit(e, "e")
-                if initial_sign is not None:
-                    sign = float(initial_sign)
-                else:
-                    sign = -1.0 if reference @ units[:, 0] < 0.0 else 1.0
-                units[:, 0] *= sign
-                units[:, 1:] *= signs * sign
-            else:
-                units *= signs * sign
-            sign *= signs[-1] if signs.size else 1.0
-            del signs
+            if raw is None:  # the first link: to the reference's side, or initial_sign
+                flip = -1.0 if reference @ units[:, 0] < 0.0 else 1.0
+                raw = units[:, :1] * (flip if initial_sign is None else initial_sign)
+            chain = np.hstack([raw, units])
+            signs = sign * np.cumprod(np.where(_dot(chain[:, 1:], chain[:, :-1]) >= 0.0, 1.0, -1.0))
+            raw, sign = units[:, -1:].copy(), signs[-1]
+            units *= signs
+            del chain, signs
         pending.append((start, stop, kernel, triangular, kept, units))
         if triangular[-1]:
             yield from _filled(pending, t, flank)
             flank = (t[stop - 1], units[:, -1:].copy())
             pending = []
         # hold no block of our own while the next one is built
-        del kernel, lengths_sq, triangular, kept, units
-    if sign is None:
+        del rows, kernel, lengths_sq, triangular, kept, units
+    if raw is None:
         raise ValueError("all samples are collinear: the orientation is undefined")
     yield from _filled(pending, t, flank)
-
-
-def _continued(units: np.ndarray, raw) -> np.ndarray:
-    """Running products of +-1 that keep each unit normal within pi/2 of
-    the one before it, the first against raw unless raw is None."""
-    chain = units if raw is None else np.hstack([raw, units])
-    return np.cumprod(np.where(_dot(chain[:, 1:], chain[:, :-1]) >= 0.0, 1.0, -1.0))
 
 
 def _filled(pending: list, t: np.ndarray, flank):
@@ -453,15 +435,16 @@ class _BadSet:
     """bad_set_measure over consecutive blocks of inertia maps with momenta.
     The normal N = xi1 x xi2 reverses across a collinear passage, so a step
     between two triangular samples with N_k . N_{k+1} <= 0 passes one; the
-    step across a block edge is tested against the last sample of the block
-    before, kept as a one-sample map."""
+    step across a block edge is tested against the normal (3, 1) of the
+    block before's last sample and whether that sample is triangular with
+    tilted spin."""
 
     def __init__(self, times: np.ndarray, e: np.ndarray):
         self.times, self.e = times, e
         self.duration = max(float(times[-1] - times[0]), 1e-300)
         self.hits = []
         self.steps = []
-        self.last = None
+        self.last = (None, False)  # (normal, flagged) of the latest sample
 
     def _tilted_spin(self, kernel: _LockedInertia, index) -> np.ndarray:
         size = np.linalg.norm(kernel.momentum[:, index], axis=0)
@@ -471,20 +454,16 @@ class _BadSet:
     def add(self, start: int, kernel: _LockedInertia):
         hits = np.flatnonzero(kernel.collinear)
         self.hits.append(start + hits[self._tilted_spin(kernel, hits)])
-        if self.last is not None:
-            before, edge = self.last, kernel.columns(slice(0, 1))
-            if (
-                not (before.collinear[0] or edge.collinear[0])
-                and _dot(before.normal, edge.normal)[0] <= 0.0
-                and self._tilted_spin(before, [0])[0]
-                and self._tilted_spin(edge, [0])[0]
-            ):
-                self.steps.append(np.array([start - 1]))
+        normal, flagged = self.last
+        edge = flagged and not kernel.collinear[0] and _dot(normal, kernel.normal[:, :1])[0] <= 0.0
+        if edge and self._tilted_spin(kernel, [0])[0]:
+            self.steps.append(np.array([start - 1]))
         ends = ~kernel.collinear[:-1] & ~kernel.collinear[1:]
         steps = np.flatnonzero((_dot(kernel.normal[:, :-1], kernel.normal[:, 1:]) <= 0.0) & ends)
         steps = steps[self._tilted_spin(kernel, steps) & self._tilted_spin(kernel, steps + 1)]
         self.steps.append(start + steps)
-        self.last = kernel.columns(slice(-1, None))
+        flagged = not kernel.collinear[-1] and self._tilted_spin(kernel, [-1])[0]
+        self.last = (kernel.normal[:, -1:].copy(), flagged)
 
     def result(self) -> tuple[float, list]:
         times = self.times
@@ -510,9 +489,9 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
     if traj.dim != 3:
         raise ValueError("bad_set_measure expects a spatial trajectory")
     bad = _BadSet(traj.times, _unit(e, "e"))
-    for start, _, kernel in _locked_blocks(traj):
-        bad.add(start, kernel)
-        del kernel
+    for start, _, rows in _row_blocks(traj.positions, traj.velocities, traj.masses, traj.times):
+        bad.add(start, _locked(rows))
+        del rows  # not held while the next block is built
     return bad.result()
 
 
@@ -552,17 +531,21 @@ def reconstruct_spatial(
     if antipodal_branch not in (1, -1):
         raise ValueError("antipodal_branch must be +1 or -1")
     t = traj.times
-    blocks = _locked_blocks(traj)
-    head = [next(blocks)]
+    blocks = _row_blocks(traj.positions, traj.velocities, traj.masses, t)
+    first = next(blocks)
     if e is None:
-        e = head[0][2].momentum[:, 0]
+        e = first[2].momentum[:, 0]
         e = e if np.linalg.norm(e) > 0.0 else np.array([0.0, 0.0, 1.0])
     e = _unit(e, "e")
-    blocks = _joined(head, blocks)
+    # a spent list iterator lets go of the first block; a list would hold it
+    blocks = itertools.chain(iter([first]), blocks)
+    del first
     if traj.normals is None:
         blocks = _tracked(blocks, t, e)
     else:
-        blocks = ((start, stop, kernel, traj.normals[start:stop].T) for start, stop, kernel in blocks)
+        blocks = (
+            (start, stop, _locked(rows), traj.normals[start:stop].T) for start, stop, rows in blocks
+        )
 
     rate = np.empty(t.size)
     antipodal = np.empty(t.size, dtype=bool)
@@ -638,13 +621,6 @@ class _Passages:
         passes = _dot(shifted[:, :-1], shifted[:, 1:]) <= ANTIPODAL_TOL**2
         passes[joins] = True
         self.count += int(np.count_nonzero(passes))
-
-
-def _joined(head: list, rest):
-    """The one item of head, popped so that nothing holds it after its use,
-    then the items of rest."""
-    yield head.pop()
-    yield from rest
 
 
 def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTriple):

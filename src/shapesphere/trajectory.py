@@ -768,7 +768,8 @@ def apply_rotation_profile(traj: Trajectory, axis, angle, rate) -> Trajectory:
     time-dependent angle.
 
     angle and rate are per-sample arrays (or callables of time); velocities
-    pick up the rotational term rate * axis x q.
+    pick up the rotational term rate * axis x q, and normals, when given,
+    turn with the positions.
     """
     if traj.dim != 3:
         raise ValueError("apply_rotation_profile expects a spatial trajectory")
@@ -783,4 +784,5 @@ def apply_rotation_profile(traj: Trajectory, axis, angle, rate) -> Trajectory:
     q = np.einsum("nab,nib->nia", mats, traj.positions)
     v = np.einsum("nab,nib->nia", mats, traj.velocities)
     v += rate[:, None, None] * np.cross(_unit(axis, "axis")[None, None, :], q)
-    return Trajectory.from_samples(traj.masses, t, q, v)
+    normals = None if traj.normals is None else np.einsum("nab,nb->na", mats, traj.normals)
+    return Trajectory.from_samples(traj.masses, t, q, v, normals)

@@ -24,7 +24,6 @@ from shapesphere import (
 from shapesphere import shape_core
 from shapesphere.shape_core import (
     _differenced,
-    _grid_step,
     _row_blocks,
     positions_from_jacobi_series,
 )
@@ -336,10 +335,8 @@ class TestRowBlocks:
             "random": np.cumsum(rng.uniform(0.1, 1.0, 50)),
         }[grid]
         f = rng.standard_normal((2, 3, 50))
-        step = _grid_step(t)
-        assert (step is not None) == (grid == "uniform")
         expected = np.gradient(f, t, axis=-1, edge_order=2)
-        assert _differenced(f, t, step).tobytes() == expected.tobytes()
+        assert _differenced(f, t).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 9, 10])
     def test_blocks_cover_the_samples_in_order(self, monkeypatch, n):

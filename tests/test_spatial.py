@@ -451,6 +451,16 @@ class TestNormalTrack:
         with pytest.raises(ValueError, match="e must be a finite nonzero 3-vector"):
             normal_track(embed_planar(base), e=e)
 
+    def test_reference_axis_is_validated_before_the_samples(self):
+        # an all-collinear motion has no normal to compare e with
+        t = np.linspace(0, 1, 8)
+        q = np.zeros((8, 3, 3))
+        q[:, 0, 2], q[:, 1, 2], q[:, 2, 2] = 1.0, -0.6, -0.4
+        traj = Trajectory.from_samples(M111, t, q)
+        for fn in (normal_track, reconstruct_spatial):
+            with pytest.raises(ValueError, match="e must be a finite nonzero 3-vector"):
+                fn(traj, [0.0, 0.0, 0.0])
+
     def test_reference_axis_need_not_be_unit(self):
         base = generate("random_smooth", masses=M111, seed=2, duration=1.0, samples=51)
         spatial = embed_planar(base)

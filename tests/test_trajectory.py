@@ -25,6 +25,7 @@ from shapesphere import (
 from shapesphere.shape_core import _recenter, jacobi_series, shape_series
 from shapesphere.trajectory import (
     _CSV_BLOCK_ROWS,
+    apply_rotation_profile,
     rotation_matrices,
     _csv_blocks,
     _header_layout,
@@ -527,6 +528,34 @@ class TestGenerators:
         for kind, params in cases:
             traj = generate(kind, **params)
             assert traj.max_center_shift <= 1e-12, kind
+
+
+class TestRotationProfile:
+    def test_supplied_normals_turn_with_the_positions(self):
+        axis = np.array([0.3, -0.2, 1.0])
+        traj = generate(
+            "rigid_rotation",
+            masses=M123,
+            config=[[1.0, 0.0, 0.2], [0.0, 1.0, -0.3], [-0.6, -0.4, 0.1]],
+            rate=0.7,
+            duration=2.0,
+            samples=201,
+            axis=axis,
+        )
+        q = traj.positions
+        normals = np.cross(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        traj = Trajectory(M123, traj.times, traj.positions, traj.velocities, normals)
+        tilt = [1.0, 0.4, -0.3]
+        out = apply_rotation_profile(traj, tilt, np.sin(traj.times), np.cos(traj.times))
+        turns = rotation_matrices(tilt, np.sin(traj.times))
+        expected = np.array([turn @ n for turn, n in zip(turns, normals)])
+        assert out.normals is not None
+        assert np.max(np.abs(out.normals - expected)) <= 1e-15
+        assert np.max(np.abs(np.linalg.norm(out.normals, axis=1) - 1.0)) <= 1e-15
+        # still normal to the plane of the rotated bodies
+        spans = out.positions[:, 1:] - out.positions[:, :1]
+        assert np.max(np.abs(np.einsum("nid,nd->ni", spans, out.normals))) <= 1e-14
 
 
 class TestResample:
