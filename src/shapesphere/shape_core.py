@@ -138,21 +138,32 @@ def _unit(v, name: str) -> np.ndarray:
 def _centroid_residuals(q: np.ndarray, masses: MassTriple) -> np.ndarray:
     """Relative size of the mass-weighted centroid of samples q (..., 3, d):
     |sum_i m_i q_i| / sum_i m_i |q_i|, zero for samples at the origin.
+    Taken on the blocks of _blocks, into one array over the samples.
 
     Written over the components: reductions over axes of 2 or 3 entries
     cost more per sample than the arithmetic."""
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
+    samples = q.reshape((-1,) + q.shape[-2:])
     dims = range(q.shape[-1])
-    centroid = sum((m1 * q[..., 0, d] + m2 * q[..., 1, d] + m3 * q[..., 2, d]) ** 2 for d in dims)
-    r1, r2, r3 = (np.sqrt(sum(q[..., i, d] ** 2 for d in dims)) for i in range(3))
-    return np.sqrt(centroid) / np.maximum(m1 * r1 + m2 * r2 + m3 * r3, 1e-300)
+    out = np.empty(len(samples))
+    for start, stop in _blocks(len(samples)):
+        b = samples[start:stop]
+        centroid = sum((m1 * b[:, 0, d] + m2 * b[:, 1, d] + m3 * b[:, 2, d]) ** 2 for d in dims)
+        r1, r2, r3 = (np.sqrt(sum(b[:, i, d] ** 2 for d in dims)) for i in range(3))
+        out[start:stop] = np.sqrt(centroid) / np.maximum(m1 * r1 + m2 * r2 + m3 * r3, 1e-300)
+    return out.reshape(q.shape[:-2])
 
 
-def _recenter(q: np.ndarray, masses: MassTriple) -> np.ndarray:
-    """Move samples q (..., 3, d) onto their mass centroid in place and
-    return the subtracted centroids (..., d)."""
-    shift = np.einsum("i,...id->...d", masses.as_array(), q) / masses.M
-    q -= shift[..., None, :]
+def _recenter(q: np.ndarray, masses: MassTriple) -> float:
+    """Move samples q (n, 3, d) onto their mass centroid in place, on the
+    blocks of _blocks, and return the largest distance moved (0.0 for no
+    samples)."""
+    shift = 0.0
+    for start, stop in _blocks(len(q)):
+        block = q[start:stop]
+        centroid = np.einsum("i,...id->...d", masses.as_array(), block) / masses.M
+        block -= centroid[..., None, :]
+        shift = max(shift, float(np.max(np.linalg.norm(centroid, axis=-1))))
     return shift
 
 
@@ -328,7 +339,7 @@ def configuration_from_fiber(
 def equilateral_configuration(masses: MassTriple) -> PlanarConfiguration:
     """Equilateral configuration, labels 1, 2, 3 counterclockwise, I = 1."""
     base = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5 * np.sqrt(3.0)]])
-    _recenter(base, masses)
+    _recenter(base[None], masses)
     inertia = float(np.sum(masses.as_array() * np.sum(base**2, axis=1)))
     scaled = base / np.sqrt(inertia)
     return PlanarConfiguration(scaled[0], scaled[1], scaled[2])
@@ -603,22 +614,27 @@ def _jacobi_rows(
     return _rows_from_jacobi(*_block_rows(q, v, masses, times, 0, len(q)))
 
 
-# Samples per block of _row_blocks, so that the rows of a block stay in
+# Samples per block of _blocks, so that the rows of a block stay in
 # cache.  Chosen by timing 1e6-sample spatial and planar reconstructions
 # with blocks of 2^14 to 2^17 samples on a 2-core Xeon, one BLAS thread:
 # 2^15 ran fastest, about a third faster than the whole series at once.
 _BLOCK_SAMPLES = 1 << 15
 
 
-def _row_blocks(q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple, times=None):
-    """Yield (start, stop, rows): _jacobi_rows of the samples start:stop,
-    for consecutive blocks of _BLOCK_SAMPLES samples that cover all n.  A
-    one-sample remainder joins the block before it."""
-    n = len(q)
+def _blocks(n: int):
+    """(start, stop) bounds of consecutive blocks of _BLOCK_SAMPLES samples
+    that cover n samples.  A one-sample remainder joins the block before
+    it: a one-row or one-column matrix product takes another BLAS routine."""
     bounds = list(range(0, n, _BLOCK_SAMPLES))
     if len(bounds) > 1 and n - bounds[-1] == 1:
         bounds.pop()
-    for start, stop in zip(bounds, bounds[1:] + [n]):
+    return zip(bounds, bounds[1:] + [n])
+
+
+def _row_blocks(q: np.ndarray, v: Optional[np.ndarray], masses: MassTriple, times=None):
+    """Yield (start, stop, rows): _jacobi_rows of the samples start:stop,
+    over the blocks of _blocks."""
+    for start, stop in _blocks(len(q)):
         yield start, stop, _rows_from_jacobi(*_block_rows(q, v, masses, times, start, stop))
 
 

@@ -12,6 +12,7 @@ import numpy as np
 from .angles import TWO_PI
 from .shape_core import (
     MassTriple,
+    _blocks,
     _centroid_residuals,
     _recenter,
     _unit,
@@ -110,15 +111,16 @@ class Trajectory:
 
     @classmethod
     def from_samples(cls, masses, times, positions, velocities=None, normals=None):
-        """Build a trajectory, recentering positions on the mass centroid and
-        removing any net momentum drift from the velocities."""
+        """Build a trajectory, recentering copies of the positions on the mass
+        centroid and removing any net momentum drift from copies of the
+        velocities, block by block (shape_core._recenter); max_center_shift
+        is the largest shift of either."""
         q = np.array(positions, dtype=float)
-        max_shift = float(np.max(np.linalg.norm(_recenter(q, masses), axis=1), initial=0.0))
+        max_shift = _recenter(q, masses)
         v = None
         if velocities is not None:
             v = np.array(velocities, dtype=float)
-            drift = _recenter(v, masses)
-            max_shift = max(max_shift, float(np.max(np.linalg.norm(drift, axis=1), initial=0.0)))
+            max_shift = max(max_shift, _recenter(v, masses))
         return cls(masses, np.asarray(times, dtype=float), q, v, normals, max_shift)
 
     def ensure_velocities(self) -> "Trajectory":
@@ -519,7 +521,7 @@ def _centered_config(masses: MassTriple, config, dim: Optional[int] = None) -> n
         dim = q.shape[-1]
     if q.shape != (3, dim):
         raise ValueError(f"config must be a (3, {dim}) array of positions")
-    _recenter(q, masses)
+    _recenter(q[None], masses)
     return q
 
 
@@ -612,7 +614,7 @@ def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
     v = np.array(velocities, dtype=float)
     if v.shape != q.shape:
         raise ValueError("velocities must match the configuration shape")
-    _recenter(v, masses)
+    _recenter(v[None], masses)
     weights = _pair_weights(masses.as_array(), G)
     t = np.linspace(0.0, duration, samples)
     h = t[1] - t[0] if samples > 1 else 0.0
@@ -667,32 +669,35 @@ def _random_smooth(
         return pos * scale, neg * scale
 
     ks = np.arange(1, harmonics + 1)
-    phases = np.exp(1j * base_freq * np.outer(t, ks))
 
-    def evaluate(pos, neg):
+    def evaluate(phases, pos, neg):
         delta = phases @ pos + np.conj(phases) @ neg
         ddelta = phases @ (1j * base_freq * ks * pos) + np.conj(phases) @ (
             -1j * base_freq * ks * neg
         )
         return delta, ddelta
 
-    d1, dd1 = evaluate(*series_pair())
-    d2, dd2 = evaluate(*series_pair())
-
+    pairs = [series_pair(), series_pair()]
     spin_amp = rng.uniform(0.1, 0.3)
     spin_phase = rng.uniform(0.0, TWO_PI)
-    theta = rotation_rate * t + spin_amp * np.sin(base_freq * t + spin_phase)
-    dtheta = rotation_rate + spin_amp * base_freq * np.cos(base_freq * t + spin_phase)
-    spin = np.exp(1j * theta)
-
     b1, b2 = 1.0, 0.9j
-    Z1 = b1 * (1.0 + d1) * spin
-    Z2 = b2 * (1.0 + d2) * spin
-    dZ1 = b1 * (dd1 + (1.0 + d1) * 1j * dtheta) * spin
-    dZ2 = b2 * (dd2 + (1.0 + d2) * 1j * dtheta) * spin
-
-    q = positions_from_jacobi_series(Z1, Z2, masses)
-    v = positions_from_jacobi_series(dZ1, dZ2, masses)
+    # every draw is made, in the order of a whole-series evaluation, before
+    # the series are evaluated block by block
+    q = np.empty((samples, 3, 2))
+    v = np.empty_like(q)
+    for start, stop in _blocks(samples):
+        tb = t[start:stop]
+        phases = np.exp(1j * base_freq * np.outer(tb, ks))
+        (d1, dd1), (d2, dd2) = (evaluate(phases, *pair) for pair in pairs)
+        theta = rotation_rate * tb + spin_amp * np.sin(base_freq * tb + spin_phase)
+        dtheta = rotation_rate + spin_amp * base_freq * np.cos(base_freq * tb + spin_phase)
+        spin = np.exp(1j * theta)
+        Z1 = b1 * (1.0 + d1) * spin
+        Z2 = b2 * (1.0 + d2) * spin
+        dZ1 = b1 * (dd1 + (1.0 + d1) * 1j * dtheta) * spin
+        dZ2 = b2 * (dd2 + (1.0 + d2) * 1j * dtheta) * spin
+        q[start:stop] = positions_from_jacobi_series(Z1, Z2, masses)
+        v[start:stop] = positions_from_jacobi_series(dZ1, dZ2, masses)
     return Trajectory.from_samples(masses, t, q, v)
 
 
@@ -749,16 +754,19 @@ def embed_planar(traj: Trajectory, rotation=None) -> Trajectory:
     """
     if traj.dim != 2:
         raise ValueError("embed_planar expects a planar trajectory")
-    n = traj.n_samples
-    q = np.concatenate([traj.positions, np.zeros((n, 3, 1))], axis=2)
-    v = None
-    if traj.velocities is not None:
-        v = np.concatenate([traj.velocities, np.zeros((n, 3, 1))], axis=2)
-    if rotation is not None:
-        R = np.asarray(rotation, dtype=float)
-        q = q @ R.T
-        if v is not None:
-            v = v @ R.T
+    R = None if rotation is None else np.asarray(rotation, dtype=float)
+
+    def embedded(source):
+        out = np.zeros(source.shape[:2] + (3,))
+        for start, stop in _blocks(len(out)):
+            block = out[start:stop].reshape(-1, 3)
+            block[:, :2] = source[start:stop].reshape(-1, 2)
+            if R is not None:
+                block[...] = block @ R.T
+        return out
+
+    q = embedded(traj.positions)
+    v = None if traj.velocities is None else embedded(traj.velocities)
     # a linear map keeps centered samples centered: no recentering to re-round them
     return Trajectory(traj.masses, traj.times, q, v, max_center_shift=traj.max_center_shift)
 
@@ -780,9 +788,15 @@ def apply_rotation_profile(traj: Trajectory, axis, angle, rate) -> Trajectory:
     rate = np.asarray(rate(t) if callable(rate) else rate, dtype=float)
     if angle.shape != t.shape or rate.shape != t.shape:
         raise ValueError("angle and rate must align with the time grid")
-    mats = rotation_matrices(axis, angle)
-    q = np.einsum("nab,nib->nia", mats, traj.positions)
-    v = np.einsum("nab,nib->nia", mats, traj.velocities)
-    v += rate[:, None, None] * np.cross(_unit(axis, "axis")[None, None, :], q)
-    normals = None if traj.normals is None else np.einsum("nab,nb->na", mats, traj.normals)
+    axis = _unit(axis, "axis")
+    q = np.empty((t.size, 3, 3))
+    v = np.empty_like(q)
+    normals = None if traj.normals is None else np.empty((t.size, 3))
+    for start, stop in _blocks(t.size):
+        mats = _rodrigues(axis, angle[start:stop])
+        np.einsum("nab,nib->nia", mats, traj.positions[start:stop], out=q[start:stop])
+        np.einsum("nab,nib->nia", mats, traj.velocities[start:stop], out=v[start:stop])
+        v[start:stop] += rate[start:stop, None, None] * np.cross(axis[None, None, :], q[start:stop])
+        if normals is not None:
+            np.einsum("nab,nb->na", mats, traj.normals[start:stop], out=normals[start:stop])
     return Trajectory.from_samples(traj.masses, t, q, v, normals)

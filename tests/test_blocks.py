@@ -1,10 +1,12 @@
-"""The reconstructions stream the row kernel over blocks of samples.
+"""The reconstructions stream the row kernel over blocks of samples, and
+the generators and ingest run over the same blocks.
 
-Every report, normal track and bad set must match the one-block result bit
-for bit whatever the block size, with samples on the chart axis, collinear
-stretches and dropped antipodal runs on or across block edges; an input
-that raises must raise the same message first.  A memory guard pins the
-peak of a long run below the bytes of its samples.
+Every report, normal track, bad set and generated or ingested trajectory
+must match the one-block result bit for bit whatever the block size, with
+samples on the chart axis, collinear stretches and dropped antipodal runs on
+or across block edges; an input that raises must raise the same message
+first.  Memory guards pin the peak of long runs against the bytes of their
+samples.
 """
 
 import tracemalloc
@@ -28,7 +30,7 @@ from shapesphere.shape_core import (
     positions_from_jacobi_series,
 )
 from shapesphere.spatial import bad_set_measure, normal_track
-from shapesphere.trajectory import embed_planar, rotation_matrices
+from shapesphere.trajectory import apply_rotation_profile, embed_planar, rotation_matrices
 from shapesphere.verify import (
     antipodal_crossing_reports,
     negative_control_reports,
@@ -76,6 +78,12 @@ def blocked(request, monkeypatch):
         return reference
 
     return check
+
+
+def fields(traj: Trajectory) -> tuple:
+    """A trajectory's arrays and recentering shift, for `same`."""
+    arrays = (traj.times, traj.positions, traj.velocities, traj.normals)
+    return arrays + (np.array([traj.max_center_shift]),)
 
 
 def strip_velocities(traj: Trajectory) -> Trajectory:
@@ -239,6 +247,52 @@ class TestSpatial:
         assert report.pole_crossed
 
 
+TILT = rotation_matrices([0.4, -0.7, 0.2], [0.9])[0]
+
+
+def smooth(n: int) -> Trajectory:
+    return generate("random_smooth", masses=M123, seed=5, duration=3.0, samples=n)
+
+
+def wobble(traj: Trajectory, normals=None) -> Trajectory:
+    """traj, with normals if given, rocked about a tilted axis."""
+    source = Trajectory(traj.masses, traj.times, traj.positions, traj.velocities, normals)
+    return apply_rotation_profile(
+        source, [0.2, 0.1, 1.0], lambda t: 0.4 * np.sin(2.0 * t), lambda t: 0.8 * np.cos(2.0 * t)
+    )
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+class TestIngestAndGenerators:
+    def test_random_smooth(self, blocked, n):
+        blocked(lambda: fields(smooth(n)), n)
+
+    @pytest.mark.parametrize("rotation", [None, TILT])
+    def test_embed_planar(self, blocked, n, rotation):
+        base = smooth(n)
+        blocked(lambda: fields(embed_planar(base, rotation)), n)
+
+    @pytest.mark.parametrize("with_normals", [False, True])
+    def test_apply_rotation_profile(self, blocked, n, with_normals):
+        tilted = embed_planar(smooth(n), TILT)
+        turns = rotation_matrices([1.0, 0.0, 0.0], 0.3 * tilted.times)
+        normals = np.einsum("nab,b->na", turns, E3) if with_normals else None
+        blocked(lambda: fields(wobble(tilted, normals)), n)
+
+    def test_from_samples_off_center(self, blocked, n):
+        base = smooth(n)
+        drift = 0.3 + base.times[:, None, None] * np.array([1.0, -2.0])
+        q, v = base.positions + drift, base.velocities + 0.1 * drift
+        arrays = blocked(lambda: fields(Trajectory.from_samples(M123, base.times, q, v)), n)
+        assert arrays[-1][0] > 1.0
+
+    def test_direct_construction(self, blocked, n):
+        tilted = embed_planar(smooth(n), TILT)
+        normals = np.tile(TILT[:, 2], (n, 1))
+        args = (M123, tilted.times, tilted.positions, tilted.velocities, normals)
+        blocked(lambda: fields(Trajectory(*args)), n)
+
+
 class TestSameErrorFirst:
     def test_all_collinear_before_triple_collision(self, blocked):
         t = np.linspace(0.0, 1.0, 200)
@@ -287,18 +341,57 @@ class TestSameErrorFirst:
         reference = blocked(lambda: reconstruct_Z1(motion), 2)
         assert reference == (ValueError, "need at least 3 samples to difference velocities")
 
+    def test_non_finite_sample_in_the_last_block(self, blocked):
+        base = smooth(2001)
+        q = base.positions.copy()
+        q[10, 0] += 0.5  # off center in the first block
+        q[-1, 2, 1] = np.nan
+        message = (ValueError, "positions must be finite")
+        assert blocked(lambda: Trajectory(M123, base.times, q), 2001) == message
+        assert blocked(lambda: Trajectory.from_samples(M123, base.times, q), 2001) == message
 
-def _peak_ratio(fn, traj) -> float:
-    """Traced peak of fn(traj) over the bytes of its positions and velocities."""
+    def test_off_center_velocities(self, blocked):
+        base = smooth(2001)
+        v = base.velocities.copy()
+        v[1990, 1] += 0.5
+        message = (ValueError, "velocities carry net linear momentum")
+        assert blocked(lambda: Trajectory(M123, base.times, base.positions, v), 2001) == message
+        q = base.positions.copy()
+        q[1995, 2] -= 0.5  # positions are checked first
+        reference = blocked(lambda: Trajectory(M123, base.times, q, v), 2001)
+        assert reference[1].startswith("positions are not centered")
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_zero_and_one_samples(self, blocked, samples):
+        def chain():
+            base = smooth(samples)
+            return fields(base) + fields(wobble(embed_planar(base, TILT)))
+
+        reference = blocked(chain, samples)
+        if samples == 0:
+            assert reference == (ValueError, "times must be a nonempty finite 1-d array")
+
+
+def _traced(fn):
+    """fn()'s result and the traced peak of the call in bytes."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        fn(traj)
+        out = fn()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return peak / (traj.positions.nbytes + traj.velocities.nbytes)
+    return out, peak
+
+
+def _sample_bytes(traj: Trajectory) -> int:
+    return traj.positions.nbytes + traj.velocities.nbytes
+
+
+def _peak_ratio(fn, traj) -> float:
+    """Traced peak of fn(traj) over the bytes of its positions and velocities."""
+    return _traced(lambda: fn(traj))[1] / _sample_bytes(traj)
 
 
 class TestMemory:
@@ -323,6 +416,20 @@ class TestMemory:
 
         ratio = _peak_ratio(both, motion)
         assert ratio <= 0.85, ratio
+
+    def test_generator_peaks(self):
+        # each holds its output, the recentered copy that from_samples makes
+        # and block-sized temporaries; whole-series passes peaked at 5.0x,
+        # 1.50x and 3.17x the bytes of the output
+        n = 200_000
+        base, peak = _traced(
+            lambda: generate("random_smooth", masses=M123, seed=11, duration=3.0, samples=n)
+        )
+        assert peak <= 3.0 * _sample_bytes(base), peak / _sample_bytes(base)
+        tilted, peak = _traced(lambda: embed_planar(base, TILT))
+        assert peak <= 1.3 * _sample_bytes(tilted), peak / _sample_bytes(tilted)
+        rocked, peak = _traced(lambda: wobble(tilted))
+        assert peak <= 2.75 * _sample_bytes(rocked), peak / _sample_bytes(rocked)
 
 
 class TestRowBlocks:
