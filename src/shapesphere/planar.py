@@ -4,9 +4,9 @@ The rotation of body 1 (or of the separation vector of bodies 2 and 3) over
 a motion equals the time integral of J/I plus twice the signed spherical
 area swept by the projected shape curve about the chart pole C1 (or O1).
 The swept area is a sum of per-step solid angles: no longitude is unwound.
-The reconstructions take J/I, the shape points and the oracle's target
-vectors block by block from shape_core._row_blocks, and sum, integrate and
-unwind once over all samples.
+The reconstructions take J/I and the shape points block by block from
+shape_core._row_blocks and sum and integrate once over all samples; the
+oracle unwinds the target vectors of all samples after that.
 """
 
 from __future__ import annotations
@@ -200,29 +200,24 @@ def swept_area(curve: ShapeCurve, pole) -> float:
     p = np.asarray(pole, dtype=float)
     if p.shape != (3,) or not np.isfinite(p[0]) or p[0] == 0.0 or np.any(p[1:] != 0.0):
         raise ValueError("pole must be a nonzero direction along the chart axis (C1 or O1)")
-    return _area_about(curve.points.T, np.sign(p[0]))[0]
-
-
-def _area_about(points: np.ndarray, pole: float) -> tuple[float, bool]:
-    """Area swept about the pole p = (pole, 0, 0), -1 for C1 and +1 for O1,
-    by points (3, n) of the radius-1/2 sphere, and whether the curve passes
-    the chart axis: a point within POLE_PROXIMITY_TOL of either pole, or a
-    step whose denominator is <= 0.  Each step adds, with u = 2 point,
-    -1/2 atan2(p.(u_k x u_{k+1}), 1 + p.u_k + p.u_{k+1} + u_k.u_{k+1}), a
-    quarter of the solid angle of the triangle (p, u_k, u_{k+1}) (Van
-    Oosterom and Strackee, IEEE Trans. Biomed. Eng. 30, 1983); the
-    denominator is taken as (p + u_k).(p + u_{k+1}), exact near -p.  Points
-    within POLE_PROXIMITY_TOL of -p are dropped, joining their neighbours.
-    """
-    area = _SweptArea(pole, points.shape[1])
-    area.add(points)
-    return area.result()
+    area = _SweptArea(np.sign(p[0]), curve.n_samples)
+    area.add(curve.points.T)
+    return area.result()[0]
 
 
 class _SweptArea:
-    """_area_about over consecutive blocks of points: the step angles go to
-    one row, summed once at the end; the last kept point of a block starts
-    the next block's first step."""
+    """Area swept about the pole p = (pole, 0, 0), -1 for C1 and +1 for O1,
+    by points (3, k) of the radius-1/2 sphere given in consecutive blocks,
+    and whether the curve passes the chart axis: a point within
+    POLE_PROXIMITY_TOL of either pole, or a step whose denominator is <= 0.
+    Each step adds, with u = 2 point, -1/2 atan2(p.(u_k x u_{k+1}), 1 +
+    p.u_k + p.u_{k+1} + u_k.u_{k+1}), a quarter of the solid angle of the
+    triangle (p, u_k, u_{k+1}) (Van Oosterom and Strackee, IEEE Trans.
+    Biomed. Eng. 30, 1983); the denominator is taken as (p + u_k).(p +
+    u_{k+1}), exact near -p.  Points within POLE_PROXIMITY_TOL of -p are
+    dropped, joining their neighbours.  The step angles go to one row,
+    summed once at the end; the last kept point of a block starts the
+    next block's first step."""
 
     def __init__(self, pole: float, n: int):
         self.pole = pole
@@ -367,20 +362,17 @@ class _Turn:
 
 
 def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> ReconstructionReport:
-    """One pass over the row blocks: J/I to one row, the shape points to
-    the swept area and, with the oracle, the target vectors to their turn;
-    the quadrature, the sum of step angles and the unwinding run after."""
+    """One pass over the row blocks: J/I to one row and the shape points to
+    the swept area; the quadrature and the sum of step angles run after,
+    and the oracle, with their rows released, last."""
     t = traj.times
     rate = np.empty(t.size)
     area = _SweptArea(pole, t.size)
-    turn = _Turn(t.size) if include_oracle else None
     for start, stop, rows in _planar_blocks(traj):
         if start == 0:
             first = rows.inertia[0]
         np.divide(rows.momentum, rows.inertia, out=rate[start:stop])
         area.add(np.divide(rows.w, rows.inertia, out=rows.w))
-        if turn is not None:
-            turn.add(_target_vectors(traj.positions[start:stop], target))
         last = rows.inertia[-1]
         del rows  # not held while the next block is built
     end_vecs = _target_vectors(traj.positions[[0, -1]], target)
@@ -391,7 +383,8 @@ def _reconstruct(traj: Trajectory, pole, target: str, include_oracle: bool) -> R
         )
     dyn = _quadrature(t, rate)
     swept, crossed = area.result()
-    oracle = None if turn is None else turn.result(target)
+    del rate, area  # not held while the oracle unwinds
+    oracle = oracle_rotation(traj, target) if include_oracle else None
     return _report(dyn, 2.0 * swept, oracle, crossed, traj.n_samples)
 
 

@@ -592,7 +592,7 @@ def reconstruct_spatial(
 class _Passages:
     """The crossings of -e by the kept normals, over consecutive blocks.
 
-    The passage test of _area_about and _bad_set on the rows n + e, with
+    The passage test of planar._SweptArea and _BadSet on the rows n + e, with
     ANTIPODAL_TOL**2 of slack so that a kept step whose chord passes -e
     closer than ANTIPODAL_TOL counts as well; the step that joins the flanks
     of a dropped run bridges it, and counts whether or not the normal turns

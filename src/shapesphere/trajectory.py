@@ -386,22 +386,10 @@ def _parse_csv(text: str, masses: Optional[MassTriple]) -> Trajectory:
     (dim, has_v, has_n), data = _read_csv_table(text, _header_layout)
     if data.shape[0] == 0:
         raise ParseError("CSV contains no data rows")
-    t = data[:, 0]
-    bad = np.flatnonzero(np.diff(t) <= 0.0)
-    if bad.size:
-        raise ParseError(f"time does not increase at data row {bad[0] + 2}")
-    col = 1
-    q = data[:, col : col + 3 * dim].reshape(-1, 3, dim)
-    col += 3 * dim
-    v = None
-    if has_v:
-        v = data[:, col : col + 3 * dim].reshape(-1, 3, dim)
-        col += 3 * dim
-    normals = data[:, col : col + 3] if has_n else None
-    try:
-        return Trajectory.from_samples(masses, t, q, v, normals)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    q = data[:, 1 : 1 + 3 * dim].reshape(-1, 3, dim)
+    v = data[:, 1 + 3 * dim : 1 + 6 * dim].reshape(-1, 3, dim) if has_v else None
+    normals = data[:, -3:] if has_n else None
+    return _parsed(masses, data[:, 0], q, v, normals, "data row")
 
 
 def _parse_json(text: str, masses: Optional[MassTriple]) -> Trajectory:
@@ -439,18 +427,20 @@ def _parse_json(text: str, masses: Optional[MassTriple]) -> Trajectory:
         raise ParseError("velocities must be present on all samples or none")
     if ns and len(ns) != len(qs):
         raise ParseError("normals must be present on all samples or none")
-    t = np.asarray(times)
+    v = np.stack(vs) if vs else None
+    normals = np.stack(ns) if ns else None
+    return _parsed(masses, np.asarray(times), np.stack(qs), v, normals, "sample")
+
+
+def _parsed(masses, t, q, v, normals, row: str) -> Trajectory:
+    """Trajectory.from_samples of parsed samples, whose times must
+    increase; row ("data row" or "sample") names the first that does not,
+    counted from 1, and a ValueError is re-raised as ParseError."""
     bad = np.flatnonzero(np.diff(t) <= 0.0)
     if bad.size:
-        raise ParseError(f"time does not increase at sample {bad[0] + 2}")
+        raise ParseError(f"time does not increase at {row} {bad[0] + 2}")
     try:
-        return Trajectory.from_samples(
-            masses,
-            t,
-            np.stack(qs),
-            np.stack(vs) if vs else None,
-            np.stack(ns) if ns else None,
-        )
+        return Trajectory.from_samples(masses, t, q, v, normals)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -755,6 +745,8 @@ def embed_planar(traj: Trajectory, rotation=None) -> Trajectory:
     if traj.dim != 2:
         raise ValueError("embed_planar expects a planar trajectory")
     R = None if rotation is None else np.asarray(rotation, dtype=float)
+    if R is not None and (R.shape != (3, 3) or not np.all(np.isfinite(R))):
+        raise ValueError("rotation must be a finite 3x3 matrix")
 
     def embedded(source):
         out = np.zeros(source.shape[:2] + (3,))

@@ -19,6 +19,7 @@ from shapesphere import (
     derive_masses,
     equilateral_configuration,
     generate,
+    oracle_rotation,
     reconstruct_q1,
     reconstruct_spatial,
     reconstruct_Z1,
@@ -126,7 +127,8 @@ class TestPlanar:
         motion = generate("random_smooth", masses=M123, seed=5, duration=3.0, samples=n)
         motion = motion if velocities else strip_velocities(motion)
         fn = reconstruct_q1 if target == "q1" else reconstruct_Z1
-        blocked(lambda: fn(motion, include_oracle=True), n)
+        report = blocked(lambda: fn(motion, include_oracle=True), n)
+        assert report.oracle == oracle_rotation(motion, target)
 
     @pytest.mark.parametrize("grid", ["uniform", "nonuniform"])
     @pytest.mark.parametrize("velocities", [True, False])
@@ -415,7 +417,7 @@ class TestMemory:
             reconstruct_Z1(m, include_oracle=True)
 
         ratio = _peak_ratio(both, motion)
-        assert ratio <= 0.85, ratio
+        assert ratio <= 0.5, ratio
 
     def test_generator_peaks(self):
         # each holds its output, the recentered copy that from_samples makes

@@ -227,9 +227,13 @@ class TestReconstruct:
                 {"t": 0, "q": [[1, 0], [0, 1], [-1, -1]], "n": [0, 0, 1]},
                 {"t": 1, "q": [[1, 0], [0, 1], [-1, -1]], "n": [0, 0, 1]},
             ]}, "normals are defined on spatial (dim 3) trajectories only"),
+            ({"masses": [1, 1, 1], "samples": [
+                {"t": 1, "q": [[1, 0], [0, 1], [-1, -1]]},
+                {"t": 0, "q": [[1, 0], [0, 1], [-1, -1]]},
+            ]}, "time does not increase at sample 2"),
         ],
         ids=["samples_not_a_list", "no_samples", "dim_not_a_number", "velocity_size",
-             "normal_size", "planar_normals"],
+             "normal_size", "planar_normals", "time_goes_back"],
     )
     def test_malformed_json_exits_2(self, tmp_path, capsys, doc, message):
         src = tmp_path / "bad.json"

@@ -107,13 +107,18 @@ class TestSweptArea:
         # a great-circle arc that passes 1e-6 from -p sweeps the triangle of
         # its end points, as its steps' triangles tile that one; the steps
         # are shorter than the miss, so no step is flagged
-        from shapesphere.planar import _area_about
+        from shapesphere.planar import _SweptArea
+
+        def area_about(points):
+            area = _SweptArea(pole, points.shape[1])
+            area.add(points)
+            return area.result()
 
         closest = np.array([-pole * np.cos(1e-6), 0.0, np.sin(1e-6)])
         s = np.linspace(-1e-5, 1e-5, 401)
         arc = np.cos(s) * closest[:, None] + np.sin(s) * np.array([0.0, 1.0, 0.0])[:, None]
-        fine, crossed = _area_about(0.5 * arc, pole)
-        whole, _ = _area_about(0.5 * arc[:, [0, -1]], pole)
+        fine, crossed = area_about(0.5 * arc)
+        whole, _ = area_about(0.5 * arc[:, [0, -1]])
         assert not crossed
         assert abs(fine - whole) <= 1e-12
 

@@ -26,6 +26,7 @@ from shapesphere.shape_core import _recenter, jacobi_series, shape_series
 from shapesphere.trajectory import (
     _CSV_BLOCK_ROWS,
     apply_rotation_profile,
+    embed_planar,
     rotation_matrices,
     _csv_blocks,
     _header_layout,
@@ -556,6 +557,17 @@ class TestRotationProfile:
         # still normal to the plane of the rotated bodies
         spans = out.positions[:, 1:] - out.positions[:, :1]
         assert np.max(np.abs(np.einsum("nid,nd->ni", spans, out.normals))) <= 1e-14
+
+
+class TestEmbedPlanar:
+    @pytest.mark.parametrize(
+        "rotation",
+        [np.eye(3)[0], np.ones((3, 3, 3)), np.eye(3)[None], np.eye(2), np.diag([1.0, np.nan, 1.0])],
+        ids=["(3,)", "(3, 3, 3)", "(1, 3, 3)", "(2, 2)", "nan"],
+    )
+    def test_rotation_must_be_a_finite_3x3_matrix(self, rotation):
+        with pytest.raises(ValueError, match="rotation must be a finite 3x3 matrix"):
+            embed_planar(linear_motion(5), rotation)
 
 
 class TestResample:
