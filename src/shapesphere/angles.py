@@ -19,7 +19,7 @@ def wrap_angle(x):
     return float(y) if y.ndim == 0 else y
 
 
-def unwrap_held(raw, defined=None):
+def unwrap_held(raw, defined=None, out=None):
     """Continuously unwind a sampled angle series.
 
     Consecutive defined samples are joined by the increment wrapped to
@@ -28,6 +28,8 @@ def unwrap_held(raw, defined=None):
     running value, so the continuation keeps the last defined branch across
     singular points instead of producing garbage there.  raw must be 1-D
     and defined, if given, a mask of the same shape; ValueError otherwise.
+    out, if given, is a float array of raw's shape that takes the result;
+    it may be raw itself.
     """
     raw = np.asarray(raw, dtype=float)
     defined = np.ones(raw.shape, bool) if defined is None else np.asarray(defined, dtype=bool)
@@ -37,20 +39,25 @@ def unwrap_held(raw, defined=None):
             f"got shapes {raw.shape} and {defined.shape}"
         )
     if defined.all():
-        return _unwound(raw)
+        return _unwound(raw, out)
+    out = np.empty(raw.size) if out is None else out
     idx = np.flatnonzero(defined)
     if idx.size == 0:
-        return np.zeros(raw.size)
+        out[:] = 0.0
+        return out
     # hold: every sample takes the value of the latest defined sample at or
     # before it (leading undefined samples copy the first defined value)
     held = np.zeros(raw.size, dtype=np.intp)
     held[idx] = np.arange(idx.size)
-    return _unwound(raw[idx])[np.maximum.accumulate(held)]
+    return np.take(_unwound(raw[idx]), np.maximum.accumulate(held), out=out)
 
 
-def _unwound(raw: np.ndarray) -> np.ndarray:
-    """raw[0] plus the cumulative wrapped increments of a 1-D series."""
-    out = np.empty(raw.size)
+def _unwound(raw: np.ndarray, out=None) -> np.ndarray:
+    """raw[0] plus the cumulative wrapped increments of a 1-D series, into
+    out if given, which may be raw itself."""
+    steps = wrap_angle(np.diff(raw))
+    out = np.empty(raw.size) if out is None else out
     out[:1] = raw[:1]
-    out[1:] = raw[:1] + np.cumsum(wrap_angle(np.diff(raw)))
+    np.cumsum(steps, out=out[1:])
+    out[1:] += out[:1]
     return out

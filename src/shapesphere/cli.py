@@ -9,6 +9,8 @@ result under --strict.
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
 import json
 import os
 import re
@@ -52,14 +54,52 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+# Bytes per piece of input text: a CSV reader holds about 1 MiB of the
+# file's text at a time, not all of it.
+_READ_BYTES = 1 << 20
+
+
+def _pieces(path: str):
+    """The UTF-8 text of path, or of stdin for '-', as an iterator of
+    pieces of about _READ_BYTES bytes.  A path is opened at once, so that
+    OSError comes before any parsing."""
+    if path == "-":
+        return _decoded(path, contextlib.nullcontext(sys.stdin.buffer))
+    return _decoded(path, open(path, "rb"))
+
+
+def _decoded(path: str, source):
+    """The text of the binary stream that the context manager source gives,
+    in pieces; a byte that is not UTF-8 raises ParseError naming its
+    position in the whole input."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # bytes of the input before the current chunk
+    with source as handle:
+        while True:
+            chunk = handle.read(_READ_BYTES)
+            pending = len(decoder.getstate()[0])  # bytes held over from the last chunk
+            try:
+                text = decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                start, end = offset - pending + exc.start, offset - pending + exc.end
+                where = (
+                    f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+                    if end == start + 1
+                    else f"bytes in position {start}-{end - 1}"
+                )
+                raise ParseError(
+                    f"{path} is not UTF-8 text: "
+                    f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+                ) from exc
+            if not chunk:
+                return
+            offset += len(chunk)
+            yield text
+
+
 def _read(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    """The whole UTF-8 text of path, or of stdin for '-'."""
+    return "".join(_pieces(path))
 
 
 def _write(path: str, payload):
@@ -89,7 +129,9 @@ def _guess_format(path: str, override: str | None) -> str:
 
 def _load_trajectory(args) -> Trajectory:
     masses = _parse_masses(args.masses) if args.masses else None
-    return parse(_read(args.input), _guess_format(args.input, args.format), masses)
+    fmt = _guess_format(args.input, args.format)
+    source = _pieces(args.input) if fmt == "csv" else _read(args.input)
+    return parse(source, fmt, masses)
 
 
 _CURVE_COLUMNS = ["t", "w1", "w2", "w3", "xi_unwound"]
@@ -105,8 +147,8 @@ def _curve_header(header):
         raise ParseError("curve CSV must have header t,w1,w2,w3,xi_unwound")
 
 
-def _parse_curve_csv(text: str) -> ShapeCurve:
-    _, data = _read_csv_table(text, _curve_header)
+def _parse_curve_csv(pieces) -> ShapeCurve:
+    _, data = _read_csv_table(pieces, _curve_header)
     if data.shape[0] == 0:
         raise ParseError("curve CSV contains no data rows")
     try:
@@ -160,7 +202,7 @@ def cmd_atlas(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    curve = _parse_curve_csv(_read(args.input))
+    curve = _parse_curve_csv(_pieces(args.input))
     # a malformed file exits 2; the ValueErrors of derive_masses and
     # PlanarConfiguration are domain violations and exit 3
     try:

@@ -255,9 +255,16 @@ class _SweptArea:
 def _simpson(t: np.ndarray, y: np.ndarray, step: int) -> float:
     """Sum of Simpson's width/6 (y0 + 4 y1 + y2) over the triples of
     consecutive samples that start every `step` samples, width being each
-    triple's own span t[k + 2] - t[k]."""
+    triple's own span t[k + 2] - t[k]; the terms are formed in two
+    buffers."""
     a, b, c = slice(0, -2, step), slice(1, -1, step), slice(2, None, step)
-    return float(np.sum((t[c] - t[a]) / 6.0 * (y[a] + 4.0 * y[b] + y[c])))
+    width = np.subtract(t[c], t[a])
+    width /= 6.0
+    terms = np.multiply(y[b], 4.0)
+    terms += y[a]
+    terms += y[c]
+    terms *= width
+    return float(np.sum(terms))
 
 
 def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
@@ -275,11 +282,16 @@ def _quadrature(t: np.ndarray, y: np.ndarray) -> float:
     if t.size < 2:
         return 0.0
     dt = np.diff(t)
-    if t.size >= 3 and np.max(np.abs(dt - dt[0])) <= 1e-9 * abs(dt[0]):
+    first_dt, last_dt = dt[0], dt[-1]
+    # rounding is monotonic, so this is the largest |dt - dt[0]| without
+    # its whole-series temporaries
+    spread = max(dt.max() - first_dt, first_dt - dt.min())
+    del dt
+    if t.size >= 3 and spread <= 1e-9 * abs(first_dt):
         if t.size % 2:
             return _simpson(t, y, 2)
-        last = dt[-1] * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
-        first = dt[0] * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
+        last = last_dt * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
+        first = first_dt * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
         return 0.5 * (_simpson(t, y, 1) + last + first)
     return float(np.trapezoid(y, t))
 
@@ -327,11 +339,13 @@ def _target_vectors(q: np.ndarray, target: str) -> np.ndarray:
     raise ValueError("target must be 'q1' or 'Z1'")
 
 
-def _require_dense(angles: np.ndarray, defined: np.ndarray, what: str):
+def _require_dense(angles: np.ndarray, defined: np.ndarray, what: str, out=None):
     """Reject unwound angles that turn by pi/2 or more between consecutive
-    defined samples, where the unwinding is ambiguous."""
-    steps = np.abs(np.diff(angles))
-    if np.any(steps[defined[1:] & defined[:-1]] >= 0.5 * np.pi):
+    defined samples, where the unwinding is ambiguous; out, if given,
+    takes the n - 1 step sizes."""
+    steps = np.subtract(angles[1:], angles[:-1], out=out)
+    np.abs(steps, out=steps)
+    if np.any((steps >= 0.5 * np.pi) & defined[1:] & defined[:-1]):
         raise ValueError(
             f"{what} turns by pi/2 or more between samples: resample the motion more densely"
         )
@@ -339,8 +353,9 @@ def _require_dense(angles: np.ndarray, defined: np.ndarray, what: str):
 
 class _Turn:
     """Unwound polar-angle change of planar vectors (k, 2) given in
-    consecutive blocks: the lengths and polar angles go to rows, unwound
-    once at the end against the longest vector."""
+    consecutive blocks: the lengths and polar angles go to rows, and the
+    angles are unwound in place once at the end, against the longest
+    vector."""
 
     def __init__(self, n: int):
         self.norms = np.empty(n)
@@ -354,10 +369,11 @@ class _Turn:
         self.count += len(vec)
 
     def result(self, target: str) -> float:
-        norms = self.norms[: self.count]
+        norms, raw = self.norms[: self.count], self.raw[: self.count]
         defined = norms > 1e-12 * max(float(np.max(norms)), 1e-300)
-        angles = unwrap_held(self.raw[: self.count], defined)
-        _require_dense(angles, defined, target)
+        angles = unwrap_held(raw, defined, raw)  # out=raw: unwound in place
+        # the norms are spent: their row takes the step sizes
+        _require_dense(angles, defined, target, out=norms[1:])
         return float(angles[-1] - angles[0])
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import array
 import inspect
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -307,8 +310,9 @@ def _header_layout(header: Optional[list[str]]):
 def parse(source, format: str, masses: Optional[MassTriple] = None) -> Trajectory:
     """Parse a trajectory from CSV or JSON text.
 
-    CSV carries no masses, so they must be supplied; JSON embeds them but an
-    explicit argument takes precedence.  Positions are recentered on ingest
+    CSV text may also come as an iterable of consecutive pieces, which are
+    parsed as they arrive.  CSV carries no masses, so they must be supplied;
+    JSON embeds them but an explicit argument takes precedence.  Positions are recentered on ingest
     and the applied shift is recorded on the result.
     """
     if isinstance(source, bytes):
@@ -323,40 +327,70 @@ def parse(source, format: str, masses: Optional[MassTriple] = None) -> Trajector
     raise ParseError(f"unknown trajectory format {format!r}")
 
 
-def _read_csv_table(text: str, layout):
+# Data rows per np.loadtxt call: the reader holds one chunk's lines, not
+# the whole file's.
+_CSV_CHUNK_ROWS = 1 << 15
+
+
+def _read_csv_table(pieces, layout):
     """Header layout and float rows of comma-separated text.
 
+    pieces is the text as an iterable of consecutive strings, or one str.
     Blank lines and lines starting with '#' are skipped.  The first other
     line is the header, split into stripped names; layout(header) raises
     ParseError unless it is valid (header is None when the text has none)
     and its result is returned with the (rows, columns) data.  Fields are
     read by numpy's float parser, which rounds as float() does but takes
-    no '_' separators and no non-ASCII digits.  Malformed rows raise
-    ParseError naming the first bad data row, counted from 1.
+    no '_' separators and no non-ASCII digits, _CSV_CHUNK_ROWS rows at a
+    time.  Malformed rows raise ParseError naming the first bad data row,
+    counted from 1; a non-finite row raises only when no row is malformed.
     """
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line and not line.startswith("#")]
-    header = [c.strip() for c in lines[0].split(",")] if lines else None
+    if isinstance(pieces, str):
+        pieces = [pieces]
+    lines = (line.strip() for line in _split_lines(pieces))
+    lines = (line for line in lines if line and not line.startswith("#"))
+    header = next(lines, None)
+    header = None if header is None else [c.strip() for c in header.split(",")]
     found = layout(header)
-    rows = lines[1:]
-    data = np.empty((0, len(header)))
-    if rows:
+    width = len(header)
+    chunks = []
+    done = 0
+    while rows := list(itertools.islice(lines, _CSV_CHUNK_ROWS)):
         try:
             data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
         except ValueError:
-            pass
-        if data.shape != (len(rows), len(header)):
-            raise ParseError(_first_bad_row(rows, len(header)))
+            data = None
+        if data is None or data.shape != (len(rows), width):
+            raise ParseError(_first_bad_row(rows, width, done))
+        chunks.append(data)
+        done += len(rows)
+    data = np.concatenate(chunks) if chunks else np.empty((0, width))
+    del chunks  # not held beside the table's finiteness mask
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise ParseError(f"data row {bad[0] + 1}: non-finite number")
     return found, data
 
 
-def _first_bad_row(rows: list[str], width: int) -> str:
+def _split_lines(pieces):
+    """The lines of the joined pieces, split as str.splitlines splits the
+    whole text: each piece up to its last newline is split on its own, and
+    the text after it is carried into the next."""
+    carried = []
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield from "".join(carried + [piece[:cut]]).splitlines()
+            carried = []
+        carried.append(piece[cut:])
+    yield from "".join(carried).splitlines()
+
+
+def _first_bad_row(rows: list[str], width: int, before: int) -> str:
     """The error of the first data row that is not `width` numbers, each
-    row read on its own by the parser that rejected the table."""
-    for k, line in enumerate(rows, start=1):
+    row read on its own by the parser that rejected the table; `before`
+    data rows precede rows."""
+    for k, line in enumerate(rows, start=before + 1):
         count = line.count(",") + 1
         if count != width:
             return f"data row {k}: expected {width} columns, got {count}"
@@ -375,15 +409,17 @@ def _csv_blocks(columns: list[str], table: np.ndarray):
     """CSV text in blocks: the header line, then one line per table row,
     each value written by repr, _CSV_BLOCK_ROWS rows to a block."""
     yield ",".join(columns) + "\n"
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
     for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        rows = table[start : start + _CSV_BLOCK_ROWS].tolist()
-        yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
-def _parse_csv(text: str, masses: Optional[MassTriple]) -> Trajectory:
+def _parse_csv(pieces, masses: Optional[MassTriple]) -> Trajectory:
+    """Trajectory of CSV text given in pieces, as _read_csv_table takes it."""
     if masses is None:
         raise ParseError("CSV trajectories carry no masses: pass them explicitly")
-    (dim, has_v, has_n), data = _read_csv_table(text, _header_layout)
+    (dim, has_v, has_n), data = _read_csv_table(pieces, _header_layout)
     if data.shape[0] == 0:
         raise ParseError("CSV contains no data rows")
     q = data[:, 1 : 1 + 3 * dim].reshape(-1, 3, dim)
@@ -579,48 +615,64 @@ def _figure1_pinch(masses, duration, samples, stop_fraction=1.0) -> Trajectory:
     return Trajectory.from_samples(masses, t, q, v)
 
 
-# Pair differences q[j] - q[i] of the pairs (1, 2), (1, 3), (2, 3).
-_PAIRS = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
-
-
-def _pair_weights(m: np.ndarray, G: float) -> np.ndarray:
-    """Signed mass matrix taking the pair forces (q_j - q_i) / |q_j - q_i|^3
-    of the pairs in _PAIRS to the bodies' accelerations."""
-    m1, m2, m3 = m
-    return G * np.array([[m2, m3, 0.0], [-m1, 0.0, m3], [0.0, -m1, -m2]])
-
-
-def _gravity_accel(q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Accelerations of three bodies at q (3, d) from their pair forces."""
-    d = _PAIRS @ q
-    r2 = np.einsum("pd,pd->p", d, d)
-    return weights @ (d / (r2 * np.sqrt(r2))[:, None])
+def _gravity_accel(q: list, gm: list) -> list:
+    """Accelerations of three bodies from their pair forces
+    G m_j (q_j - q_i) / |q_j - q_i|^3, on Python floats: q holds the
+    bodies' coordinates one body after the other, [x1, y1(, z1), x2, ...],
+    and so does the result; gm is [G m1, G m2, G m3]."""
+    gm1, gm2, gm3 = gm
+    dim = len(q) // 3
+    # per axis, the pair differences q2 - q1, q3 - q1 and q3 - q2
+    d = [(b - a, c - a, c - b) for a, b, c in zip(q[:dim], q[dim : 2 * dim], q[2 * dim :])]
+    r12 = r13 = r23 = 0.0
+    for d12, d13, d23 in d:
+        r12 += d12 * d12
+        r13 += d13 * d13
+        r23 += d23 * d23
+    c12, c13, c23 = r12 * math.sqrt(r12), r13 * math.sqrt(r13), r23 * math.sqrt(r23)
+    a1, a2, a3 = [], [], []
+    for d12, d13, d23 in d:
+        f12, f13, f23 = d12 / c12, d13 / c13, d23 / c23
+        a1.append(gm2 * f12 + gm3 * f13)
+        a2.append(gm3 * f23 - gm1 * f12)
+        a3.append(-gm1 * f13 - gm2 * f23)
+    return a1 + a2 + a3
 
 
 def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
-    """Fixed-step fourth-order integration of the gravitational equations."""
-    q = _centered_config(masses, config)
-    dim = q.shape[-1]
-    v = np.array(velocities, dtype=float)
-    if v.shape != q.shape:
+    """Fixed-step fourth-order integration of the gravitational equations,
+    on Python floats."""
+    q0 = _centered_config(masses, config)
+    dim = q0.shape[-1]
+    v0 = np.array(velocities, dtype=float)
+    if v0.shape != q0.shape:
         raise ValueError("velocities must match the configuration shape")
-    _recenter(v[None], masses)
-    weights = _pair_weights(masses.as_array(), G)
+    _recenter(v0[None], masses)
+    gm = (G * masses.as_array()).tolist()
     t = np.linspace(0.0, duration, samples)
-    h = t[1] - t[0] if samples > 1 else 0.0
-    qs = np.empty((samples, 3, dim))
-    vs = np.empty_like(qs)
-    # the initial state, left out for 0 samples, which from_samples rejects
-    qs[:1], vs[:1] = q, v
-    for k in range(samples - 1):
-        k1q, k1v = v, _gravity_accel(q, weights)
-        k2q, k2v = v + 0.5 * h * k1v, _gravity_accel(q + 0.5 * h * k1q, weights)
-        k3q, k3v = v + 0.5 * h * k2v, _gravity_accel(q + 0.5 * h * k2q, weights)
-        k4q, k4v = v + h * k3v, _gravity_accel(q + h * k3q, weights)
-        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        qs[k + 1], vs[k + 1] = q, v
-    return Trajectory.from_samples(masses, t, qs, vs)
+    h = float(t[1] - t[0]) if samples > 1 else 0.0
+    half, sixth = 0.5 * h, h / 6.0
+    q, v = q0.ravel().tolist(), v0.ravel().tolist()
+
+    def ahead(x, step, k):  # x + step k
+        return [a + step * b for a, b in zip(x, k)]
+
+    def combined(x, k1, k2, k3, k4):  # x + h/6 (k1 + 2 k2 + 2 k3 + k4)
+        return [a + sixth * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+
+    # the states as packed doubles; the initial one is left out for 0
+    # samples, which from_samples rejects
+    qs, vs = array.array("d", q if samples else []), array.array("d", v if samples else [])
+    for _ in range(samples - 1):
+        k1q, k1v = v, _gravity_accel(q, gm)
+        k2q, k2v = ahead(v, half, k1v), _gravity_accel(ahead(q, half, k1q), gm)
+        k3q, k3v = ahead(v, half, k2v), _gravity_accel(ahead(q, half, k2q), gm)
+        k4q, k4v = ahead(v, h, k3v), _gravity_accel(ahead(q, h, k3q), gm)
+        q, v = combined(q, k1q, k2q, k3q, k4q), combined(v, k1v, k2v, k3v, k4v)
+        qs.extend(q)
+        vs.extend(v)
+    q, v = (np.frombuffer(states).reshape(-1, 3, dim) for states in (qs, vs))
+    return Trajectory.from_samples(masses, t, q, v)
 
 
 def _random_smooth(

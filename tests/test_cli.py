@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,10 +13,12 @@ import pytest
 
 import shapesphere
 from shapesphere import derive_masses, equilateral_configuration, generate, serialize
+from shapesphere import cli
 from shapesphere.cli import main
-from shapesphere.trajectory import _CSV_BLOCK_ROWS
+from shapesphere.trajectory import _CSV_BLOCK_ROWS, _serialized_blocks
 
 M111 = derive_masses(1, 1, 1)
+M123 = derive_masses(1, 2, 3)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(shapesphere.__file__)))
 
 
@@ -432,6 +435,77 @@ class TestUnreadableInput:
         init_path.write_bytes(init_path.read_text().encode("utf-16"))
         assert main(["lift", str(curve_path), "--initial", str(init_path)]) == 2
         assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+class RecordingBytes(io.BytesIO):
+    """An input stream that records the size of every read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+class TestStreamedInput:
+    """CSV inputs are read in pieces of _READ_BYTES bytes, from a path or
+    from stdin, and no command holds a whole file's text."""
+
+    def test_stdin_is_read_in_pieces(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_READ_BYTES", 4096)
+        src = tmp_path / "rigid.csv"
+        write_rigid_csv(src, samples=401)
+        argv = ["reconstruct", str(src), "--masses", "1,1,1", "--with-oracle"]
+        assert main(argv) == 0
+        from_path = capsys.readouterr().out
+        # CRLF line ends, cut between their two bytes at some piece edges
+        stdin = RecordingBytes(src.read_bytes().replace(b"\n", b"\r\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+        assert main(["reconstruct", "-", *argv[2:]]) == 0
+        assert capsys.readouterr().out == from_path
+        assert len(stdin.sizes) > 20 and set(stdin.sizes) == {4096}
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"\xff", b"\xe2\x82q", b"\xed\xa0\x80", b"\xf0\x9f\x98"],
+        ids=["invalid_start", "invalid_continuation", "surrogate", "truncated_at_end"],
+    )
+    def test_bad_byte_is_named_at_its_position_in_the_whole_input(
+        self, tmp_path, capsys, monkeypatch, tail
+    ):
+        # valid multi-byte characters before it hold bytes over between pieces
+        data = (b"t,q1x,q1y,q2x,q2y,q3x,q3y\n" + b"0.0,1,0,-1,0,0,0 # \xc3\xa9\xf0\x9f\x98\x80\n" * 3
+                + b"0.5,1,0," + tail)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        src = tmp_path / "bad.csv"
+        src.write_bytes(data)
+        for size in (1, 2, 3, 5, 7, 64, 1 << 20):
+            monkeypatch.setattr(cli, "_READ_BYTES", size)
+            assert main(["project", str(src), "--masses", "1,1,1"]) == 2
+            assert capsys.readouterr().err == f"error: {src} is not UTF-8 text: {whole.value}\n"
+
+    def test_reconstruct_holds_about_two_tables_not_the_text(self, tmp_path, capsys):
+        n = 200_000
+        motion = generate("random_smooth", masses=M123, seed=2, duration=20.0, samples=n)
+        src = tmp_path / "long.csv"
+        with open(src, "w", encoding="utf-8") as handle:
+            handle.writelines(_serialized_blocks(motion, "csv"))
+        table_bytes = n * 13 * 8
+        tracemalloc.start()
+        try:
+            assert main(["reconstruct", str(src), "--masses", "1,2,3", "--with-oracle"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["samples"] == n
+        # the chunks and their concatenation, then the table and the
+        # recentered copies; the whole text and its lines took 6.8 times the
+        # table, 2.7 times the text
+        assert peak <= 2.5 * table_bytes, peak / table_bytes
+        assert peak < src.stat().st_size, peak / src.stat().st_size
 
 
 class TestClosedPipe:

@@ -41,7 +41,6 @@ from shapesphere.shape_core import (
 from shapesphere.spatial import _locked_inertia, _projected_rate
 from shapesphere.trajectory import (
     _gravity_accel,
-    _pair_weights,
     _spline_slopes,
     rotation_matrices,
 )
@@ -496,7 +495,8 @@ class TestGravityAccel:
                     if i != j:
                         d = q[j] - q[i]
                         expected[i] += G * m[j] * d / np.linalg.norm(d) ** 3
-            accel = _gravity_accel(q, _pair_weights(m, G))
+            # the kernel takes and gives flat lists of Python floats
+            accel = np.reshape(_gravity_accel(q.ravel().tolist(), (G * m).tolist()), (3, dim))
             assert np.max(np.abs(accel - expected)) <= 1e-13 * np.max(np.abs(expected))
             # the pair forces cancel: no net force on the system
             assert np.max(np.abs(m @ accel)) <= 1e-13 * np.max(np.abs(expected))

@@ -22,6 +22,7 @@ from shapesphere import (
     jacobi,
     PlanarConfiguration,
 )
+from shapesphere import trajectory
 from shapesphere.shape_core import _recenter, jacobi_series, shape_series
 from shapesphere.trajectory import (
     _CSV_BLOCK_ROWS,
@@ -224,6 +225,13 @@ class TestParseSerialize:
         with pytest.raises(ParseError, match="^input is not UTF-8 text: "):
             parse(b"\xff\xfe" + text.encode("utf-16-le"), format, M111)
 
+    def test_csv_in_pieces(self):
+        text = serialize(linear_motion(), "csv")
+        whole = parse(text, "csv", M111)
+        pieces = parse((text[k : k + 7] for k in range(0, len(text), 7)), "csv", M111)
+        assert pieces.positions.tobytes() == whole.positions.tobytes()
+        assert pieces.times.tobytes() == whole.times.tobytes()
+
     def test_csv_requires_masses(self):
         with pytest.raises(ParseError, match="masses"):
             parse("t,q1x,q1y,q2x,q2y,q3x,q3y\n0,0,0,0,0,0,0\n", "csv")
@@ -306,6 +314,68 @@ class TestCsvTable:
         assert table.shape == (0, 7)
         with pytest.raises(ParseError, match="no data rows"):
             parse(f"{PLANAR_HEADER}\n", "csv", M111)
+
+    # line ends of every kind that str.splitlines knows, blank and comment
+    # lines, and a last row without a line end
+    SPLIT_TEXT = (
+        f"# made by hand\r\n{PLANAR_HEADER}\r\n0.1,1,0,-1,0,0,0\v0.2,1,0,-1,0,0,0\u2028\n"
+        "  \n# note\r\n0.3,1,0,-1,0,0,0\x85\f0.4,1,0,-1,0,0,0\u2029\x1c0.5,1,0,-1,0,0,0\r"
+        "\r\n0.6,1,0,-1,0,0,0"
+    )
+
+    @staticmethod
+    def outcome(pieces):
+        try:
+            layout, table = _read_csv_table(pieces, _header_layout)
+        except ParseError as exc:
+            return str(exc)
+        return layout, table.shape, table.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (None, None),
+            ("0.3,1,0,-1,0,x,0", "data row 3: non-numeric field"),
+            ("0.3,1,0,-1,0,0", "data row 3: expected 7 columns, got 6"),
+            ("0.3,1,0,-1,0,inf,0", "data row 3: non-finite number"),
+        ],
+        ids=["good", "word", "short", "inf"],
+    )
+    def test_any_split_into_pieces_reads_as_the_whole_text(self, row, message):
+        text = self.SPLIT_TEXT if row is None else self.SPLIT_TEXT.replace("0.3,1,0,-1,0,0,0", row)
+        whole = self.outcome(text)
+        if message is None:
+            assert whole[0] == (2, False, False) and whole[1] == (6, 7)
+        else:
+            assert whole == message
+        for cut in range(len(text) + 1):
+            assert self.outcome([text[:cut], text[cut:]]) == whole, cut
+        # one character per piece: a cut at every offset at once
+        assert self.outcome(iter(text)) == whole
+        assert self.outcome(iter([])) == "empty CSV: no header row found"
+
+    def test_bad_row_in_a_later_chunk_is_counted_from_the_first(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "_CSV_CHUNK_ROWS", 3)
+        rows = [f"{0.1 * k},1,0,-1,0,0,0" for k in range(10)]
+        rows[7] = "0.7,1,0,-1,0,0"
+        text = "\n".join([PLANAR_HEADER] + rows)
+        with pytest.raises(ParseError, match="^data row 8: expected 7 columns, got 6$"):
+            read_table(text)
+        rows[7] = "0.7,1,0,-1,nan,0,0"
+        with pytest.raises(ParseError, match="^data row 8: non-finite number$"):
+            read_table("\n".join([PLANAR_HEADER] + rows))
+        rows[7] = "0.7,1,0,-1,0,0,0"
+        assert read_table("\n".join([PLANAR_HEADER] + rows)).tobytes() == (
+            np.loadtxt(rows, delimiter=",", ndmin=2).tobytes()
+        )
+
+    def test_malformed_row_in_chunk_2_wins_over_non_finite_in_chunk_1(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "_CSV_CHUNK_ROWS", 3)
+        rows = [f"{0.1 * k},1,0,-1,0,0,0" for k in range(7)]
+        rows[1] = "0.1,1,0,-1,0,-inf,0"
+        rows[4] = "0.4,1,0,-1,0,y,0"
+        with pytest.raises(ParseError, match="^data row 5: non-numeric field$"):
+            read_table("\n".join([PLANAR_HEADER] + rows))
 
     @settings(max_examples=60, deadline=None)
     @given(
