@@ -138,8 +138,9 @@ _CURVE_COLUMNS = ["t", "w1", "w2", "w3", "xi_unwound"]
 
 
 def _curve_blocks(curve: ShapeCurve):
-    table = np.column_stack([curve.times, curve.points, curve.unwound_xi])
-    return _csv_blocks(_CURVE_COLUMNS, table)
+    return _csv_blocks(
+        _CURVE_COLUMNS, curve.times[:, None], curve.points, curve.unwound_xi[:, None]
+    )
 
 
 def _curve_header(header):

@@ -22,6 +22,7 @@ from .shape_core import (
     O1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
+    _blocks,
     _bodies_from_rows,
     _dot,
     _jacobi_rows,
@@ -430,48 +431,65 @@ def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTri
     fourth-order steps on spline-interpolated curve data and the first is
     maintained exactly through xi2 - xi1 = xi, so the handoff between the
     two charts is exact wherever either is valid.  The lift keeps the
-    moment of inertia of the initial configuration.
+    moment of inertia of the initial configuration.  The spline solve
+    runs over all samples; everything after it runs over the sample
+    blocks of shape_core._blocks, the running integral carried from block
+    to block.
     """
     pair0 = jacobi(initial, masses)
     point0 = shape_map(pair0)
-    start = normalize_shape(point0).vec()
-    if np.linalg.norm(start - curve.points[0]) > 1e-8:
+    if np.linalg.norm(normalize_shape(point0).vec() - curve.points[0]) > 1e-8:
         raise ValueError("initial configuration does not project to the curve start")
     inertia0 = 2.0 * point0.w4
 
-    t = curve.times
-    r1sq = 0.5 + curve.points[:, 0]
-    r2sq = 0.5 - curve.points[:, 0]
-    xi = curve.unwound_xi
+    t, w1, xi = curve.times, curve.points[:, 0], curve.unwound_xi
+    n = t.size
 
     # not-a-knot splines of r1^2 and xi (a line through 2 samples, a
-    # parabola through 3) and Simpson's rule on each interval, with the
-    # midpoint value and slope of each Hermite cubic in closed form
-    slopes = _spline_slopes(t, np.stack([r1sq, xi], axis=1))
-    dr1sq, dxi_dt = slopes[:, 0], slopes[:, 1]
-    h = np.diff(t)
-    r1sq_mid = 0.5 * (r1sq[:-1] + r1sq[1:]) + h * (dr1sq[:-1] - dr1sq[1:]) / 8.0
-    xi_rate_mid = 1.5 * np.diff(xi) / h - 0.25 * (dxi_dt[:-1] + dxi_dt[1:])
-    knot = r1sq * dxi_dt
-    incr = (h / 6.0) * (knot[:-1] + 4.0 * r1sq_mid * xi_rate_mid + knot[1:])
-    accumulated = np.concatenate([[0.0], np.cumsum(incr)])
+    # parabola through 3), solved over all samples
+    slopes = _spline_slopes(t, np.stack([0.5 + w1, xi], axis=1))
 
     # start xi2 in whichever chart is defined; the curve start is not the
     # triple collision, so at least one is
     angles0 = chart_angles(pair0)
-    xi2 = (angles0.xi2 if angles0.defined2 else angles0.xi1 + xi[0]) + accumulated
-
-    # Jacobi rows (r cos xi, r sin xi) of Z1 and Z2 and their rates, with
-    # radial rates from d(r^2)/dt = +-d(w1)/dt and angle rates from the lift law
+    xi2_start = angles0.xi2 if angles0.defined2 else angles0.xi1 + xi[0]
     scale = np.sqrt(inertia0)
-    rsq = np.stack([r1sq, r2sq])
-    r = scale * np.sqrt(np.clip(rsq, 0.0, None))
-    dr = scale * np.stack([dr1sq, -dr1sq]) / (2.0 * np.sqrt(np.clip(rsq, 1e-300, None)))
-    dr = np.where(r > 0.0, dr, 0.0)
-    turn = r * (np.stack([-r2sq, r1sq]) * dxi_dt)
-    angles = np.stack([xi2 - xi, xi2])
-    cos, sin = np.cos(angles), np.sin(angles)
-    rows = np.stack([r * cos, r * sin], axis=1).reshape(4, -1)
-    rates = np.stack([dr * cos - turn * sin, dr * sin + turn * cos], axis=1).reshape(4, -1)
-    positions, velocities = (_bodies_from_rows(x, masses) for x in (rows, rates))
+    positions = np.empty((n, 3, 2))
+    velocities = np.empty((n, 3, 2))
+    carry = 0.0  # the integral of r1^2 dxi up to the block's first sample
+    for start, stop in _blocks(n):
+        # the block's samples and the first of the next, for the step to it
+        k = slice(start, min(stop + 1, n))
+        r1sq, r2sq = 0.5 + w1[k], 0.5 - w1[k]
+        dr1sq, dxi_dt = slopes[k, 0], slopes[k, 1]
+
+        # Simpson's rule on each interval, with the midpoint value and
+        # slope of each Hermite cubic in closed form
+        h = np.diff(t[k])
+        r1sq_mid = 0.5 * (r1sq[:-1] + r1sq[1:]) + h * (dr1sq[:-1] - dr1sq[1:]) / 8.0
+        xi_rate_mid = 1.5 * np.diff(xi[k]) / h - 0.25 * (dxi_dt[:-1] + dxi_dt[1:])
+        knot = r1sq * dxi_dt
+        incr = (h / 6.0) * (knot[:-1] + 4.0 * r1sq_mid * xi_rate_mid + knot[1:])
+        accumulated = np.cumsum(np.concatenate([[carry], incr]))
+        carry = accumulated[-1]
+        del h, r1sq_mid, xi_rate_mid, knot, incr
+
+        # Jacobi rows (r cos xi, r sin xi) of Z1 and Z2 and their rates,
+        # with radial rates from d(r^2)/dt = +-d(w1)/dt and angle rates from
+        # the lift law
+        m = stop - start
+        r1sq, r2sq, dr1sq, dxi_dt = r1sq[:m], r2sq[:m], dr1sq[:m], dxi_dt[:m]
+        xi2 = xi2_start + accumulated[:m]
+        rsq = np.stack([r1sq, r2sq])
+        r = scale * np.sqrt(np.clip(rsq, 0.0, None))
+        dr = scale * np.stack([dr1sq, -dr1sq]) / (2.0 * np.sqrt(np.clip(rsq, 1e-300, None)))
+        dr = np.where(r > 0.0, dr, 0.0)
+        turn = r * (np.stack([-r2sq, r1sq]) * dxi_dt)
+        angles = np.stack([xi2 - xi[start:stop], xi2])
+        cos, sin = np.cos(angles), np.sin(angles)
+        rows = np.stack([r * cos, r * sin], axis=1).reshape(4, -1)
+        rates = np.stack([dr * cos - turn * sin, dr * sin + turn * cos], axis=1).reshape(4, -1)
+        positions[start:stop] = _bodies_from_rows(rows, masses)
+        velocities[start:stop] = _bodies_from_rows(rates, masses)
+        del rsq, r, dr, turn, angles, cos, sin, rows, rates  # not held into the next block
     return Trajectory(masses, t, positions, velocities)

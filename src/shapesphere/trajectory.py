@@ -195,11 +195,12 @@ def _spline_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     n - 2 interior slopes.  A single sample has slope 0.
     """
     y = np.asarray(y, dtype=float)
-    n = t.size
+    n, shape = t.size, y.shape
     if n == 1:
         return np.zeros_like(y)
     h = np.diff(t)
     cols = np.ascontiguousarray(y.reshape(n, -1).T)
+    del y  # each whole-series array is released once it is spent
     slope = np.diff(cols, axis=-1) / h
     if n == 2:
         s = np.repeat(slope, 2, axis=-1)
@@ -221,21 +222,25 @@ def _spline_slopes(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         diag[-1] -= d1
         r[:, 0] -= b0
         r[:, -1] -= b1
+        k = len(cols)
+        del cols, slope
         # unit-diagonal rows, padded to 2^p - 1 with decoupled zero rows
         m = n - 2
         size = 2 ** m.bit_length() - 1
         lower = np.zeros(size)
         upper = np.zeros(size)
-        rhs = np.zeros((cols.shape[0], size))
+        rhs = np.zeros((k, size))
         lower[1:m] = h[2:] / diag[1:]
         upper[: m - 1] = h[:-2] / diag[:-1]
         rhs[:, :m] = r / diag
+        del diag, r
         inner = _cyclic_reduction(lower, upper, rhs)[:, :m]
-        s = np.empty_like(cols)
+        del lower, upper, rhs
+        s = np.empty((k, n))
         s[:, 1:-1] = inner
         s[:, 0] = (b0 - d0 * inner[:, 0]) / h[1]
         s[:, -1] = (b1 - d1 * inner[:, -1]) / h[-2]
-    return s.T.reshape(y.shape)
+    return s.T.reshape(shape)
 
 
 def resample(traj: Trajectory, n: int) -> Trajectory:
@@ -328,8 +333,10 @@ def parse(source, format: str, masses: Optional[MassTriple] = None) -> Trajector
 
 
 # Data rows per np.loadtxt call: the reader holds one chunk's lines, not
-# the whole file's.
-_CSV_CHUNK_ROWS = 1 << 15
+# the whole file's.  The traced peak of the reconstruct command on a
+# 1e5-row, 13-column file is 23.9 MB at 4096 and at 16384 rows and 31.6 MB
+# at 32768, where one chunk's line strings weigh as much as the table.
+_CSV_CHUNK_ROWS = 4096
 
 
 def _read_csv_table(pieces, layout):
@@ -364,8 +371,13 @@ def _read_csv_table(pieces, layout):
             raise ParseError(_first_bad_row(rows, width, done))
         chunks.append(data)
         done += len(rows)
-    data = np.concatenate(chunks) if chunks else np.empty((0, width))
-    del chunks  # not held beside the table's finiteness mask
+    # each chunk is released once copied: with the table they hold one table
+    data = np.empty((done, width))
+    done = 0
+    for k, chunk in enumerate(chunks):
+        chunks[k] = None
+        data[done : done + len(chunk)] = chunk
+        done += len(chunk)
     bad = np.flatnonzero(~np.all(np.isfinite(data), axis=1))
     if bad.size:
         raise ParseError(f"data row {bad[0] + 1}: non-finite number")
@@ -405,13 +417,15 @@ def _first_bad_row(rows: list[str], width: int, before: int) -> str:
 _CSV_BLOCK_ROWS = 4096
 
 
-def _csv_blocks(columns: list[str], table: np.ndarray):
+def _csv_blocks(columns: list[str], *parts: np.ndarray):
     """CSV text in blocks: the header line, then one line per table row,
-    each value written by repr, _CSV_BLOCK_ROWS rows to a block."""
+    each value written by repr, _CSV_BLOCK_ROWS rows to a block.  The
+    table is the 2-d parts side by side, which have one row count; each
+    block joins their slices, so the whole table is never built."""
     yield ",".join(columns) + "\n"
-    line = ",".join(["%r"] * table.shape[1]) + "\n"
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
+    line = ",".join(["%r"] * sum(part.shape[1] for part in parts)) + "\n"
+    for start in range(0, len(parts[0]), _CSV_BLOCK_ROWS):
+        block = np.hstack([part[start : start + _CSV_BLOCK_ROWS] for part in parts])
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -424,8 +438,10 @@ def _parse_csv(pieces, masses: Optional[MassTriple]) -> Trajectory:
         raise ParseError("CSV contains no data rows")
     q = data[:, 1 : 1 + 3 * dim].reshape(-1, 3, dim)
     v = data[:, 1 + 3 * dim : 1 + 6 * dim].reshape(-1, 3, dim) if has_v else None
-    normals = data[:, -3:] if has_n else None
-    return _parsed(masses, data[:, 0], q, v, normals, "data row")
+    # times and normals are copied, as from_samples copies positions and
+    # velocities, so that the trajectory keeps no view of the table
+    normals = data[:, -3:].copy() if has_n else None
+    return _parsed(masses, data[:, 0].copy(), q, v, normals, "data row")
 
 
 def _parse_json(text: str, masses: Optional[MassTriple]) -> Trajectory:
@@ -495,7 +511,7 @@ def _serialized_blocks(traj: Trajectory, format: str):
             parts.append(traj.velocities.reshape(traj.n_samples, -1))
         if traj.normals is not None:
             parts.append(traj.normals)
-        yield from _csv_blocks(cols, np.concatenate(parts, axis=1))
+        yield from _csv_blocks(cols, *parts)
     elif format == "json":
         samples = []
         for k in range(traj.n_samples):

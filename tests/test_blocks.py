@@ -23,9 +23,12 @@ from shapesphere import (
     reconstruct_q1,
     reconstruct_spatial,
     reconstruct_Z1,
+    shape_curve,
+    zero_J_lift,
 )
 from shapesphere import shape_core
 from shapesphere.shape_core import (
+    PlanarConfiguration,
     _differenced,
     _row_blocks,
     positions_from_jacobi_series,
@@ -158,6 +161,34 @@ class TestPlanar:
         motion = Trajectory(M123, motion.times, q)
         reference = blocked(lambda: reconstruct_q1(motion), 2001)
         assert reference == (ValueError, "triple collision: the moment of inertia vanishes")
+
+
+def lift_of(motion: Trajectory) -> Trajectory:
+    """The zero-momentum lift of a planar motion's shape curve from its
+    first configuration."""
+    start = PlanarConfiguration(*motion.positions[0])
+    return zero_J_lift(shape_curve(motion), start, motion.masses)
+
+
+class TestLift:
+    @pytest.mark.parametrize("n", [1921, 2000, 2001])
+    def test_random_smooth(self, blocked, n):
+        # 1921 and 2001 leave one sample after the last full block of 3 and
+        # 64, and of 1000
+        motion = generate("random_smooth", masses=M123, seed=5, duration=3.0, samples=n)
+        blocked(lambda: fields(lift_of(motion)), n)
+
+    def test_chart_axis_samples_on_edges(self, blocked):
+        # the curve meets the chart axis on the samples 192, 576, 999 and
+        # 1000, where blocks of 3, 64 and 1000 start or end
+        motion = jacobi_motion(2001)
+        assert {192, 576, 999, 1000} <= {k for k, _ in shape_curve(motion).pole_crossings}
+        blocked(lambda: fields(lift_of(motion)), 2001)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_samples(self, blocked, n):
+        motion = generate("random_smooth", masses=M123, seed=5, duration=0.01, samples=n)
+        blocked(lambda: fields(lift_of(motion)), n)
 
 
 def turning_pinch(n: int, dwell) -> Trajectory:
@@ -418,6 +449,15 @@ class TestMemory:
 
         ratio = _peak_ratio(both, motion)
         assert ratio <= 0.5, ratio
+
+    def test_lift_peak(self):
+        # the lifted positions and velocities, the spline slopes and one
+        # block's temporaries; whole-series passes peaked at 3.9x the bytes
+        # of the output
+        motion = generate("random_smooth", masses=M123, seed=13, duration=3.0, samples=self.n)
+        curve, start = shape_curve(motion), PlanarConfiguration(*motion.positions[0])
+        lifted, peak = _traced(lambda: zero_J_lift(curve, start, M123))
+        assert peak <= 1.75 * _sample_bytes(lifted), peak / _sample_bytes(lifted)
 
     def test_generator_peaks(self):
         # each holds its output, the recentered copy that from_samples makes

@@ -501,11 +501,55 @@ class TestStreamedInput:
         finally:
             tracemalloc.stop()
         assert json.loads(capsys.readouterr().out)["samples"] == n
-        # the chunks and their concatenation, then the table and the
-        # recentered copies; the whole text and its lines took 6.8 times the
-        # table, 2.7 times the text
+        # the table and the recentered copies that from_samples makes of it;
+        # the whole text and its lines took 6.8 times the table, 2.7 times
+        # the text
         assert peak <= 2.5 * table_bytes, peak / table_bytes
         assert peak < src.stat().st_size, peak / src.stat().st_size
+
+    def test_project_holds_about_two_tables_not_the_text(self, tmp_path):
+        n = 200_000
+        _, src = write_long_csv(tmp_path, n)
+        table_bytes = n * 13 * 8
+        peak = traced_peak(["project", str(src), "--masses", "1,2,3", "--out", str(tmp_path / "c")])
+        # the table and its recentered copies, then the shape rows; the
+        # table kept alive by the trajectory and a whole curve table built
+        # for the writer took 2.9 times the table
+        assert peak <= 2.5 * table_bytes, peak / table_bytes
+        assert peak < src.stat().st_size, peak / src.stat().st_size
+
+    def test_lift_holds_its_output_and_one_block(self, tmp_path):
+        n = 200_000
+        motion, src = write_long_csv(tmp_path, n)
+        curve, initial, lifted = tmp_path / "curve.csv", tmp_path / "init.json", tmp_path / "out"
+        assert main(["project", str(src), "--masses", "1,2,3", "--out", str(curve)]) == 0
+        initial.write_text(json.dumps({"masses": [1, 2, 3], "q": motion.positions[0].tolist()}))
+        peak = traced_peak(["lift", str(curve), "--initial", str(initial), "--out", str(lifted)])
+        table_bytes = n * 13 * 8  # of the lifted table
+        # the curve, the lifted positions and velocities and one block's
+        # temporaries; whole-series passes and a whole table built for the
+        # writer took 4.0 times the lifted table, 1.6 times its text
+        assert peak <= 2.25 * table_bytes, peak / table_bytes
+        assert peak < lifted.stat().st_size, peak / lifted.stat().st_size
+
+
+def write_long_csv(tmp_path, n):
+    """A random_smooth motion of n samples and the path of its CSV file."""
+    motion = generate("random_smooth", masses=M123, seed=2, duration=20.0, samples=n)
+    src = tmp_path / "long.csv"
+    with open(src, "w", encoding="utf-8") as handle:
+        handle.writelines(_serialized_blocks(motion, "csv"))
+    return motion, src
+
+
+def traced_peak(argv) -> int:
+    """The traced peak, in bytes, of a command that exits 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestClosedPipe:
