@@ -135,41 +135,86 @@ def _unit(v, name: str) -> np.ndarray:
     return v / norm
 
 
-def _centroid_residuals(q: np.ndarray, masses: MassTriple) -> np.ndarray:
-    """Relative size of the mass-weighted centroid of samples q (..., 3, d):
-    |sum_i m_i q_i| / sum_i m_i |q_i|, zero for samples at the origin.
-    Taken on the blocks of _blocks, into one array over the samples.
+@np.errstate(all="ignore")  # the returned flag and residual report non-finite values
+def _centered(q: np.ndarray, masses: MassTriple, move: bool) -> tuple[float, bool, float]:
+    """Recenter and check samples q (n, 3, d) in one pass over the blocks
+    of _blocks, each taken in pieces of at most _CENTERED_PIECE samples.
 
-    Written over the components: reductions over axes of 2 or 3 entries
-    cost more per sample than the arithmetic."""
-    m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    samples = q.reshape((-1,) + q.shape[-2:])
-    dims = range(q.shape[-1])
-    out = np.empty(len(samples))
-    for start, stop in _blocks(len(samples)):
-        b = samples[start:stop]
-        centroid = sum((m1 * b[:, 0, d] + m2 * b[:, 1, d] + m3 * b[:, 2, d]) ** 2 for d in dims)
-        r1, r2, r3 = (np.sqrt(sum(b[:, i, d] ** 2 for d in dims)) for i in range(3))
-        out[start:stop] = np.sqrt(centroid) / np.maximum(m1 * r1 + m2 * r2 + m3 * r3, 1e-300)
-    return out.reshape(q.shape[:-2])
+    A piece is copied once into contiguous rows, one per body and axis, of
+    a buffer reused for every piece.  Axis by axis, the rows are moved onto
+    the mass centroid when `move` and give their part of the relative
+    centroid residual |sum_i m_i q_i| / sum_i m_i |q_i| (zero for samples
+    at the origin); the moved rows are written back into q, and the same
+    rows are tested for finiteness.  Returns (shift, finite,
+    residual): the largest distance moved (0.0 unless move, or for no
+    samples), whether every sample is finite, and the largest residual
+    over the samples whose residual is a number (nan if none is).  Every
+    sum runs over the bodies, then the axes, in index order.
+    """
+    dim = q.shape[-1]
+    pieces = [
+        (low, min(low + _CENTERED_PIECE, stop))
+        for start, stop in _blocks(len(q))
+        for low in range(start, stop, _CENTERED_PIECE)
+    ]
+    # the 3 * dim coordinate rows, then rows of a mass sum, its scratch
+    # term, the squared centroid of the moved samples and the squared shift
+    buffer = np.empty((3 * dim + 4, max((stop - start for start, stop in pieces), default=0)))
+    shift, finite, residual = 0.0, True, np.nan
+    for start, stop in pieces:
+        rows = buffer[:, : stop - start]
+        r, (c, t, cen, mv) = rows[: 3 * dim].reshape(3, dim, -1), rows[3 * dim :]
+        np.copyto(r, q[start:stop].transpose(1, 2, 0))
+        cen.fill(0.0)  # the sums over the axes start from 0.0
+        mv.fill(0.0)
+        for d in range(dim):
+            if move:
+                r[:, d] -= np.divide(_mass_sum(r[:, d], masses, c, t), masses.M, out=c)
+                mv += np.square(c, out=c)
+            cen += np.square(_mass_sum(r[:, d], masses, c, t), out=c)
+        if move:
+            np.copyto(q[start:stop], r.transpose(2, 0, 1))
+            shift = max(shift, float(np.sqrt(mv.max())))
+        rsq = np.square(r, out=r)[:, 0]
+        for d in range(1, dim):
+            rsq += r[:, d]
+        den = _mass_sum(np.sqrt(rsq, out=rsq), masses, c, t)
+        # den is finite only where every coordinate is: the samples need a
+        # test of their own only where it is not
+        finite = finite and bool(np.isfinite(den).all() or np.isfinite(q[start:stop]).all())
+        np.sqrt(cen, out=cen)
+        cen /= np.maximum(den, 1e-300, out=den)
+        residual = float(np.fmax(residual, np.fmax.reduce(cen)))
+    return shift, finite, residual
+
+
+# Samples per piece of _centered, so that a piece's samples and rows stay
+# in cache and its buffer is small.  On a 2-core Xeon, one BLAS thread,
+# 1e6 spatial samples were recentered and checked in 50 ms in pieces of
+# 8192, 53-55 ms in pieces of 4096 or 16384 and 63-66 ms in pieces of
+# 2^15, a whole block.
+_CENTERED_PIECE = 8192
+
+
+def _mass_sum(rows: np.ndarray, masses: MassTriple, out: np.ndarray, term: np.ndarray):
+    """m1 rows[0] + m2 rows[1] + m3 rows[2] into out, with term as scratch.
+    Summed from 0.0, as np.einsum sums, so that three -0.0 terms give 0.0."""
+    np.multiply(rows[0], masses.m1, out=out)
+    out += 0.0
+    out += np.multiply(rows[1], masses.m2, out=term)
+    out += np.multiply(rows[2], masses.m3, out=term)
+    return out
 
 
 def _recenter(q: np.ndarray, masses: MassTriple) -> float:
-    """Move samples q (n, 3, d) onto their mass centroid in place, on the
-    blocks of _blocks, and return the largest distance moved (0.0 for no
-    samples)."""
-    shift = 0.0
-    for start, stop in _blocks(len(q)):
-        block = q[start:stop]
-        centroid = np.einsum("i,...id->...d", masses.as_array(), block) / masses.M
-        block -= centroid[..., None, :]
-        shift = max(shift, float(np.max(np.linalg.norm(centroid, axis=-1))))
-    return shift
+    """Move samples q (n, 3, d) onto their mass centroid in place, as
+    _centered does, and return the largest distance moved."""
+    return _centered(q, masses, True)[0]
 
 
 def centroid_residual(config, masses: MassTriple) -> float:
     """Relative size of the mass-weighted centroid of a configuration."""
-    return float(_centroid_residuals(config.as_array(), masses))
+    return _centered(config.as_array()[None], masses, False)[2]
 
 
 def _require_centered(config, masses: MassTriple):

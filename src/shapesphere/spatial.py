@@ -45,7 +45,7 @@ from .shape_core import (
     MassTriple,
     PlanarConfiguration,
     SpatialConfiguration,
-    _centroid_residuals,
+    _centered,
     _cross,
     _dot,
     _jacobi_rows,
@@ -635,7 +635,7 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
     v = np.asarray(velocity, dtype=float)
     if v.shape != (3, 3) or not np.all(np.isfinite(v)):
         raise ValueError("velocity must be a finite (3, 3) array, one row per body")
-    if _centroid_residuals(v, masses) > 1e-10:
+    if _centered(v[None], masses, False)[2] > 1e-10:
         raise ValueError("velocity carries net linear momentum")
     _require_centered(config, masses)
     q = config.as_array()

@@ -16,7 +16,7 @@ from .angles import TWO_PI
 from .shape_core import (
     MassTriple,
     _blocks,
-    _centroid_residuals,
+    _centered,
     _recenter,
     _unit,
     derive_masses,
@@ -58,7 +58,8 @@ class Trajectory:
 
     positions has shape (n, 3, dim) with dim 2 or 3; velocities (same shape)
     and per-sample unit normals (n, 3; spatial only) are optional.  Samples
-    must be centered; build through `from_samples` to recenter raw data.
+    must be finite and centered, which one pass of shape_core._centered
+    per array checks; build through `from_samples` to recenter raw data.
     max_center_shift records the largest recentering applied on ingest.
     """
 
@@ -70,15 +71,23 @@ class Trajectory:
     max_center_shift: float = 0.0
 
     def __post_init__(self):
+        self._ingest(move=False)
+
+    def _ingest(self, move: bool):
+        """Check the fields, first recentering positions and velocities in
+        place and recording the larger shift when `move`.  Times are
+        checked first, then the positions' shape, finiteness and centering,
+        then the velocities, then the normals."""
         t = _checked_times(self.times)
         q = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", q)
         if q.ndim != 3 or q.shape[0] != t.size or q.shape[1] != 3 or q.shape[2] not in (2, 3):
             raise ValueError("positions must have shape (n, 3, 2) or (n, 3, 3)")
-        if not np.all(np.isfinite(q)):
+        shift, finite, residual = _centered(q, self.masses, move)
+        if not finite:
             raise ValueError("positions must be finite")
-        if np.any(_centroid_residuals(q, self.masses) > 1e-10):
+        if residual > 1e-10:
             raise ValueError(
                 "positions are not centered on the mass centroid; "
                 "use Trajectory.from_samples to recenter"
@@ -86,9 +95,12 @@ class Trajectory:
         if self.velocities is not None:
             v = np.asarray(self.velocities, dtype=float)
             object.__setattr__(self, "velocities", v)
-            if v.shape != q.shape or not np.all(np.isfinite(v)):
+            if v.shape == q.shape:
+                v_shift, finite, residual = _centered(v, self.masses, move)
+                shift = max(shift, v_shift)
+            if v.shape != q.shape or not finite:
                 raise ValueError("velocities must match positions in shape and be finite")
-            if np.any(_centroid_residuals(v, self.masses) > 1e-10):
+            if residual > 1e-10:
                 raise ValueError("velocities carry net linear momentum")
         if self.normals is not None:
             if q.shape[2] != 3:
@@ -99,6 +111,8 @@ class Trajectory:
                 raise ValueError("normals must have shape (n, 3) and be finite")
             if np.any(np.abs(np.linalg.norm(nrm, axis=1) - 1.0) > 1e-8):
                 raise ValueError("normals must be unit vectors")
+        if move:
+            object.__setattr__(self, "max_center_shift", shift)
 
     @property
     def dim(self) -> int:
@@ -116,15 +130,23 @@ class Trajectory:
     def from_samples(cls, masses, times, positions, velocities=None, normals=None):
         """Build a trajectory, recentering copies of the positions on the mass
         centroid and removing any net momentum drift from copies of the
-        velocities, block by block (shape_core._recenter); max_center_shift
-        is the largest shift of either."""
+        velocities; max_center_shift is the largest shift of either.  The
+        copies are recentered and checked in one pass (shape_core._centered),
+        and the caller's arrays are left as they are."""
         q = np.array(positions, dtype=float)
-        max_shift = _recenter(q, masses)
-        v = None
-        if velocities is not None:
-            v = np.array(velocities, dtype=float)
-            max_shift = max(max_shift, _recenter(v, masses))
-        return cls(masses, np.asarray(times, dtype=float), q, v, normals, max_shift)
+        v = None if velocities is None else np.array(velocities, dtype=float)
+        return cls._adopted(masses, times, q, v, normals)
+
+    @classmethod
+    def _adopted(cls, masses, times, positions, velocities=None, normals=None):
+        """from_samples without its copies: float positions and velocities
+        that no one else holds are recentered in place."""
+        traj = cls.__new__(cls)
+        traj.__dict__.update(
+            masses=masses, times=times, positions=positions, velocities=velocities, normals=normals
+        )
+        traj._ingest(move=True)
+        return traj
 
     def ensure_velocities(self) -> "Trajectory":
         """Return self if velocities are present, else add finite differences."""
@@ -283,7 +305,7 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
     if traj.normals is not None:
         normals = np.stack([np.interp(t_new, t, traj.normals[:, c]) for c in range(3)], axis=1)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return Trajectory.from_samples(traj.masses, t_new, q_new, v_new, normals)
+    return Trajectory._adopted(traj.masses, t_new, q_new, v_new, normals)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +605,7 @@ def _rigid_rotation(masses, config, rate, duration, samples, axis=None) -> Traje
         mats = rotation_matrices(axis, angles)
         q = np.einsum("nab,ib->nia", mats, q0)
         v = rate * np.cross(_unit(axis, "axis")[None, None, :], q)
-    return Trajectory.from_samples(masses, t, q, v)
+    return Trajectory._adopted(masses, t, q, v)
 
 
 def _homothety(masses, config, rate, duration, samples) -> Trajectory:
@@ -593,7 +615,7 @@ def _homothety(masses, config, rate, duration, samples) -> Trajectory:
     scale = np.exp(rate * t)[:, None, None]
     q = scale * q0[None, :, :]
     v = rate * q
-    return Trajectory.from_samples(masses, t, q, v)
+    return Trajectory._adopted(masses, t, q, v)
 
 
 def pole_configuration(masses: MassTriple) -> np.ndarray:
@@ -628,7 +650,7 @@ def _figure1_pinch(masses, duration, samples, stop_fraction=1.0) -> Trajectory:
     v[:, 0] = (meet - q0[0]) / duration
     v[:, 1] = (meet - q0[1]) / duration
     v[:, 2] = 0.0
-    return Trajectory.from_samples(masses, t, q, v)
+    return Trajectory._adopted(masses, t, q, v)
 
 
 def _gravity_accel(q: list, gm: list) -> list:
@@ -688,7 +710,7 @@ def _newtonian(masses, config, velocities, G, duration, samples) -> Trajectory:
         qs.extend(q)
         vs.extend(v)
     q, v = (np.frombuffer(states).reshape(-1, 3, dim) for states in (qs, vs))
-    return Trajectory.from_samples(masses, t, q, v)
+    return Trajectory._adopted(masses, t, q, v)
 
 
 def _random_smooth(
@@ -756,7 +778,7 @@ def _random_smooth(
         dZ2 = b2 * (dd2 + (1.0 + d2) * 1j * dtheta) * spin
         q[start:stop] = positions_from_jacobi_series(Z1, Z2, masses)
         v[start:stop] = positions_from_jacobi_series(dZ1, dZ2, masses)
-    return Trajectory.from_samples(masses, t, q, v)
+    return Trajectory._adopted(masses, t, q, v)
 
 
 _GENERATORS = {
@@ -859,4 +881,4 @@ def apply_rotation_profile(traj: Trajectory, axis, angle, rate) -> Trajectory:
         v[start:stop] += rate[start:stop, None, None] * np.cross(axis[None, None, :], q[start:stop])
         if normals is not None:
             np.einsum("nab,nb->na", mats, traj.normals[start:stop], out=normals[start:stop])
-    return Trajectory.from_samples(traj.masses, t, q, v, normals)
+    return Trajectory._adopted(traj.masses, t, q, v, normals)

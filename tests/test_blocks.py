@@ -9,6 +9,7 @@ first.  Memory guards pin the peak of long runs against the bytes of their
 samples.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -29,8 +30,11 @@ from shapesphere import (
 from shapesphere import shape_core
 from shapesphere.shape_core import (
     PlanarConfiguration,
+    SpatialConfiguration,
+    _centered,
     _differenced,
     _row_blocks,
+    centroid_residual,
     positions_from_jacobi_series,
 )
 from shapesphere.spatial import bad_set_measure, normal_track
@@ -81,6 +85,7 @@ def blocked(request, monkeypatch):
         assert same(result, reference), (result, reference)
         return reference
 
+    check.size = request.param
     return check
 
 
@@ -326,6 +331,85 @@ class TestIngestAndGenerators:
         blocked(lambda: fields(Trajectory(*args)), n)
 
 
+@np.errstate(all="ignore")
+def written_out(q: np.ndarray, masses, move: bool):
+    """What _centered computes, by the formulas it replaced: the einsum
+    centroid with the np.linalg.norm shift, then the residual of every
+    sample and np.isfinite, on a recentered copy of q when move."""
+    shift = 0.0
+    if move:
+        centroid = np.einsum("i,...id->...d", masses.as_array(), q) / masses.M
+        q = q - centroid[..., None, :]
+        shift = float(np.max(np.linalg.norm(centroid, axis=-1)))
+    m1, m2, m3 = masses.m1, masses.m2, masses.m3
+    dims = range(q.shape[-1])
+    centroid = sum((m1 * q[:, 0, d] + m2 * q[:, 1, d] + m3 * q[:, 2, d]) ** 2 for d in dims)
+    r1, r2, r3 = (np.sqrt(sum(q[:, i, d] ** 2 for d in dims)) for i in range(3))
+    residuals = np.sqrt(centroid) / np.maximum(m1 * r1 + m2 * r2 + m3 * r3, 1e-300)
+    return q, repr(shift), bool(np.all(np.isfinite(q))), repr(float(np.fmax.reduce(residuals)))
+
+
+class TestCenteringKernel:
+    """_centered recenters and checks in one pass: the recentered bytes,
+    the shift, the finite flag and the largest residual are those of the
+    formulas it replaced, for any block size.  Scalars are compared by
+    repr, which names every bit but a nan's."""
+
+    MASSES = [derive_masses(*m) for m in [(1, 1, 1), (1, 2, 3), (2, 3, 6), (0.3, 1.7, 2.9)]]
+
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_the_written_out_formulas(self, blocked, blocks, extra, dim):
+        n = blocks * blocked.size + extra
+        rng = np.random.default_rng(10 * n + dim)
+        for masses in self.MASSES:
+            for scale in (np.exp(-8.0), np.exp(8.0)):
+                offset = rng.uniform(-3.0, 3.0, dim)
+                data = scale * (rng.standard_normal((n, 3, dim)) + offset)
+                spoilt = data.copy()
+                spoilt[-1, 1, 0] = np.inf
+                huge = 1e160 * data  # finite, but its squares overflow
+                for q, move in itertools.product((data, spoilt, huge), (False, True)):
+
+                    def run():
+                        moved = q.copy()
+                        shift, finite, residual = _centered(moved, masses, move)
+                        return moved, repr(shift), finite, repr(residual)
+
+                    reference = blocked(run, n)
+                    assert same(reference, written_out(q, masses, move))
+                    assert reference[2] == (q is not spoilt)
+
+    def test_any_layout(self, blocked):
+        # samples in Fortran order and a strided view are recentered in
+        # place as contiguous ones are
+        data = np.random.default_rng(6).standard_normal((2002, 3, 3)) + 1.5
+        for layout in (np.asfortranarray, lambda a: a[::2, :, ::-1]):
+
+            def run():
+                q = layout(data.copy())
+                shift, finite, residual = _centered(q, M123, True)
+                return q.copy(), shift, finite, residual
+
+            reference = blocked(run, len(layout(data)))
+            moved, shift = written_out(layout(data), M123, True)[:2]
+            assert same(reference[0], moved) and repr(reference[1]) == shift
+
+    def test_a_centroid_of_negative_zeros(self):
+        # einsum sums the bodies from 0.0, so a coordinate that is -0.0 on
+        # every body stays -0.0 when it is recentered
+        q = np.full((4, 3, 3), -0.0)
+        q[:, :, 0] = [3.0, 0.0, -1.0]
+        expected = written_out(q, M123, True)
+        assert _centered(q, M123, True) == (0.0, True, 0.0)
+        assert same(q, expected[0]) and np.all(np.signbit(q[:, :, 1:]))
+
+    def test_centroid_residual_of_a_configuration(self):
+        q = np.random.default_rng(4).standard_normal((3, 3))
+        config = SpatialConfiguration(*q)
+        assert repr(centroid_residual(config, M123)) == written_out(q[None], M123, False)[3]
+
+
 class TestSameErrorFirst:
     def test_all_collinear_before_triple_collision(self, blocked):
         t = np.linspace(0.0, 1.0, 200)
@@ -460,18 +544,31 @@ class TestMemory:
         assert peak <= 1.75 * _sample_bytes(lifted), peak / _sample_bytes(lifted)
 
     def test_generator_peaks(self):
-        # each holds its output, the recentered copy that from_samples makes
-        # and block-sized temporaries; whole-series passes peaked at 5.0x,
-        # 1.50x and 3.17x the bytes of the output
+        # each holds its output and block-sized temporaries, and the
+        # generators recenter their own arrays in place (1.70x, 1.08x and
+        # 1.39x); with a recentered copy they peaked at 2.35x, 1.13x and
+        # 2.25x, and whole-series passes at 5.0x, 1.50x and 3.17x the bytes
+        # of the output
         n = 200_000
         base, peak = _traced(
             lambda: generate("random_smooth", masses=M123, seed=11, duration=3.0, samples=n)
         )
-        assert peak <= 3.0 * _sample_bytes(base), peak / _sample_bytes(base)
+        assert peak <= 1.9 * _sample_bytes(base), peak / _sample_bytes(base)
         tilted, peak = _traced(lambda: embed_planar(base, TILT))
         assert peak <= 1.3 * _sample_bytes(tilted), peak / _sample_bytes(tilted)
         rocked, peak = _traced(lambda: wobble(tilted))
-        assert peak <= 2.75 * _sample_bytes(rocked), peak / _sample_bytes(rocked)
+        assert peak <= 1.6 * _sample_bytes(rocked), peak / _sample_bytes(rocked)
+
+    def test_from_samples_peak(self):
+        # the recentered copies and one small buffer of rows (1.09x);
+        # recentering, then checking in a second pass peaked at 1.19x the
+        # bytes of the copies
+        base = generate("random_smooth", masses=M123, seed=11, duration=3.0, samples=200_000)
+        drift = 0.3 + base.times[:, None, None] * np.array([1.0, -2.0])
+        q, v = base.positions + drift, base.velocities + 0.1 * drift
+        traj, peak = _traced(lambda: Trajectory.from_samples(M123, base.times, q, v))
+        assert traj.max_center_shift > 1.0
+        assert peak <= 1.15 * _sample_bytes(traj), peak / _sample_bytes(traj)
 
 
 class TestRowBlocks:

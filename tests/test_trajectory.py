@@ -74,6 +74,74 @@ class TestTrajectory:
             Trajectory(M111, np.array([0.0]), np.zeros((1, 3, 3)), normals=np.array([[2.0, 0, 0]]))
 
 
+def snapshot(traj: Trajectory) -> tuple:
+    """The bytes of a trajectory's arrays and its recentering shift."""
+    arrays = (traj.times, traj.positions, traj.velocities, traj.normals)
+    return tuple(None if a is None else a.tobytes() for a in arrays) + (traj.max_center_shift,)
+
+
+class TestOwnership:
+    """Ingest recenters in place only the arrays it made itself: the
+    caller's arrays are left as they were, byte for byte."""
+
+    TILT = rotation_matrices([0.4, -0.7, 0.2], [0.9])[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_from_samples_copies(self, n):
+        base = generate("random_smooth", masses=M123, seed=3, duration=2.0, samples=n)
+        q, v = base.positions + np.array([0.3, -0.2]), base.velocities + 0.1
+        before = q.tobytes(), v.tobytes()
+        traj = Trajectory.from_samples(M123, base.times, q, v)
+        assert (q.tobytes(), v.tobytes()) == before
+        assert traj.max_center_shift > 0.1
+        for mine in (traj.positions, traj.velocities):
+            assert not any(np.shares_memory(mine, theirs) for theirs in (q, v))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("rigid_rotation", {"rate": 0.7}),
+            ("rigid_rotation", {"rate": 0.7, "axis": [0.3, -0.2, 1.0]}),
+            ("newtonian", {"G": 1.0}),
+        ],
+    )
+    def test_generators_leave_config_and_velocities(self, kind, params):
+        dim = 3 if "axis" in params else 2
+        rng = np.random.default_rng(8)
+        config = rng.uniform(-1.0, 1.0, (3, dim)) + 0.5  # off center
+        velocities = rng.uniform(-0.5, 0.5, (3, dim)) + 0.2  # net momentum
+        if kind == "newtonian":
+            params = dict(params, velocities=velocities)
+        before = config.tobytes(), velocities.tobytes()
+        traj = generate(kind, masses=M123, config=config, duration=1.0, samples=50, **params)
+        assert (config.tobytes(), velocities.tobytes()) == before
+        assert not np.shares_memory(traj.positions, config)
+
+    def test_transforms_leave_their_input(self):
+        base = generate("random_smooth", masses=M123, seed=3, duration=2.0, samples=500)
+        tilted = embed_planar(base, self.TILT)
+        normals = np.tile(self.TILT[:, 2], (base.n_samples, 1))
+        tilted = Trajectory(M123, tilted.times, tilted.positions, tilted.velocities, normals)
+        calls = [
+            (lambda traj: embed_planar(traj, self.TILT), base),
+            (lambda traj: resample(traj, 333), base),
+            (lambda traj: resample(traj, 333), tilted),
+            (
+                lambda traj: apply_rotation_profile(
+                    traj, [0.2, 0.1, 1.0], lambda t: 0.4 * np.sin(2.0 * t), np.cos
+                ),
+                tilted,
+            ),
+        ]
+        for call, source in calls:
+            before = snapshot(source)
+            out = call(source)
+            assert snapshot(source) == before
+            theirs = (source.positions, source.velocities)
+            for mine in (out.positions, out.velocities):
+                assert not any(np.shares_memory(mine, a) for a in theirs)
+
+
 class TestFiniteDifferences:
     def test_linear_is_exact(self):
         traj = finite_difference_velocities(linear_motion())
