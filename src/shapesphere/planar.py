@@ -201,49 +201,63 @@ def swept_area(curve: ShapeCurve, pole) -> float:
     p = np.asarray(pole, dtype=float)
     if p.shape != (3,) or not np.isfinite(p[0]) or p[0] == 0.0 or np.any(p[1:] != 0.0):
         raise ValueError("pole must be a nonzero direction along the chart axis (C1 or O1)")
-    area = _SweptArea(np.sign(p[0]), curve.n_samples)
+    area = _SweptArea(C1_DIRECTION if p[0] < 0.0 else O1_DIRECTION, curve.n_samples)
     area.add(curve.points.T)
     return area.result()[0]
 
 
-class _SweptArea:
-    """Area swept about the pole p = (pole, 0, 0), -1 for C1 and +1 for O1,
-    by points (3, k) of the radius-1/2 sphere given in consecutive blocks,
-    and whether the curve passes the chart axis: a point within
-    POLE_PROXIMITY_TOL of either pole, or a step whose denominator is <= 0.
-    Each step adds, with u = 2 point, -1/2 atan2(p.(u_k x u_{k+1}), 1 +
-    p.u_k + p.u_{k+1} + u_k.u_{k+1}), a quarter of the solid angle of the
-    triangle (p, u_k, u_{k+1}) (Van Oosterom and Strackee, IEEE Trans.
-    Biomed. Eng. 30, 1983); the denominator is taken as (p + u_k).(p +
-    u_{k+1}), exact near -p.  Points within POLE_PROXIMITY_TOL of -p are
-    dropped, joining their neighbours.  The step angles go to one row,
-    summed once at the end; the last kept point of a block starts the
-    next block's first step."""
+class _PoleSteps:
+    """Steps between consecutive points u (3, k) given in blocks, about a pole
+    p (3,): the rows a = p + u_k and b = p + u_{k+1} and a.b, the denominator
+    of the solid angle of (p, u_k, u_{k+1}) (Van Oosterom and Strackee, IEEE
+    Trans. Biomed. Eng. 30, 1983), exact near -p and <= 0 on a step past it.
+    u is scale times the points; the rows add p on its nonzero components
+    only, so zeros of u keep their sign; last, the latest u, starts the next block."""
 
-    def __init__(self, pole: float, n: int):
-        self.pole = pole
-        self.angles = np.empty(max(n - 1, 0))
-        self.count = 0
+    def __init__(self, pole: np.ndarray, scale: float = 1.0):
+        self.shift = [(axis, value) for axis, value in enumerate(pole) if value != 0.0]
+        self.scale = scale
         self.last = None
-        self.crossed = False
 
     def add(self, points: np.ndarray):
-        on_axis = np.hypot(points[1], points[2]) <= POLE_PROXIMITY_TOL
-        antipode = on_axis & (self.pole * points[0] < 0.0)
-        kept = points[:, ~antipode] if np.any(antipode) else points
-        s = np.empty((3, kept.shape[1] + 1))
-        np.multiply(2.0, kept, out=s[:, 1:])
-        s[0, 1:] += self.pole
+        """Rows a, b (3, m) and a.b (m,) of the m steps up to points (3, k)."""
+        s = np.empty((3, points.shape[1] + 1))
+        np.multiply(self.scale, points, out=s[:, 1:])
         if self.last is None:
             s = s[:, 1:]
         else:
             s[:, 0] = self.last
-        if s.shape[1]:
-            self.last = s[:, -1].copy()
+        self.last = s[:, -1].copy() if s.shape[1] else None
+        for axis, value in self.shift:
+            s[axis] += value
+        a, b = s[:, :-1], s[:, 1:]
+        return a, b, _dot(a, b)
+
+
+class _SweptArea:
+    """Area swept about the chart pole p, C1 or O1, by points (3, k) of the
+    radius-1/2 sphere given in blocks: each step of _PoleSteps about p, with
+    u = 2 point, adds -1/2 atan2(p.(u_k x u_{k+1}), a.b), a quarter of the
+    solid angle of (p, u_k, u_{k+1}).  Points within POLE_PROXIMITY_TOL of
+    -p are dropped; one within it of either pole, or a step with a.b <= 0,
+    passes the chart axis.  The step angles go to one row, summed at the end."""
+
+    def __init__(self, pole: np.ndarray, n: int):
+        self.pole = pole
+        self.steps = _PoleSteps(pole, 2.0)
+        self.angles = np.empty(max(n - 1, 0))
+        self.count = 0
+        self.crossed = False
+
+    def add(self, points: np.ndarray):
+        on_axis = np.hypot(points[1], points[2]) <= POLE_PROXIMITY_TOL
+        antipode = on_axis & (self.pole[0] * points[0] < 0.0)
+        kept = points[:, ~antipode] if np.any(antipode) else points
+        a, b, denominator = self.steps.add(kept)
         # the steps run backwards about O1 in place of a sign flip of the
         # numerator, so that a curve that sweeps nothing reads +0.0
-        a, b = (s[:, :-1], s[:, 1:]) if self.pole < 0.0 else (s[:, 1:], s[:, :-1])
-        denominator = _dot(a, b)
+        if self.pole[0] > 0.0:
+            a, b = b, a
         angles = self.angles[self.count : self.count + denominator.size]
         np.arctan2(a[1] * b[2] - a[2] * b[1], denominator, out=angles)
         self.count += angles.size
@@ -412,7 +426,7 @@ def reconstruct_q1(traj: Trajectory, include_oracle: bool = False) -> Reconstruc
     Endpoints with body 1 at the origin are rejected; a sample on the chart
     axis or a step past O1 (body 1 at the origin) flags it modulo 2 pi.
     """
-    return _reconstruct(traj, C1_DIRECTION[0], "q1", include_oracle)
+    return _reconstruct(traj, C1_DIRECTION, "q1", include_oracle)
 
 
 def reconstruct_Z1(traj: Trajectory, include_oracle: bool = False) -> ReconstructionReport:
@@ -420,7 +434,7 @@ def reconstruct_Z1(traj: Trajectory, include_oracle: bool = False) -> Reconstruc
 
     Same as reconstruct_q1 with the swept area taken about O1.
     """
-    return _reconstruct(traj, O1_DIRECTION[0], "Z1", include_oracle)
+    return _reconstruct(traj, O1_DIRECTION, "Z1", include_oracle)
 
 
 def zero_J_lift(curve: ShapeCurve, initial: PlanarConfiguration, masses: MassTriple) -> Trajectory:

@@ -14,15 +14,13 @@ Per-sample 3-vectors (Jacobi vectors, normals, momenta, angular
 velocities) are C-contiguous (3, k) component rows over a block of k
 samples.  reconstruct_spatial, normal_track and bad_set_measure lock the
 blocks of the row kernel (shape_core._row_blocks) as they arrive, so the
-temporaries of each pass fit in cache: sigma^-1 J, the rate F, the shape
-points, the per-step solid angles, the passage tests, the bad-set flags and
-the oracle's projection and arctangents are all per block.  What joins
-samples carries one sample over a block edge: the last normal with its
-running sign (+-1, so exact) or its bad-set flag, and the step angles.  The
-quadrature, the sums of step angles, np.trapezoid, the np.interp fill of
-dropped samples and the unwinding run after the blocks on one-row arrays
-over all samples, with the operands and order of a single pass, so no
-report depends on the block size.
+temporaries of each pass fit in cache.  Every test of consecutive samples
+(the area swept about C1, the passes of -e, the reversals of N in the bad
+set and the normals' sign chain) takes its steps from a planar._PoleSteps,
+which carries the last sample over a block edge.  The quadrature, the sums
+of step angles, np.trapezoid, the np.interp fill of dropped samples and the
+unwinding run after the blocks on one-row arrays over all samples, with the
+operands and order of a single pass, so no report depends on the block size.
 """
 
 from __future__ import annotations
@@ -36,12 +34,14 @@ import numpy as np
 
 from .planar import (
     ReconstructionReport,
+    _PoleSteps,
     _quadrature,
     _report,
     _SweptArea,
     _Turn,
 )
 from .shape_core import (
+    C1_DIRECTION,
     MassTriple,
     PlanarConfiguration,
     SpatialConfiguration,
@@ -370,17 +370,16 @@ def _tracked(blocks, t: np.ndarray, reference: np.ndarray, initial_sign=None):
     in by np.interp of the triangular normals over their times, then
     normalized; the sign continuation keeps consecutive triangular normals
     within pi/2 of each other, so the interpolant has length at least
-    1/sqrt(2).  The signs are one running product of +-1 over the
-    triangular normals, whose first link flips the first normal to the side
-    of the reference axis (or by initial_sign); it is carried over block
-    edges exactly, and np.interp reads only the triangular samples on
-    either side of a collinear one, so the normals do not depend on the
-    blocks.  A block that ends collinear waits for the next triangular
-    sample.
+    1/sqrt(2).  The signs are one running product of the +-1 step tests of
+    _PoleSteps about 0, whose carry starts as the first normal flipped to
+    the side of the reference axis (or by initial_sign); np.interp reads only
+    the triangular samples on either side of a collinear one, so the normals
+    do not depend on the blocks.  A block that ends collinear waits for the
+    next triangular sample.
     """
     pending = []
     flank = None  # time and normal of the last triangular sample yielded
-    raw = None  # that sample's unit normal before the sign continuation
+    steps = _PoleSteps(np.zeros(3))  # carries the last triangular unit normal, unsigned
     sign = 1.0  # and its sign
     for start, stop, rows in blocks:
         kernel = _locked(rows)
@@ -389,14 +388,13 @@ def _tracked(blocks, t: np.ndarray, reference: np.ndarray, initial_sign=None):
         kept = np.flatnonzero(triangular) if not np.all(triangular) else slice(None)
         units = kernel.normal[:, kept] / np.sqrt(kernel.det[kept])
         if units.shape[1]:
-            if raw is None:  # the first link: to the reference's side, or initial_sign
+            if steps.last is None:  # the first link: to the reference's side, or initial_sign
                 flip = -1.0 if reference @ units[:, 0] < 0.0 else 1.0
-                raw = units[:, :1] * (flip if initial_sign is None else initial_sign)
-            chain = np.hstack([raw, units])
-            signs = sign * np.cumprod(np.where(_dot(chain[:, 1:], chain[:, :-1]) >= 0.0, 1.0, -1.0))
-            raw, sign = units[:, -1:].copy(), signs[-1]
+                steps.last = units[:, 0] * (flip if initial_sign is None else initial_sign)
+            signs = sign * np.cumprod(np.where(steps.add(units)[2] >= 0.0, 1.0, -1.0))
+            sign = signs[-1]
             units *= signs
-            del chain, signs
+            del signs
         pending.append((start, stop, kernel, triangular, kept, units))
         if triangular[-1]:
             yield from _filled(pending, t, flank)
@@ -404,7 +402,7 @@ def _tracked(blocks, t: np.ndarray, reference: np.ndarray, initial_sign=None):
             pending = []
         # hold no block of our own while the next one is built
         del rows, kernel, lengths_sq, triangular, kept, units
-    if raw is None:
+    if steps.last is None:
         raise ValueError("all samples are collinear: the orientation is undefined")
     yield from _filled(pending, t, flank)
 
@@ -432,46 +430,46 @@ def _filled(pending: list, t: np.ndarray, flank):
 
 
 class _BadSet:
-    """bad_set_measure over consecutive blocks of inertia maps with momenta.
-    The normal N = xi1 x xi2 reverses across a collinear passage, so a step
-    between two triangular samples with N_k . N_{k+1} <= 0 passes one; the
-    step across a block edge is tested against the normal (3, 1) of the
-    block before's last sample and whether that sample is triangular with
-    tilted spin."""
+    """bad_set_measure over consecutive blocks of inertia maps with momenta:
+    the flagged collinear samples, and the steps of _PoleSteps about 0 that
+    reverse N = xi1 x xi2 between two triangular samples with tilted spin;
+    flagged tells whether the carried last sample is one."""
 
     def __init__(self, times: np.ndarray, e: np.ndarray):
         self.times, self.e = times, e
         self.duration = max(float(times[-1] - times[0]), 1e-300)
         self.hits = []
         self.steps = []
-        self.last = (None, False)  # (normal, flagged) of the latest sample
+        self.normals = _PoleSteps(np.zeros(3))
+        self.flagged = False
 
     def _tilted_spin(self, kernel: _LockedInertia, index) -> np.ndarray:
         size = np.linalg.norm(kernel.momentum[:, index], axis=0)
         spin = size > _BAD_SET_J_TOL * kernel.inertia[index] / self.duration
         return spin & (np.abs(self.e @ kernel.axis(index)) > _BAD_SET_AXIS_TOL)
 
+    def _flagged(self, kernel: _LockedInertia, index) -> np.ndarray:
+        return ~kernel.collinear[index] & self._tilted_spin(kernel, index)
+
     def add(self, start: int, kernel: _LockedInertia):
         hits = np.flatnonzero(kernel.collinear)
         self.hits.append(start + hits[self._tilted_spin(kernel, hits)])
-        normal, flagged = self.last
-        edge = flagged and not kernel.collinear[0] and _dot(normal, kernel.normal[:, :1])[0] <= 0.0
-        if edge and self._tilted_spin(kernel, [0])[0]:
-            self.steps.append(np.array([start - 1]))
-        ends = ~kernel.collinear[:-1] & ~kernel.collinear[1:]
-        steps = np.flatnonzero((_dot(kernel.normal[:, :-1], kernel.normal[:, 1:]) <= 0.0) & ends)
-        steps = steps[self._tilted_spin(kernel, steps) & self._tilted_spin(kernel, steps + 1)]
-        self.steps.append(start + steps)
-        flagged = not kernel.collinear[-1] and self._tilted_spin(kernel, [-1])[0]
-        self.last = (kernel.normal[:, -1:].copy(), flagged)
+        dots = self.normals.add(kernel.normal)[2]
+        # the first sample of each reversing step, -1 for the carried one
+        steps = np.flatnonzero(dots <= 0.0) - (dots.size + 1 - kernel.collinear.size)
+        before = self._flagged(kernel, steps)
+        before[steps < 0] = self.flagged
+        self.steps.append(start + steps[before & self._flagged(kernel, steps + 1)])
+        self.flagged = bool(self._flagged(kernel, [-1])[0])
 
     def result(self) -> tuple[float, list]:
-        times = self.times
+        times, hits = self.times, np.concatenate(self.hits)
         flagged = np.zeros(times.size)
-        flagged[np.concatenate(self.hits)] = 1.0
+        flagged[hits] = 1.0
         steps = np.concatenate(self.steps)
         measure = float(np.trapezoid(flagged, times) + np.sum(times[steps + 1] - times[steps]))
-        intervals = [(float(times[run[0]]), float(times[run[-1]])) for run in _runs(flagged)]
+        runs = np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1) if hits.size else []
+        intervals = [(float(times[run[0]]), float(times[run[-1]])) for run in runs]
         intervals += [(float(times[k]), float(times[k + 1])) for k in steps]
         return measure, sorted(intervals)
 
@@ -493,13 +491,6 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
         bad.add(start, _locked(rows))
         del rows  # not held while the next block is built
     return bad.result()
-
-
-def _runs(mask: np.ndarray) -> list:
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return []
-    return np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1)
 
 
 def reconstruct_spatial(
@@ -550,7 +541,7 @@ def reconstruct_spatial(
     rate = np.empty(t.size)
     antipodal = np.empty(t.size, dtype=bool)
     bad = _BadSet(t, e)
-    area = _SweptArea(-1.0, t.size)  # about C1
+    area = _SweptArea(C1_DIRECTION, t.size)
     turn = _Turn(t.size) if include_oracle else None
     passages = _Passages(e)
     for start, stop, kernel, normals in blocks:
@@ -590,36 +581,31 @@ def reconstruct_spatial(
 
 
 class _Passages:
-    """The crossings of -e by the kept normals, over consecutive blocks.
-
-    The passage test of planar._SweptArea and _BadSet on the rows n + e, with
-    ANTIPODAL_TOL**2 of slack so that a kept step whose chord passes -e
-    closer than ANTIPODAL_TOL counts as well; the step that joins the flanks
-    of a dropped run bridges it, and counts whether or not the normal turns
-    back in it.  The latest kept normal starts the next block's first step.
-    """
+    """The crossings of -e by the kept normals, over consecutive blocks:
+    the steps of _PoleSteps about e with a.b <= ANTIPODAL_TOL**2 (see
+    reconstruct_spatial), and each step that bridges a dropped run; index,
+    the latest kept sample, finds a run dropped across a block edge."""
 
     def __init__(self, e: np.ndarray):
-        self.e = e[:, None]
-        self.last = None
+        self.steps = _PoleSteps(e)
+        self.index = None
         self.count = 0
         self.stalled = False
 
     def add(self, index: np.ndarray, normals: np.ndarray):
         """Count the steps up to the kept normals (3, k) of samples index."""
-        if not index.size:
-            return
-        if self.last is not None:
-            index = np.concatenate([[self.last[0]], index])
-            normals = np.hstack([self.last[1], normals])
-        self.last = (index[-1], normals[:, -1:].copy())
+        previous = self.steps.last
+        passes = self.steps.add(normals)[2] <= ANTIPODAL_TOL**2
+        if previous is not None:
+            index = np.concatenate([[self.index], index])
+        self.index = index[-1] if index.size else None
         joins = np.flatnonzero(np.diff(index) > 1)
         if joins.size:
+            if previous is not None:
+                normals = np.hstack([previous[:, None], normals])
             gaps = np.linalg.norm(normals[:, joins + 1] - normals[:, joins], axis=0)
             self.stalled = self.stalled or bool(np.any(gaps < 1e-10))
-        shifted = normals + self.e
-        passes = _dot(shifted[:, :-1], shifted[:, 1:]) <= ANTIPODAL_TOL**2
-        passes[joins] = True
+            passes[joins] = True
         self.count += int(np.count_nonzero(passes))
 
 

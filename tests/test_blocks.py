@@ -28,7 +28,10 @@ from shapesphere import (
     zero_J_lift,
 )
 from shapesphere import shape_core
+from shapesphere.planar import _PoleSteps
 from shapesphere.shape_core import (
+    C1_DIRECTION,
+    O1_DIRECTION,
     PlanarConfiguration,
     SpatialConfiguration,
     _centered,
@@ -594,3 +597,43 @@ class TestRowBlocks:
         assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
         assert bounds[-1][1] == n
         assert n == 1 or all(stop - start >= 2 for start, stop in bounds)
+
+
+def unit_points(n: int) -> np.ndarray:
+    """n unit points (3, n), the first ten on the equator with signed zeros."""
+    points = np.random.default_rng(n).standard_normal((3, n))
+    points /= np.linalg.norm(points, axis=0)
+    points[:, :10] = [[1.0, 0.0, -1.0, 0.0, 0.6, -0.6, -0.8, 0.8, -1.0, 1.0],
+                      [0.0, 1.0, 0.0, -1.0, 0.8, 0.8, -0.6, -0.6, -0.0, 0.0],
+                      [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0]]  # fmt: skip
+    return points
+
+
+class TestPoleSteps:
+    """The step rows of planar._PoleSteps over points fed in pieces, empty
+    and one-point pieces among them, match those of one piece bit for bit."""
+
+    CUTS = [0, 0, 1, 1, 2, 3, 9, 9, 10, 11, 25, 39, 40, 40]
+
+    @pytest.mark.parametrize(
+        "pole",
+        [C1_DIRECTION, O1_DIRECTION, np.array([0.3, -0.5, 0.8]) / np.sqrt(0.98), np.zeros(3)],
+        ids=["C1", "O1", "tilted", "zero"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_pieces_match_one_piece(self, pole, scale):
+        points = unit_points(40)
+        whole = _PoleSteps(pole, scale).add(points)
+        steps = _PoleSteps(pole, scale)
+        pieces = [steps.add(points[:, i:j]) for i, j in zip(self.CUTS[:-1], self.CUTS[1:])]
+        joined = tuple(np.concatenate([piece[k] for piece in pieces], axis=-1) for k in range(3))
+        assert same(joined, whole)
+        assert same(steps.last, scale * points[:, -1])
+
+    def test_a_seeded_carry_starts_the_first_step(self):
+        points = unit_points(40)
+        whole = _PoleSteps(np.zeros(3)).add(points)
+        steps = _PoleSteps(np.zeros(3))
+        steps.last = points[:, 0].copy()
+        seeded = steps.add(points[:, 1:])
+        assert same(seeded, whole)

@@ -1,5 +1,7 @@
 """Planar reconstruction tests: swept area, momentum term, lifts, oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from shapesphere import (
 )
 from shapesphere.angles import wrap_angle
 from shapesphere.planar import planar_series
-from shapesphere.shape_core import jacobi_series
+from shapesphere.shape_core import jacobi_series, positions_from_jacobi_series
 from shapesphere.trajectory import rotation_matrices
 from shapesphere.verify import meridian_curve
 
@@ -110,7 +112,7 @@ class TestSweptArea:
         from shapesphere.planar import _SweptArea
 
         def area_about(points):
-            area = _SweptArea(pole, points.shape[1])
+            area = _SweptArea(np.array([pole, 0.0, 0.0]), points.shape[1])
             area.add(points)
             return area.result()
 
@@ -448,6 +450,34 @@ class TestChartAxisPassages:
     def test_q1_on_shifted_grids(self, samples, shift):
         t = (np.arange(samples) + shift) / (samples - 1)
         assert abs(reconstruct_q1(passage_motion(t)).total) <= 1e-12
+
+    @pytest.mark.parametrize("masses", [M111, M123], ids=["111", "123"])
+    @pytest.mark.parametrize("samples", [101, 1001])
+    @pytest.mark.parametrize("s", [1.0, -1.0])
+    def test_signed_zeros_of_collinear_passages(self, masses, samples, s):
+        # collinear motions through C1 (Z1 through 0) and O1 (Z2 through 0):
+        # every step's numerator is a signed zero, and a step through the
+        # antipode of the pole reads atan2(+-0, den < 0) = +-pi, so the raw
+        # values pin the orientation of the steps about each pole
+        t = np.linspace(0.0, 1.0, samples)
+        line, one = 2.0 * s * (t - 0.5) + 0j, np.ones(samples) + 0j
+
+        def motion(Z1, Z2):
+            q = positions_from_jacobi_series(Z1, Z2, masses)
+            return Trajectory.from_samples(masses, t, q, np.gradient(q, t, axis=0))
+
+        through_C1, through_O1 = motion(line, one), motion(one, line)
+        assert reconstruct_Z1(through_C1).total == 3.141592653589793
+        assert reconstruct_q1(through_O1).total == -s * 3.141592653589793
+        curve = shape_curve(through_C1)
+        assert swept_area(curve, O1_DIRECTION) == 1.5707963267948966
+        assert swept_area(curve, C1_DIRECTION) == 0.0
+
+    def test_constant_curve_sweeps_positive_zero(self):
+        pts = np.tile([0.2, 0.3, np.sqrt(0.25 - 0.13)], (5, 1))
+        curve = ShapeCurve.from_points(np.linspace(0, 1, 5), pts)
+        for pole in (C1_DIRECTION, O1_DIRECTION):
+            assert math.copysign(1.0, swept_area(curve, pole)) == 1.0
 
     def test_figure_eight(self):
         motion = figure_eight(6000)
