@@ -56,6 +56,10 @@ O1_DIRECTION = np.array([1.0, 0.0, 0.0])
 # Relative radius below which a Jacobi polar angle is flagged undefined.
 CHART_RADIUS_TOL = 1e-13
 
+# Smallest sigma eigenvalue below this fraction of the trace marks the
+# configuration collinear (sigma has a kernel there).
+COLLINEAR_EIG_TOL = 1e-8
+
 _CENTROID_TOL = 1e-12
 
 
@@ -621,6 +625,15 @@ class _JacobiRows:
     sum_i m_i q_i x v_i, as the mass-weighted Jacobi map is orthogonal).
     In the plane N is the (n,) row w3, stored as w[2]; in space N is (3, n)
     rows and w holds (w1, w2), as w3 = +-|N| takes the viewing side's sign.
+
+    Spatial rows also carry the closed form of each sample's locked inertia
+    map (planar rows leave det, smallest and collinear None).  Three bodies
+    always lie in one plane, so with S = xi1 xi1^T + xi2 xi2^T the map is
+    sigma = I Id - S.  Its eigenvalues are I/2 - rho, I/2 + rho and I (along
+    N), where rho = |(w1, w2)|, and their product is I D with D = |N|^2,
+    stored as det.  The smallest one is evaluated as D / (I/2 + rho), free
+    of cancellation, and a sample is collinear where it falls below
+    COLLINEAR_EIG_TOL times the trace 2I.
     """
 
     xi1: np.ndarray
@@ -629,6 +642,42 @@ class _JacobiRows:
     w: np.ndarray
     normal: np.ndarray
     momentum: Optional[np.ndarray]
+    det: Optional[np.ndarray] = None
+    smallest: Optional[np.ndarray] = None
+    collinear: Optional[np.ndarray] = None
+
+    def inverse(self, momentum: np.ndarray, inertia) -> np.ndarray:
+        """sigma^{-1} J per sample for momentum rows (3, n); collinear
+        samples take J / inertia.
+
+        By Cayley-Hamilton the inverse of sigma on the configuration plane
+        is S / D, and along the unit normal it is 1 / I (exactly J_z / I on e_z).
+        """
+        det = np.where(self.collinear, 1.0, self.det)
+        w = self.xi1 * (_dot(self.xi1, momentum) / det)
+        w += self.xi2 * (_dot(self.xi2, momentum) / det)
+        unit = self.normal / np.sqrt(det)
+        w += unit * (_dot(unit, momentum) / np.maximum(self.inertia, 1e-300))
+        if np.any(self.collinear):
+            inertia = np.broadcast_to(np.asarray(inertia, dtype=float), self.det.shape)
+            w[:, self.collinear] = momentum[:, self.collinear] / inertia[self.collinear]
+        return w
+
+    def axis(self, index=slice(None)) -> np.ndarray:
+        """Unit eigenvectors (3, k) of the smallest eigenvalue of the indexed
+        samples, S xi - lambda xi for the longer Jacobi vector xi: the
+        kernel direction on collinear samples."""
+        xi1, xi2 = self.xi1[:, index], self.xi2[:, index]
+        xi = np.where(self.w[0, index] >= 0.0, xi1, xi2)
+        v = xi1 * _dot(xi1, xi) + xi2 * _dot(xi2, xi) - self.smallest[index] * xi
+        return v / np.maximum(np.linalg.norm(v, axis=0), 1e-300)
+
+    def shape_points(self, normals: np.ndarray) -> np.ndarray:
+        """Shape-sphere points (3, n) of the samples viewed from the side of
+        the normal rows; the points shape_curve gives for the samples
+        transported to X."""
+        w3 = np.sign(_dot(self.normal, normals)) * np.sqrt(self.det)
+        return np.vstack([self.w, w3]) / self.inertia
 
 
 def _jacobi_rows(
@@ -738,7 +787,8 @@ def _momentum(xi1, xi2, eta1, eta2) -> np.ndarray:
 
 
 def _rows_from_jacobi(xi1, xi2, momentum=None) -> _JacobiRows:
-    """The invariants of Jacobi rows (d, ...), in place; planar N fills w[2]."""
+    """The invariants of Jacobi rows (d, ...), in place; planar N fills w[2],
+    and spatial rows add their inertia maps."""
     a = _dot(xi1, xi1)
     b = _dot(xi2, xi2)
     w = np.empty((3 if len(xi1) == 2 else 2,) + a.shape)
@@ -747,7 +797,12 @@ def _rows_from_jacobi(xi1, xi2, momentum=None) -> _JacobiRows:
     _dot(xi1, xi2, out=w[1])
     normal = _cross(xi1, xi2, out=w[2] if len(w) == 3 else None)
     inertia = np.add(a, b, out=a)
-    return _JacobiRows(xi1, xi2, inertia, w, normal, momentum)
+    if len(w) == 3:
+        return _JacobiRows(xi1, xi2, inertia, w, normal, momentum)
+    det = _dot(normal, normal, out=b)
+    smallest = det / np.maximum(0.5 * inertia + np.hypot(*w), 1e-300)
+    collinear = smallest < COLLINEAR_EIG_TOL * 2.0 * inertia
+    return _JacobiRows(xi1, xi2, inertia, w, normal, momentum, det, smallest, collinear)
 
 
 def positions_from_jacobi_series(

@@ -12,12 +12,13 @@ the result uncertified.
 
 Per-sample 3-vectors (Jacobi vectors, normals, momenta, angular
 velocities) are C-contiguous (3, k) component rows over a block of k
-samples.  reconstruct_spatial, normal_track and bad_set_measure lock the
-blocks of the row kernel (shape_core._row_blocks) as they arrive, so the
-temporaries of each pass fit in cache.  Every test of consecutive samples
-(the area swept about C1, the passes of -e, the reversals of N in the bad
-set and the normals' sign chain) takes its steps from a planar._PoleSteps,
-which carries the last sample over a block edge.  The quadrature, the sums
+samples.  reconstruct_spatial, normal_track and bad_set_measure read the
+blocks of the row kernel (shape_core._row_blocks), which carry each
+sample's inertia map, as they arrive, so the temporaries of each pass fit
+in cache.  Every test of consecutive samples (the area swept about C1, the
+passes of -e, the reversals of N in the bad set and the normals' sign
+chain) takes its steps from a planar._PoleSteps, which carries the last
+sample over a block edge.  The quadrature, the sums
 of step angles, np.trapezoid, the np.interp fill of dropped samples and the
 unwinding run after the blocks on one-row arrays over all samples, with the
 operands and order of a single pass, so no report depends on the block size.
@@ -42,6 +43,7 @@ from .planar import (
 )
 from .shape_core import (
     C1_DIRECTION,
+    COLLINEAR_EIG_TOL,
     MassTriple,
     PlanarConfiguration,
     SpatialConfiguration,
@@ -72,10 +74,6 @@ __all__ = [
     "velocity_decompose",
 ]
 
-# Smallest sigma eigenvalue below this fraction of the trace marks the
-# configuration collinear (sigma has a kernel there).
-COLLINEAR_EIG_TOL = 1e-8
-
 # |e x n| below this marks n and e (anti)parallel.
 ALIGNMENT_TOL = 1e-10
 
@@ -99,7 +97,7 @@ class SigmaTensor:
     matrix: np.ndarray
     smallest_eigenvalue: float
     axis: Optional[np.ndarray]
-    _kernel: _LockedInertia = field(repr=False)
+    _kernel: _JacobiRows = field(repr=False)
 
     @property
     def trace(self) -> float:
@@ -110,74 +108,10 @@ class SigmaTensor:
         return bool(self._kernel.collinear[0])
 
 
-@dataclass(frozen=True, eq=False)
-class _LockedInertia(_JacobiRows):
-    """Closed form of the inertia map for a batch of spatial samples.
-
-    Three bodies always lie in one plane.  With the row kernel's Jacobi
-    vectors xi1, xi2 of a sample and S = xi1 xi1^T + xi2 xi2^T, the map is
-    sigma = I Id - S.  Its eigenvalues are I/2 - rho, I/2 + rho and I (along
-    N), where rho = |(w1, w2)|, and their product is I D with D = |N|^2.
-    The smallest one is evaluated as D / (I/2 + rho), free of cancellation.
-    """
-
-    det: np.ndarray
-    smallest: np.ndarray
-    collinear: np.ndarray
-
-    def inverse(self, momentum: np.ndarray, inertia) -> np.ndarray:
-        """sigma^{-1} J per sample for momentum rows (3, n); collinear
-        samples take J / inertia.
-
-        By Cayley-Hamilton the inverse of sigma on the configuration plane
-        is S / D, and along the unit normal it is 1 / I (exactly J_z / I on e_z).
-        """
-        det = np.where(self.collinear, 1.0, self.det)
-        w = self.xi1 * (_dot(self.xi1, momentum) / det)
-        w += self.xi2 * (_dot(self.xi2, momentum) / det)
-        unit = self.normal / np.sqrt(det)
-        w += unit * (_dot(unit, momentum) / np.maximum(self.inertia, 1e-300))
-        if np.any(self.collinear):
-            inertia = np.broadcast_to(np.asarray(inertia, dtype=float), self.det.shape)
-            w[:, self.collinear] = momentum[:, self.collinear] / inertia[self.collinear]
-        return w
-
-    def axis(self, index=slice(None)) -> np.ndarray:
-        """Unit eigenvectors (3, k) of the smallest eigenvalue of the indexed
-        samples, S xi - lambda xi for the longer Jacobi vector xi: the
-        kernel direction on collinear samples."""
-        xi1, xi2 = self.xi1[:, index], self.xi2[:, index]
-        xi = np.where(self.w[0, index] >= 0.0, xi1, xi2)
-        v = xi1 * _dot(xi1, xi) + xi2 * _dot(xi2, xi) - self.smallest[index] * xi
-        return v / np.maximum(np.linalg.norm(v, axis=0), 1e-300)
-
-    def shape_points(self, normals: np.ndarray) -> np.ndarray:
-        """Shape-sphere points (3, n) of the samples viewed from the side of
-        the normal rows; the points shape_curve gives for the samples
-        transported to X."""
-        w3 = np.sign(_dot(self.normal, normals)) * np.sqrt(self.det)
-        return np.vstack([self.w, w3]) / self.inertia
-
-
-def _locked_inertia(q: np.ndarray, masses: MassTriple, v=None) -> _LockedInertia:
-    """Inertia maps of samples q (n, 3, 3) about their mass centroids, with
-    the angular momenta of velocities v (n, 3, 3) when given."""
-    return _locked(_jacobi_rows(q, v, masses))
-
-
-def _locked(rows: _JacobiRows) -> _LockedInertia:
-    """The inertia maps of the row kernel's rows."""
-    det = _dot(rows.normal, rows.normal)
-    half = 0.5 * rows.inertia + np.hypot(*rows.w)
-    smallest = det / np.maximum(half, 1e-300)
-    collinear = smallest < COLLINEAR_EIG_TOL * 2.0 * rows.inertia
-    return _LockedInertia(**vars(rows), det=det, smallest=smallest, collinear=collinear)
-
-
 def sigma_tensor(config: SpatialConfiguration, masses: MassTriple) -> SigmaTensor:
     """Inertia map of a configuration about its mass centroid (the origin
     for centered configurations)."""
-    kernel = _locked_inertia(config.as_array()[None, :, :], masses)
+    kernel = _jacobi_rows(config.as_array()[None, :, :], None, masses)
     xi1, xi2 = kernel.xi1[:, 0], kernel.xi2[:, 0]
     mat = kernel.inertia[0] * np.eye(3) - np.outer(xi1, xi1) - np.outer(xi2, xi2)
     axis = kernel.axis()[:, 0] if kernel.collinear[0] else None
@@ -361,8 +295,8 @@ def normal_track(traj: Trajectory, e=None, initial_sign: Optional[int] = None) -
 
 def _tracked(blocks, t: np.ndarray, reference: np.ndarray, initial_sign=None):
     """normal_track over blocks (start, stop, rows) of the row kernel:
-    yields each block's inertia maps with its normal rows (3, stop - start),
-    in order.
+    yields each block's rows with its normal rows (3, stop - start), in
+    order.
 
     The normal is sigma's eigenvector N = xi1 x xi2; a sample is triangular
     when the sine of the angle between xi1 and xi2 exceeds 1e-10, i.e. when
@@ -381,8 +315,7 @@ def _tracked(blocks, t: np.ndarray, reference: np.ndarray, initial_sign=None):
     flank = None  # time and normal of the last triangular sample yielded
     steps = _PoleSteps(np.zeros(3))  # carries the last triangular unit normal, unsigned
     sign = 1.0  # and its sign
-    for start, stop, rows in blocks:
-        kernel = _locked(rows)
+    for start, stop, kernel in blocks:
         lengths_sq = (0.5 * kernel.inertia + kernel.w[0]) * (0.5 * kernel.inertia - kernel.w[0])
         triangular = kernel.det > 1e-20 * lengths_sq
         kept = np.flatnonzero(triangular) if not np.all(triangular) else slice(None)
@@ -401,7 +334,7 @@ def _tracked(blocks, t: np.ndarray, reference: np.ndarray, initial_sign=None):
             flank = (t[stop - 1], units[:, -1:].copy())
             pending = []
         # hold no block of our own while the next one is built
-        del rows, kernel, lengths_sq, triangular, kept, units
+        del kernel, lengths_sq, triangular, kept, units
     if steps.last is None:
         raise ValueError("all samples are collinear: the orientation is undefined")
     yield from _filled(pending, t, flank)
@@ -443,15 +376,15 @@ class _BadSet:
         self.normals = _PoleSteps(np.zeros(3))
         self.flagged = False
 
-    def _tilted_spin(self, kernel: _LockedInertia, index) -> np.ndarray:
+    def _tilted_spin(self, kernel: _JacobiRows, index) -> np.ndarray:
         size = np.linalg.norm(kernel.momentum[:, index], axis=0)
         spin = size > _BAD_SET_J_TOL * kernel.inertia[index] / self.duration
         return spin & (np.abs(self.e @ kernel.axis(index)) > _BAD_SET_AXIS_TOL)
 
-    def _flagged(self, kernel: _LockedInertia, index) -> np.ndarray:
+    def _flagged(self, kernel: _JacobiRows, index) -> np.ndarray:
         return ~kernel.collinear[index] & self._tilted_spin(kernel, index)
 
-    def add(self, start: int, kernel: _LockedInertia):
+    def add(self, start: int, kernel: _JacobiRows):
         hits = np.flatnonzero(kernel.collinear)
         self.hits.append(start + hits[self._tilted_spin(kernel, hits)])
         dots = self.normals.add(kernel.normal)[2]
@@ -488,7 +421,7 @@ def bad_set_measure(traj: Trajectory, e) -> tuple[float, list]:
         raise ValueError("bad_set_measure expects a spatial trajectory")
     bad = _BadSet(traj.times, _unit(e, "e"))
     for start, _, rows in _row_blocks(traj.positions, traj.velocities, traj.masses, traj.times):
-        bad.add(start, _locked(rows))
+        bad.add(start, rows)
         del rows  # not held while the next block is built
     return bad.result()
 
@@ -534,9 +467,7 @@ def reconstruct_spatial(
     if traj.normals is None:
         blocks = _tracked(blocks, t, e)
     else:
-        blocks = (
-            (start, stop, _locked(rows), traj.normals[start:stop].T) for start, stop, rows in blocks
-        )
+        blocks = ((start, stop, rows, traj.normals[start:stop].T) for start, stop, rows in blocks)
 
     rate = np.empty(t.size)
     antipodal = np.empty(t.size, dtype=bool)
@@ -625,7 +556,7 @@ def velocity_decompose(config: SpatialConfiguration, velocity, masses: MassTripl
         raise ValueError("velocity carries net linear momentum")
     _require_centered(config, masses)
     q = config.as_array()
-    kernel = _locked_inertia(q[None, :, :], masses, v[None])
+    kernel = _jacobi_rows(q[None, :, :], v[None], masses)
     if kernel.collinear[0]:
         warnings.warn(
             "collinear configuration: using the J/I convention, the internal part "

@@ -737,7 +737,10 @@ def _random_smooth(
         raise ValueError("random_smooth duration must be positive")
     if not harmonics >= 1:
         raise ValueError("random_smooth harmonics must be at least 1")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError:
+        raise ValueError(f"random_smooth seed must be non-negative, got {seed!r}") from None
     t = np.linspace(0.0, duration, samples)
     base_freq = TWO_PI / duration if periodic else (TWO_PI / duration) * rng.uniform(0.55, 0.85)
 

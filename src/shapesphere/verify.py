@@ -31,9 +31,10 @@ from .shape_core import (
     shape_series,
     ShapePoint,
     _cross,
+    _jacobi_rows,
     _recenter,
 )
-from .spatial import _locked_inertia, _projected_rate, reconstruct_spatial
+from .spatial import _projected_rate, reconstruct_spatial
 from .trajectory import (
     Trajectory,
     apply_rotation_profile,
@@ -485,7 +486,7 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
     while accepted.shape[0] < count:
         batch = np.zeros((count, 3, 3))
         batch[:, :, :2] = rng.uniform(-1.0, 1.0, size=(count, 3, 2))
-        kernel = _locked_inertia(batch, masses)
+        kernel = _jacobi_rows(batch, None, masses)
         keep = kernel.smallest >= 0.05 * 2.0 * kernel.inertia
         accepted = np.concatenate([accepted, batch[keep]])
     states = accepted[:count]
@@ -506,7 +507,7 @@ def spin_invariance_deviation(count: int = 1000, seed: int = 0) -> float:
     # F of the drawn states (rows [:count]) and of the spun ones, in one
     # batch; each normal is oriented into the e hemisphere, as normal
     # tracking does, and a spun normal keeps the side of the one it spins
-    kernel = _locked_inertia(np.concatenate([states, spun]), masses)
+    kernel = _jacobi_rows(np.concatenate([states, spun]), None, masses)
     normals = kernel.normal / np.linalg.norm(kernel.normal, axis=0)
     side = np.where(np.einsum("dn,nd->n", normals[:, :count], axes) < 0.0, -1.0, 1.0)
     normals *= np.concatenate([side, side])

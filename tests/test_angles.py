@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 from shapesphere import derive_masses, equilateral_configuration, generate
 from shapesphere.angles import TWO_PI, unwrap_held, wrap_angle
 from shapesphere.planar import ShapeCurve
-from shapesphere.spatial import _locked_inertia, normal_track
+from shapesphere.shape_core import _jacobi_rows
+from shapesphere.spatial import normal_track
 
 
 class TestWrapAngle:
@@ -65,7 +66,7 @@ class TestUnwrapHeld:
             axis=np.array([0.3, 0.1, 1.0]),
         )
         e = np.array([0.0, 0.0, 1.0])
-        points = _locked_inertia(motion.positions, masses).shape_points(normal_track(motion, e).T).T
+        points = _jacobi_rows(motion.positions, None, masses).shape_points(normal_track(motion, e).T).T
         curve = ShapeCurve.from_points(motion.times, points)
         raw = np.arctan2(curve.points[:, 2], curve.points[:, 1])
         assert curve.unwound_xi[-1] - curve.unwound_xi[0] == 0.0

@@ -487,12 +487,9 @@ class TestStreamedInput:
             assert main(["project", str(src), "--masses", "1,1,1"]) == 2
             assert capsys.readouterr().err == f"error: {src} is not UTF-8 text: {whole.value}\n"
 
-    def test_reconstruct_holds_about_two_tables_not_the_text(self, tmp_path, capsys):
+    def test_reconstruct_holds_about_two_tables_not_the_text(self, long_csv, capsys):
         n = 200_000
-        motion = generate("random_smooth", masses=M123, seed=2, duration=20.0, samples=n)
-        src = tmp_path / "long.csv"
-        with open(src, "w", encoding="utf-8") as handle:
-            handle.writelines(_serialized_blocks(motion, "csv"))
+        _, src, _ = long_csv
         table_bytes = n * 13 * 8
         tracemalloc.start()
         try:
@@ -507,9 +504,9 @@ class TestStreamedInput:
         assert peak <= 2.5 * table_bytes, peak / table_bytes
         assert peak < src.stat().st_size, peak / src.stat().st_size
 
-    def test_project_holds_about_two_tables_not_the_text(self, tmp_path):
+    def test_project_holds_about_two_tables_not_the_text(self, long_csv, tmp_path):
         n = 200_000
-        _, src = write_long_csv(tmp_path, n)
+        _, src, _ = long_csv
         table_bytes = n * 13 * 8
         peak = traced_peak(["project", str(src), "--masses", "1,2,3", "--out", str(tmp_path / "c")])
         # the table and its recentered copies, then the shape rows; the
@@ -518,12 +515,11 @@ class TestStreamedInput:
         assert peak <= 2.5 * table_bytes, peak / table_bytes
         assert peak < src.stat().st_size, peak / src.stat().st_size
 
-    def test_lift_holds_its_output_and_one_block(self, tmp_path):
+    def test_lift_holds_its_output_and_one_block(self, long_csv, tmp_path):
         n = 200_000
-        motion, src = write_long_csv(tmp_path, n)
-        curve, initial, lifted = tmp_path / "curve.csv", tmp_path / "init.json", tmp_path / "out"
-        assert main(["project", str(src), "--masses", "1,2,3", "--out", str(curve)]) == 0
-        initial.write_text(json.dumps({"masses": [1, 2, 3], "q": motion.positions[0].tolist()}))
+        first, _, curve = long_csv
+        initial, lifted = tmp_path / "init.json", tmp_path / "out"
+        initial.write_text(json.dumps({"masses": [1, 2, 3], "q": first}))
         peak = traced_peak(["lift", str(curve), "--initial", str(initial), "--out", str(lifted)])
         table_bytes = n * 13 * 8  # of the lifted table
         # the curve, the lifted positions and velocities and one block's
@@ -533,13 +529,18 @@ class TestStreamedInput:
         assert peak < lifted.stat().st_size, peak / lifted.stat().st_size
 
 
-def write_long_csv(tmp_path, n):
-    """A random_smooth motion of n samples and the path of its CSV file."""
-    motion = generate("random_smooth", masses=M123, seed=2, duration=20.0, samples=n)
-    src = tmp_path / "long.csv"
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    """A 200000-sample random_smooth motion, built once for the tests that
+    trace a command on it: its first positions, the path of its CSV file
+    and the path of its projected curve."""
+    tmp_path = tmp_path_factory.mktemp("long")
+    motion = generate("random_smooth", masses=M123, seed=2, duration=20.0, samples=200_000)
+    src, curve = tmp_path / "long.csv", tmp_path / "curve.csv"
     with open(src, "w", encoding="utf-8") as handle:
         handle.writelines(_serialized_blocks(motion, "csv"))
-    return motion, src
+    assert main(["project", str(src), "--masses", "1,2,3", "--out", str(curve)]) == 0
+    return motion.positions[0].tolist(), src, curve
 
 
 def traced_peak(argv) -> int:
@@ -643,8 +644,15 @@ class TestGenerate:
             ({"duration": -1.0}, "duration must be positive"),
             ({"duration": 1.0, "harmonics": 0}, "harmonics must be at least 1"),
             ({"duration": 1.0, "harmonics": -1}, "harmonics must be at least 1"),
+            ({"duration": 1.0, "seed": -1}, "seed must be non-negative, got -1"),
         ],
-        ids=["zero_duration", "negative_duration", "zero_harmonics", "negative_harmonics"],
+        ids=[
+            "zero_duration",
+            "negative_duration",
+            "zero_harmonics",
+            "negative_harmonics",
+            "negative_seed",
+        ],
     )
     def test_random_smooth_domain_exits_3(self, capsys, extra, message):
         # a domain error naming the parameter, not a traceback or a silent

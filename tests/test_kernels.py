@@ -38,7 +38,7 @@ from shapesphere.shape_core import (
     _jacobi_rows,
     _recenter,
 )
-from shapesphere.spatial import _locked_inertia, _projected_rate
+from shapesphere.spatial import _projected_rate
 from shapesphere.trajectory import (
     _gravity_accel,
     _spline_slopes,
@@ -510,7 +510,7 @@ class TestProjectedRate:
         masses = derive_masses(1.0, 1.4, 0.7)
         q = rng.standard_normal((50, 3, 3))
         q -= (masses.as_array() @ q)[:, None, :] / masses.M
-        kernel = _locked_inertia(q, masses)
+        kernel = _jacobi_rows(q, None, masses)
         normals = kernel.normal.T / np.linalg.norm(kernel.normal.T, axis=1)[:, None]
         axes = rng.standard_normal((50, 3))
         axes /= np.linalg.norm(axes, axis=1)[:, None]

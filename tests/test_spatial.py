@@ -32,11 +32,10 @@ from shapesphere import (
 )
 from shapesphere.angles import wrap_angle
 from shapesphere.planar import planar_series, shape_curve
-from shapesphere.shape_core import _jacobi_product
+from shapesphere.shape_core import _jacobi_product, _jacobi_rows
 from shapesphere.spatial import (
     ANTIPODAL_TOL,
     COLLINEAR_EIG_TOL,
-    _locked_inertia,
     _project_positions,
     _projected_rate,
 )
@@ -154,7 +153,7 @@ class TestSigmaInverse:
             cfg = centered_spatial(M123, rng.uniform(-1, 1, size=(3, 3)))
             J = rng.uniform(-2, 2, size=3)
             inertia = rng.uniform(0.5, 2.0)
-            kernel = _locked_inertia(cfg.as_array()[None], M123)
+            kernel = _jacobi_rows(cfg.as_array()[None], None, M123)
             expected = kernel.inverse(J[:, None], inertia)[:, 0]
             assert np.array_equal(sigma_inverse(sigma_tensor(cfg, M123), J, inertia), expected)
 
@@ -722,7 +721,7 @@ class TestReconstructSpatial:
         base = generate("random_smooth", masses=M123, seed=seed, duration=3.0, samples=10_000)
         spatial = embed_planar(base)
         e = np.array([0.0, 0.0, 1.0])
-        kernel = _locked_inertia(spatial.positions, M123, spatial.velocities)
+        kernel = _jacobi_rows(spatial.positions, spatial.velocities, M123)
         rate = _projected_rate(
             kernel.inverse(kernel.momentum, kernel.inertia), normal_track(spatial, e).T, e
         )
@@ -767,7 +766,7 @@ class TestLockedInertiaKernel:
         sigma = dense_sigma(q, M123)
         trace = np.trace(sigma)
         eig, vec = np.linalg.eigh(sigma)
-        kernel = _locked_inertia(q[None], M123)
+        kernel = _jacobi_rows(q[None], None, M123)
         assert kernel.inertia[0] == pytest.approx(0.5 * trace, rel=1e-13)
         assert abs(kernel.smallest[0] - eig[0]) <= 1e-13 * trace
         if abs(eig[0] - COLLINEAR_EIG_TOL * trace) > 1e-12 * trace:
@@ -791,7 +790,7 @@ class TestLockedInertiaKernel:
             sigma = dense_sigma(q, M123)
             trace = np.trace(sigma)
             eig, vec = np.linalg.eigh(sigma)
-            kernel = _locked_inertia(q[None], M123)
+            kernel = _jacobi_rows(q[None], None, M123)
             smallest = kernel.smallest[0]
             assert 0.0 < smallest and abs(smallest - eig[0]) <= 1e-14 * trace
             assert kernel.collinear[0] == (eig[0] < COLLINEAR_EIG_TOL * trace)
@@ -813,7 +812,7 @@ class TestLockedInertiaKernel:
             q, line = near_collinear(M123, rng, 0.0)
             sigma = dense_sigma(q, M123)
             trace = np.trace(sigma)
-            kernel = _locked_inertia(q[None], M123)
+            kernel = _jacobi_rows(q[None], None, M123)
             assert kernel.collinear[0]
             assert 0.0 <= kernel.smallest[0] <= 1e-14 * trace
             assert np.linalg.eigvalsh(sigma)[0] < COLLINEAR_EIG_TOL * trace
@@ -828,13 +827,13 @@ class TestLockedInertiaKernel:
     def test_collinear_with_a_vanishing_jacobi_vector(self, offsets):
         line = np.array([0.36, -0.48, 0.8])
         q = centered_spatial(M111, np.outer(offsets, line)).as_array()
-        kernel = _locked_inertia(q[None], M111)
+        kernel = _jacobi_rows(q[None], None, M111)
         assert kernel.collinear[0]
         assert abs(kernel.axis().T[0] @ line) == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(dense_sigma(q, M111) @ kernel.axis().T[0], 0.0, atol=1e-14)
 
     def test_triple_collision_is_not_collinear(self):
-        kernel = _locked_inertia(np.zeros((1, 3, 3)), M111)
+        kernel = _jacobi_rows(np.zeros((1, 3, 3)), None, M111)
         assert kernel.inertia[0] == 0.0 and not kernel.collinear[0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -857,7 +856,7 @@ class TestLockedInertiaKernel:
             assert np.min(np.linalg.norm(normals + e, axis=1)) > 1e-3
             projected = _project_positions(motion.positions.T, normals.T, e).T
             view = shape_curve(Trajectory(motion.masses, motion.times, projected))
-            kernel = _locked_inertia(motion.positions, motion.masses)
+            kernel = _jacobi_rows(motion.positions, None, motion.masses)
             assert np.max(np.abs(kernel.shape_points(normals.T).T - view.points)) <= 1e-12
 
 
@@ -894,7 +893,7 @@ class TestComponentRowsAgainstBodies:
     @pytest.mark.parametrize("masses", [M111, M123])
     def test_momentum_vectors(self, masses):
         q, v = sample_batch(masses, np.random.default_rng(21))
-        rows = _locked_inertia(q, masses, v).momentum
+        rows = _jacobi_rows(q, v, masses).momentum
         assert rows.shape == (3, q.shape[0]) and rows.flags.c_contiguous
         m = masses.as_array()
         for k in range(q.shape[0]):
@@ -906,7 +905,7 @@ class TestComponentRowsAgainstBodies:
     def test_inverse_and_projected_rate(self, masses):
         rng = np.random.default_rng(22)
         q, v = sample_batch(masses, rng)
-        kernel = _locked_inertia(q, masses, v)
+        kernel = _jacobi_rows(q, v, masses)
         momenta = kernel.momentum
         w = kernel.inverse(momenta, kernel.inertia)
         e = rng.standard_normal(3)
@@ -933,7 +932,7 @@ class TestComponentRowsAgainstBodies:
     def test_shape_points_and_oracle_projection(self, masses):
         rng = np.random.default_rng(23)
         q, _ = sample_batch(masses, rng)
-        kernel = _locked_inertia(q, masses)
+        kernel = _jacobi_rows(q, None, masses)
         e = rng.standard_normal(3)
         e /= np.linalg.norm(e)
         # each sample's own normal, on a random side; collinear rows take any
